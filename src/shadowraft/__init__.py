@@ -35,17 +35,14 @@ from .ledger import (
     decode_block,
     encode_block,
     hash_header,
-    load_chain,
     make_genesis,
     new_block,
-    save_chain,
 )
 from .ordering import (
     GlobalView,
     OrderedBlockRef,
     confirm_bar,
     expected_next_rank,
-    flatten_transactions,
     propose_rank_fields,
     total_order,
 )

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import beacon as beacon_mod
 from .beacon import invoke_beacon, make_beacon_nodes
-from .ledger import BlockHeader, hash_header
+from .ledger import HASH_LEN, BlockHeader, hash_header
 from .ordering import (
     GlobalView,
     OrderingError,
@@ -93,6 +93,7 @@ _PARSERS = {
 
 def read_config_file(path: str) -> dict[str, str]:
     raw: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -100,7 +101,13 @@ def read_config_file(path: str) -> dict[str, str]:
         key, sep, value = stripped.partition("=")
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in set_on:
+            raise ConfigError(
+                f"{path}:{lineno}: duplicate key {key!r} (first set on line {set_on[key]})"
+            )
+        set_on[key] = lineno
+        raw[key] = value.strip()
     return raw
 
 
@@ -254,42 +261,78 @@ def cmd_scale(args) -> int:
 # -- verify-order --------------------------------------------------------
 
 
-def _load_snapshots(trace_dir: Path):
-    """snapshots.csv -> {(time, node): {chain: [(height, header, stored_hash)]}}"""
-    path = trace_dir / "snapshots.csv"
-    if not path.is_file():
-        return None
-    views: dict[tuple[int, int], dict[int, list]] = {}
+class _Rejected(Exception):
+    """verify-order stops; args are (exit code, diagnostic)."""
+
+
+def _parse_header(cells: list[str], time: int, node_id: int) -> tuple[BlockHeader, bytes]:
+    """(header, stored hash) from one snapshots.csv row.
+
+    Raises ValueError if a field is malformed, and _Rejected (exit 1) if the
+    stored hash does not match the header fields.
+    """
+    chain_id, height, rank, next_rank, term = (int(c) for c in cells[2:7])
+    if not 0 <= chain_id < 1 << 32 or not all(
+        0 <= v < 1 << 64 for v in (height, rank, next_rank, term)
+    ):
+        raise ValueError("integer field out of range")
+    parent, root, stored = (bytes.fromhex(c) for c in cells[7:])
+    if not len(parent) == len(root) == len(stored) == HASH_LEN:
+        raise ValueError("hash fields must be 64 hex digits")
+    header = BlockHeader(chain_id, height, parent, rank, next_rank, root, term)
+    if hash_header(header) != stored:
+        raise _Rejected(
+            1,
+            f"snapshot t={time} node={node_id} chain={chain_id} height={height}: "
+            f"stored hash does not match the header fields",
+        )
+    return header, stored
+
+
+def _csv_rows(path: Path, width: int):
+    """(line number, cells) for each data row of a CSV file of width fields."""
     with open(path) as fh:
-        header_line = fh.readline()
-        if not header_line:
-            return None
-        for line in fh:
-            (
-                time,
-                node_id,
-                chain_id,
-                height,
-                rank,
-                next_rank,
-                term,
-                parent_hex,
-                root_hex,
-                hash_hex,
-            ) = line.rstrip("\n").split(",")
-            header = BlockHeader(
-                chain_id=int(chain_id),
-                height=int(height),
-                parent_hash=bytes.fromhex(parent_hex),
-                rank=int(rank),
-                next_rank=int(next_rank),
-                tx_root=bytes.fromhex(root_hex),
-                proposer_term=int(term),
-            )
-            views.setdefault((int(time), int(node_id)), {}).setdefault(
-                int(chain_id), []
-            ).append((int(height), header, bytes.fromhex(hash_hex)))
+        fh.readline()
+        for lineno, line in enumerate(fh, 2):
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != width:
+                why = f"expected {width} fields, found {len(cells)}"
+                raise _Rejected(2, f"{path}:{lineno}: {why}")
+            yield lineno, cells
+
+
+def _load_snapshots(path: Path) -> dict[tuple[int, int], list[tuple[BlockHeader, bytes]]]:
+    """snapshots.csv -> {(time, node): [(header, stored hash)]}.
+
+    A header recurs in every later snapshot, so each distinct header row is
+    parsed, and its stored hash checked, once. A malformed row raises
+    _Rejected with exit 2.
+    """
+    views: dict[tuple[int, int], list[tuple[BlockHeader, bytes]]] = {}
+    known: dict[str, tuple[BlockHeader, bytes]] = {}
+    for lineno, cells in _csv_rows(path, 10):
+        try:
+            time, node_id = int(cells[0]), int(cells[1])
+            key = ",".join(cells[2:])
+            entry = known.get(key)
+            if entry is None:
+                entry = known[key] = _parse_header(cells, time, node_id)
+        except ValueError as exc:
+            raise _Rejected(2, f"{path}:{lineno}: {exc}") from None
+        views.setdefault((time, node_id), []).append(entry)
     return views
+
+
+def _load_tx_counts(path: Path) -> dict[str, int]:
+    """A run's order.csv -> {block hash hex: tx_count}; empty if absent."""
+    tx_counts: dict[str, int] = {}
+    if path.is_file():
+        for lineno, cells in _csv_rows(path, 6):
+            try:
+                tx_counts[cells[4]] = int(cells[5])
+            except ValueError as exc:
+                raise _Rejected(2, f"{path}:{lineno}: {exc}") from None
+    return tx_counts
 
 
 def _print_divergence(label_a, order_a, label_b, order_b):
@@ -312,50 +355,39 @@ def cmd_verify_order(args) -> int:
     if not trace_dir.is_dir():
         print(f"verify-order: {trace_dir} is not a directory", file=sys.stderr)
         return 2
-    views = _load_snapshots(trace_dir)
-    if not views:
-        print(f"verify-order: no snapshots found in {trace_dir}", file=sys.stderr)
-        return 2
+    try:
+        return _verify_order(trace_dir, Path(args.out))
+    except _Rejected as exc:
+        code, message = exc.args
+        print(f"verify-order: {message}", file=sys.stderr)
+        return code
 
-    tx_counts: dict[str, int] = {}
-    order_csv = trace_dir / "order.csv"
-    if order_csv.is_file():
-        with open(order_csv) as fh:
-            fh.readline()
-            for line in fh:
-                _, _, _, _, block_hash, tx_count = line.rstrip("\n").split(",")
-                tx_counts[block_hash] = int(tx_count)
+
+def _verify_order(trace_dir: Path, out: Path) -> int:
+    snapshots = trace_dir / "snapshots.csv"
+    views = _load_snapshots(snapshots) if snapshots.is_file() else None
+    if not views:
+        raise _Rejected(2, f"no snapshots found in {trace_dir}")
+    tx_counts = _load_tx_counts(trace_dir / "order.csv")
 
     orders: dict[tuple[int, int], list] = {}
     last_per_node: dict[int, tuple[int, list]] = {}
-    for (time, node_id), chains in sorted(views.items()):
-        rebuilt = {}
-        for chain_id, rows in chains.items():
-            rows.sort()
-            for height, header, stored in rows:
-                if hash_header(header) != stored:
-                    print(
-                        f"verify-order: snapshot t={time} node={node_id} "
-                        f"chain={chain_id} height={height}: stored hash does not "
-                        f"match the header fields",
-                        file=sys.stderr,
-                    )
-                    return 1
-            rebuilt[chain_id] = tuple(h for _, h, _ in rows)
-        view = GlobalView(num_chains=len(rebuilt), chains=rebuilt)
+    for (time, node_id), rows in sorted(views.items()):
+        rows.sort(key=lambda row: (row[0].chain_id, row[0].height))
+        view = GlobalView(len({header.chain_id for header, _ in rows}))
         try:
+            for header, stored in rows:
+                view.add(header, stored)
             validate_view(view)
             order = total_order(view)
         except OrderingError as exc:
-            print(f"verify-order: t={time} node={node_id}: {exc}", file=sys.stderr)
-            return 1
+            raise _Rejected(1, f"t={time} node={node_id}: {exc}") from None
         if order != reference_total_order(view):
-            print(
-                f"verify-order: t={time} node={node_id}: total_order disagrees "
-                f"with the brute-force reference",
-                file=sys.stderr,
+            raise _Rejected(
+                1,
+                f"t={time} node={node_id}: total_order disagrees with the "
+                f"brute-force reference",
             )
-            return 1
         orders[(time, node_id)] = order
         prev = last_per_node.get(node_id)
         if prev is not None and order[: len(prev[1])] != prev[1]:
@@ -376,7 +408,6 @@ def cmd_verify_order(args) -> int:
                 return 1
 
     final = max(orders.items(), key=lambda kv: (kv[0][0], len(kv[1])))[1]
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "order.csv", "w") as fh:
         fh.write("position,rank,chain_id,height,block_hash,tx_count\n")

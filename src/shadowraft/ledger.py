@@ -16,10 +16,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
-
-from . import sealing
 
 HASH_LEN = 32
 ZERO_HASH = b"\x00" * HASH_LEN
@@ -59,11 +56,6 @@ class Transaction:
             raise ValueError("fee must be non-negative")
         if not 0 <= self.nonce < 1 << 64:
             raise ValueError("nonce out of range")
-
-    def validate(self) -> None:
-        """Check the sensitive-payload invariant (payload parses as sealed)."""
-        if self.sensitive:
-            sealing.SealedPayload.decode(self.payload)
 
 
 @dataclass(frozen=True)
@@ -129,11 +121,6 @@ def _decode_transaction(buf: bytes, pos: int) -> tuple[Transaction, int]:
 def encode_transactions(txs: Iterable[Transaction]) -> bytes:
     txs = tuple(txs)
     return struct.pack(">Q", len(txs)) + b"".join(encode_transaction(t) for t in txs)
-
-
-def transaction_id(tx: Transaction) -> bytes:
-    """32-byte digest of the canonical transaction encoding."""
-    return hashlib.sha256(encode_transaction(tx)).digest()
 
 
 def tx_root(txs: Iterable[Transaction]) -> bytes:
@@ -205,52 +192,44 @@ def decode_block(data: bytes) -> Block:
     return Block(header, tuple(txs))
 
 
+def check_link(
+    header: BlockHeader, parent: BlockHeader | None, parent_hash: bytes | None
+) -> None:
+    """The linkage rule: does header extend parent, the tail of its chain?
+
+    parent is None for the first header of a chain, which must be a genesis:
+    height 0, all-zero parent hash, rank 0. Otherwise header must sit at the
+    next height, carry parent_hash (the hash of parent, passed in so callers
+    that keep hashes hash each header once) and take rank == parent next_rank.
+    Every header needs next_rank > rank. Raises LinkageError or RankError.
+    """
+    if parent is None:
+        height, link, rank = 0, ZERO_HASH, 0
+    else:
+        height, link, rank = parent.height + 1, parent_hash, parent.next_rank
+    if header.height != height:
+        raise LinkageError(f"height {header.height}, expected {height}")
+    if header.parent_hash != link:
+        raise LinkageError("parent_hash does not match chain tip")
+    if header.rank != rank:
+        raise RankError(f"rank {header.rank}, expected tip next_rank {rank}")
+    if header.next_rank <= header.rank:
+        raise RankError(f"next_rank {header.next_rank} <= rank {header.rank}")
+
+
 def append_block(ledger: ChainLedger, block: Block) -> ChainLedger:
-    """Validate linkage, rank continuity, and next_rank > rank, then append.
+    """Check the block's chain, tx_root and linkage (check_link), then append.
 
     Returns a new ledger value; the input ledger is unchanged.
     """
     h = block.header
     if h.chain_id != ledger.chain_id:
         raise ChainMismatch(f"block chain {h.chain_id} != ledger chain {ledger.chain_id}")
-    if h.height != len(ledger.blocks):
-        raise LinkageError(f"height {h.height}, expected {len(ledger.blocks)}")
     if h.tx_root != tx_root(block.transactions):
         raise LinkageError("tx_root does not match transaction list")
-    if h.next_rank <= h.rank:
-        raise RankError(f"next_rank {h.next_rank} <= rank {h.rank}")
     tip = ledger.tip
     if tip is None:
-        if h.parent_hash != ZERO_HASH:
-            raise LinkageError("genesis parent_hash must be all zero")
-        if h.rank != 0:
-            raise RankError(f"genesis rank {h.rank} != 0")
+        check_link(h, None, None)
     else:
-        if h.parent_hash != hash_header(tip.header):
-            raise LinkageError("parent_hash does not match chain tip")
-        if h.rank != tip.header.next_rank:
-            raise RankError(f"rank {h.rank}, expected tip next_rank {tip.header.next_rank}")
+        check_link(h, tip.header, hash_header(tip.header))
     return ChainLedger(ledger.chain_id, ledger.blocks + (block,))
-
-
-def save_chain(ledger: ChainLedger, path: str | Path) -> None:
-    """Persist as newline-delimited hex records, one encoded block per line."""
-    with open(path, "w", encoding="ascii") as fh:
-        for block in ledger.blocks:
-            fh.write(encode_block(block).hex())
-            fh.write("\n")
-
-
-def load_chain(chain_id: int, path: str | Path) -> ChainLedger:
-    ledger = ChainLedger(chain_id)
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = bytes.fromhex(line)
-            except ValueError as exc:
-                raise DecodeError(f"bad hex record: {exc}") from exc
-            ledger = append_block(ledger, decode_block(raw))
-    return ledger

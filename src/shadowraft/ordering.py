@@ -10,15 +10,18 @@ no chain can ever again produce a block ranked under it. Fully confirmed
 blocks sort by (rank, chain_id), which yields the same total order at every
 node and only ever grows by appending.
 
-All functions here are pure over an immutable view snapshot; the simulator
-feeds them each node's committed-header view as gossip arrives.
+A GlobalView is one node's live, growing view of every chain. Headers enter
+it only through ``GlobalView.add``, which applies the ledger's linkage rule
+(``ledger.check_link``) and keeps the ConfirmBar current. The simulator
+holds one view per node; ``verify-order`` rebuilds one per snapshot. The
+functions below read a view and never change it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .ledger import Block, BlockHeader, Transaction, hash_header
+from .ledger import BlockHeader, LedgerError, check_link, hash_header
 
 
 class OrderingError(Exception):
@@ -33,38 +36,69 @@ class IncompleteView(OrderingError):
     pass
 
 
-class DanglingRef(OrderingError):
-    pass
-
-
-@dataclass(frozen=True)
-class GlobalView:
-    """One node's snapshot of the committed prefix of every chain.
-
-    chains maps chain_id to the ordered list of committed block headers,
-    genesis first. bodies resolves header hashes to full blocks when
-    transaction flattening is needed; header-only views leave it empty.
-    """
-
-    num_chains: int
-    chains: dict[int, tuple[BlockHeader, ...]]
-    bodies: dict[bytes, Block] = field(default_factory=dict)
-    observed_at: int = 0
-
-
-@dataclass(frozen=True, order=True)
-class OrderedBlockRef:
+class OrderedBlockRef(NamedTuple):
     rank: int
     chain_id: int
     height: int
     block_hash: bytes
 
 
+class GlobalView:
+    """One node's view of the committed prefix of every chain.
+
+    chains[c] lists chain c's headers from genesis on, and refs[c] holds the
+    OrderedBlockRef of each, built once when the header enters: its hash is
+    the one the view links the next header against. tails[c] is the
+    expected next rank of chain c (its tail's next_rank, 0 while the chain
+    is empty), and bar is the minimum of tails.
+    """
+
+    __slots__ = ("num_chains", "chains", "refs", "tails", "bar")
+
+    def __init__(self, num_chains: int):
+        self.num_chains = num_chains
+        self.chains: list[list[BlockHeader]] = [[] for _ in range(num_chains)]
+        self.refs: list[list[OrderedBlockRef]] = [[] for _ in range(num_chains)]
+        self.tails = [0] * num_chains
+        self.bar = 0
+
+    def add(self, header: BlockHeader, header_hash: bytes) -> None:
+        """Check header against its chain's tail (the linkage rule), then append it.
+
+        header_hash must be hash_header(header); the caller computes or
+        checks it, so each header is hashed once. Raises UnknownChain for a
+        chain outside the view and OrderingError for a broken link. Because
+        every header passes the linkage rule, tails and bar never decrease.
+        """
+        chain = header.chain_id
+        if not 0 <= chain < self.num_chains:
+            raise UnknownChain(f"chain {chain} not in view")
+        headers, refs = self.chains[chain], self.refs[chain]
+        parent, parent_hash = (headers[-1], refs[-1].block_hash) if headers else (None, None)
+        _link(header, parent, parent_hash)
+        headers.append(header)
+        refs.append(OrderedBlockRef(header.rank, chain, header.height, header_hash))
+        old = self.tails[chain]
+        self.tails[chain] = header.next_rank
+        if old == self.bar:
+            self.bar = min(self.tails)
+
+
+def _link(header: BlockHeader, parent: BlockHeader | None, parent_hash: bytes | None) -> None:
+    """check_link, reporting a violation as an OrderingError with its place."""
+    try:
+        check_link(header, parent, parent_hash)
+    except LedgerError as exc:
+        raise OrderingError(
+            f"chain {header.chain_id} height {header.height}: {exc}"
+        ) from None
+
+
 def expected_next_rank(view: GlobalView, chain_id: int) -> int:
     """Rank the chain's next block will take: tail next_rank (y_i)."""
-    if chain_id not in view.chains or not view.chains[chain_id]:
+    if not 0 <= chain_id < view.num_chains or not view.chains[chain_id]:
         raise UnknownChain(f"chain {chain_id} not in view")
-    return view.chains[chain_id][-1].next_rank
+    return view.tails[chain_id]
 
 
 def propose_rank_fields(view: GlobalView, chain_id: int) -> tuple[int, int]:
@@ -75,19 +109,15 @@ def propose_rank_fields(view: GlobalView, chain_id: int) -> tuple[int, int]:
     the smallest value satisfying both next_rank > rank and next_rank >= x.
     """
     rank = expected_next_rank(view, chain_id)
-    x = max(expected_next_rank(view, c) for c in view.chains)
-    return rank, max(rank + 1, x)
+    return rank, max(rank + 1, max(view.tails))
 
 
 def confirm_bar(view: GlobalView) -> int:
     """Minimum expected next rank over all chains; all chains must appear."""
-    if len(view.chains) != view.num_chains or any(
-        c not in view.chains for c in range(view.num_chains)
-    ):
-        raise IncompleteView(
-            f"view covers {sorted(view.chains)} of {view.num_chains} chains"
-        )
-    return min(expected_next_rank(view, c) for c in range(view.num_chains))
+    if not all(view.chains):
+        present = [c for c, headers in enumerate(view.chains) if headers]
+        raise IncompleteView(f"view covers {present} of {view.num_chains} chains")
+    return view.bar
 
 
 def total_order(view: GlobalView) -> list[OrderedBlockRef]:
@@ -99,92 +129,53 @@ def total_order(view: GlobalView) -> list[OrderedBlockRef]:
     above the old bar.
     """
     bar = confirm_bar(view)
-    refs = [
-        OrderedBlockRef(h.rank, h.chain_id, h.height, hash_header(h))
-        for headers in view.chains.values()
-        for h in headers
-        if h.rank < bar
-    ]
-    refs.sort()
-    return refs
-
-
-def flatten_transactions(
-    order: list[OrderedBlockRef], view: GlobalView
-) -> list[Transaction]:
-    """Concatenate block transactions in total-order sequence."""
-    txs: list[Transaction] = []
-    for ref in order:
-        block = view.bodies.get(ref.block_hash)
-        if block is None:
-            raise DanglingRef(
-                f"no body for block {ref.block_hash.hex()[:12]} "
-                f"(chain {ref.chain_id} height {ref.height})"
-            )
-        txs.extend(block.transactions)
-    return txs
+    order: list[OrderedBlockRef] = []
+    for refs in view.refs:
+        # ranks rise along a chain, so its confirmed blocks are a prefix
+        cut = len(refs)
+        while cut and refs[cut - 1].rank >= bar:
+            cut -= 1
+        order += refs[:cut]
+    order.sort()
+    return order
 
 
 def reference_total_order(view: GlobalView) -> list[OrderedBlockRef]:
     """Brute-force oracle for total_order, kept deliberately independent.
 
-    Computes the bar by direct field reads and sorts with an explicit
-    comparison key instead of reusing the production helpers.
+    Computes the bar by direct field reads, hashes every header itself and
+    sorts with an explicit comparison key instead of reusing the view's
+    bar, refs or the production helpers.
     """
     tails = []
     for c in range(view.num_chains):
-        headers = view.chains.get(c)
+        headers = view.chains[c]
         if not headers:
             raise IncompleteView(f"chain {c} missing")
         tails.append(headers[-1].next_rank)
     bar = min(tails)
     out = []
-    for c, headers in view.chains.items():
+    for headers in view.chains:
         for h in headers:
             if h.rank < bar:
                 out.append(OrderedBlockRef(h.rank, h.chain_id, h.height, hash_header(h)))
     return sorted(out, key=lambda r: (r.rank, r.chain_id))
 
 
-def is_prefix(shorter: list[OrderedBlockRef], longer: list[OrderedBlockRef]) -> bool:
-    if len(shorter) > len(longer):
-        return False
-    return all(a == b for a, b in zip(shorter, longer))
-
-
 def validate_view(view: GlobalView) -> None:
-    """Check per-chain linkage and rank discipline over a header view.
+    """Recheck every chain of the view against the ledger's linkage rule.
 
-    Raises OrderingError on the first violation: wrong chain_id, broken
-    height/parent linkage, rank != parent next_rank, or next_rank <= rank.
+    Raises OrderingError on the first violation: a header filed under the
+    wrong chain, or one that does not extend its predecessor (height,
+    parent hash, rank == parent next_rank, next_rank > rank, genesis rules).
     """
-    for chain_id, headers in view.chains.items():
-        prev: BlockHeader | None = None
-        for h in headers:
+    for chain_id, headers in enumerate(view.chains):
+        parent: BlockHeader | None = None
+        parent_hash = None
+        for h, ref in zip(headers, view.refs[chain_id]):
             if h.chain_id != chain_id:
                 raise OrderingError(
                     f"chain {chain_id} holds header for chain {h.chain_id}"
                 )
-            if h.next_rank <= h.rank:
-                raise OrderingError(
-                    f"chain {chain_id} height {h.height}: "
-                    f"next_rank {h.next_rank} <= rank {h.rank}"
-                )
-            if prev is None:
-                if h.height != 0 or h.rank != 0:
-                    raise OrderingError(f"chain {chain_id} view must start at genesis")
-            else:
-                if h.height != prev.height + 1:
-                    raise OrderingError(
-                        f"chain {chain_id}: height {h.height} after {prev.height}"
-                    )
-                if h.parent_hash != hash_header(prev):
-                    raise OrderingError(
-                        f"chain {chain_id} height {h.height}: parent hash mismatch"
-                    )
-                if h.rank != prev.next_rank:
-                    raise OrderingError(
-                        f"chain {chain_id} height {h.height}: "
-                        f"rank {h.rank} != parent next_rank {prev.next_rank}"
-                    )
-            prev = h
+            _link(h, parent, parent_hash)
+            parent, parent_hash = h, ref.block_hash

@@ -159,9 +159,11 @@ class RaftNode:
         return self.log[index - 1].term if index >= 1 else 0
 
     def _step_down(self, term: int) -> None:
-        self.current_term = term
+        # a vote binds for the whole term: only a newer term may clear it
+        if term > self.current_term:
+            self.current_term = term
+            self.voted_for = None
         self.role = Role.FOLLOWER
-        self.voted_for = None
         self.votes = set()
         self.leader_id = None
 

@@ -40,17 +40,25 @@ from .ledger import (
     ChainLedger,
     ChainMismatch,
     DecodeError,
+    LedgerError,
     LinkageError,
     RankError,
     Transaction,
     append_block,
+    check_link,
     decode_block,
     encode_block,
     hash_header,
     make_genesis,
     new_block,
 )
-from .ordering import GlobalView, propose_rank_fields, validate_view
+from .ordering import (
+    GlobalView,
+    OrderingError,
+    propose_rank_fields,
+    total_order,
+    validate_view,
+)
 from .raft import RaftNode, Role, quorum_threshold
 from .rng import Stream
 from .sealing import KeyDirectory, SealedPayload, SealingError, seal
@@ -303,9 +311,7 @@ class _Node:
         "seen_commit",
         "led_term",
         "view",
-        "view_hash",
         "buffer",
-        "bar",
         "confirmed_ptr",
         "last_order",
     )
@@ -318,14 +324,10 @@ class _Node:
         self.applied = 0
         self.seen_commit = 0
         self.led_term = 0
-        self.view: dict[int, list[BlockHeader]] = {
-            c: [b.header] for c, (b, _) in genesis_by_chain.items()
-        }
-        self.view_hash: dict[int, list[bytes]] = {
-            c: [h] for c, (_, h) in genesis_by_chain.items()
-        }
-        self.buffer: dict[int, dict[int, BlockHeader]] = {c: {} for c in self.view}
-        self.bar = 1
+        self.view = GlobalView(len(genesis_by_chain))
+        for genesis, genesis_hash in genesis_by_chain.values():
+            self.view.add(genesis.header, genesis_hash)
+        self.buffer: dict[int, dict[int, BlockHeader]] = {c: {} for c in genesis_by_chain}
         self.confirmed_ptr = 1  # genesis is already below the initial bar
         self.last_order: list[tuple] = []
 
@@ -530,12 +532,11 @@ class Simulation:
     # -- views and gossip ----------------------------------------------------
 
     def _ingest_header(self, node: _Node, header: BlockHeader, now: int) -> None:
+        view = node.view
         chain = header.chain_id
-        headers = node.view[chain]
-        hashes = node.view_hash[chain]
-        tail_height = headers[-1].height
-        if header.height <= tail_height:
-            if hash_header(header) != hashes[header.height]:
+        headers = view.chains[chain]
+        if header.height < len(headers):
+            if hash_header(header) != view.refs[chain][header.height].block_hash:
                 self._flag(
                     f"view-divergence node={node.node_id} chain={chain} "
                     f"height={header.height}"
@@ -543,25 +544,19 @@ class Simulation:
             return
         buf = node.buffer[chain]
         buf.setdefault(header.height, header)
-        grew = False
-        while headers[-1].height + 1 in buf:
-            nxt = buf.pop(headers[-1].height + 1)
-            prev = headers[-1]
-            if (
-                nxt.parent_hash != hashes[-1]
-                or nxt.rank != prev.next_rank
-                or nxt.next_rank <= nxt.rank
-            ):
+        bar, tail = view.bar, len(headers)
+        while len(headers) in buf:
+            nxt = buf.pop(len(headers))
+            try:
+                view.add(nxt, hash_header(nxt))
+            except OrderingError:
                 self._flag(
                     f"header-linkage node={node.node_id} chain={chain} "
                     f"height={nxt.height}"
                 )
                 return
-            headers.append(nxt)
-            hashes.append(hash_header(nxt))
-            grew = True
-        if grew:
-            self._bar_advance(node, now)
+        if len(headers) > tail:
+            self._bar_advance(node, bar, now)
 
     def _gossip_block(self, node: _Node, header: BlockHeader, now: int) -> None:
         for dst in range(self.cfg.num_nodes):
@@ -573,21 +568,21 @@ class Simulation:
             self._count("Gossip")
             self._push(now + delay, _GOSSIP, dst, header)
 
-    def _bar_advance(self, node: _Node, now: int) -> None:
-        bar = min(headers[-1].next_rank for headers in node.view.values())
-        if bar < node.bar:
+    def _bar_advance(self, node: _Node, old_bar: int, now: int) -> None:
+        bar = node.view.bar
+        if bar < old_bar:
             self._flag(f"confirmbar-regression node={node.node_id} t={now}")
             return
-        if bar > node.bar:
-            node.bar = bar
+        if bar > old_bar:
             self.bar_rows.append((now, node.node_id, bar))
         self._sample_latency(node, now)
 
     def _sample_latency(self, node: _Node, now: int) -> None:
-        headers = node.view[node.chain_id]
+        bar = node.view.bar
+        headers = node.view.chains[node.chain_id]
         while node.confirmed_ptr < len(headers):
             header = headers[node.confirmed_ptr]
-            if header.rank >= node.bar:
+            if header.rank >= bar:
                 break
             if header.height >= len(node.ledger.blocks):
                 break  # body not applied locally yet; a peer will sample it
@@ -598,16 +593,6 @@ class Simulation:
                     submit = self.submit_times[tx.nonce]
                     self.latency_rows.append((tx.nonce, submit, now, now - submit))
             node.confirmed_ptr += 1
-
-    def _node_order(self, node: _Node) -> list[tuple]:
-        refs = []
-        for chain, headers in node.view.items():
-            hashes = node.view_hash[chain]
-            for i, h in enumerate(headers):
-                if h.rank < node.bar:
-                    refs.append((h.rank, chain, h.height, hashes[i]))
-        refs.sort()
-        return refs
 
     # -- event handlers --------------------------------------------------------
 
@@ -631,11 +616,7 @@ class Simulation:
         if not txs and not self.cfg.empty_blocks:
             return
         del queue[: len(txs)]
-        view = GlobalView(
-            num_chains=self.cfg.num_chains,
-            chains={c: tuple(hs) for c, hs in node.view.items()},
-        )
-        rank, next_rank = propose_rank_fields(view, chain)
+        rank, next_rank = propose_rank_fields(node.view, chain)
         parent = node.ledger.tip
         block = new_block(
             chain_id=chain,
@@ -654,7 +635,7 @@ class Simulation:
         for node in self.nodes:
             if node.node_id in self.crashed:
                 continue
-            order = self._node_order(node)
+            order = total_order(node.view)
             orders[node.node_id] = order
             if node.last_order != order[: len(node.last_order)]:
                 self._flag(
@@ -662,9 +643,8 @@ class Simulation:
                     f"(earlier order is not a prefix)"
                 )
             node.last_order = order
-            for chain, headers in node.view.items():
-                hashes = node.view_hash[chain]
-                for i, h in enumerate(headers):
+            for chain, headers in enumerate(node.view.chains):
+                for h, ref in zip(headers, node.view.refs[chain]):
                     self.snapshot_rows.append(
                         (
                             now,
@@ -676,7 +656,7 @@ class Simulation:
                             h.proposer_term,
                             h.parent_hash.hex(),
                             h.tx_root.hex(),
-                            hashes[i].hex(),
+                            ref.block_hash.hex(),
                         )
                     )
         ids = sorted(orders)
@@ -837,16 +817,11 @@ class Simulation:
         for node in honest:
             self._sample_latency(node, self.now)
             try:
-                validate_view(
-                    GlobalView(
-                        num_chains=self.cfg.num_chains,
-                        chains={c: tuple(h) for c, h in node.view.items()},
-                    )
-                )
-            except Exception as exc:
+                validate_view(node.view)
+            except OrderingError as exc:
                 self._flag(f"final-view node={node.node_id}: {exc}")
 
-        orders = {n.node_id: self._node_order(n) for n in honest}
+        orders = {n.node_id: total_order(n.view) for n in honest}
         if orders:
             ids = sorted(orders)
             first = orders[ids[0]]
@@ -874,15 +849,15 @@ class Simulation:
 
         self.rank_checked = 0
         for chain, blocks in self.canonical.items():
-            prev = None
-            for block in blocks:
+            parent = parent_hash = None
+            for block, block_hash in zip(blocks, self.canonical_hash[chain]):
                 h = block.header
                 self.rank_checked += 1
-                if h.next_rank <= h.rank:
-                    self._flag(f"rank-field chain={chain} height={h.height}")
-                if prev is not None and h.rank != prev.next_rank:
-                    self._flag(f"rank-linkage chain={chain} height={h.height}")
-                prev = h
+                try:
+                    check_link(h, parent, parent_hash)
+                except LedgerError as exc:
+                    self._flag(f"rank-linkage chain={chain} height={h.height}: {exc}")
+                parent, parent_hash = h, block_hash
 
         self.sealed_verified = 0
         for chain, blocks in self.canonical.items():
@@ -909,7 +884,7 @@ class Simulation:
             for chain, blocks in self.canonical.items():
                 for block, bh in zip(blocks, self.canonical_hash[chain]):
                     hash_to_block[bh] = block
-            for rank, chain, height, bh in self._node_order(node):
+            for rank, chain, height, bh in orders[node.node_id]:
                 body = hash_to_block.get(bh)
                 tx_count = len(body.transactions) if body is not None else 0
                 self.final_order.append((rank, chain, height, bh.hex(), tx_count))

@@ -183,31 +183,28 @@ def test_criterion_3_raft_safety_suite():
 
 def random_small_view(rand):
     num_chains = rand.randint(1, 4)
-    blocks = {c: [make_genesis(c)] for c in range(num_chains)}
-
-    def header_view():
-        return GlobalView(
-            num_chains, {c: tuple(b.header for b in bb) for c, bb in blocks.items()}
-        )
+    view = GlobalView(num_chains)
+    for c in range(num_chains):
+        genesis = make_genesis(c).header
+        view.add(genesis, hash_header(genesis))
 
     for _ in range(rand.randint(0, num_chains * 6)):
         c = rand.randrange(num_chains)
-        if len(blocks[c]) >= 6:
+        if len(view.chains[c]) >= 6:
             continue
-        rank, next_rank = propose_rank_fields(header_view(), c)
-        parent = blocks[c][-1]
-        blocks[c].append(
-            new_block(
-                c,
-                parent.header.height + 1,
-                hash_header(parent.header),
-                rank,
-                next_rank + rand.choice([0, 0, 0, 1, 2]),
-                (),
-                1,
-            )
-        )
-    return header_view()
+        rank, next_rank = propose_rank_fields(view, c)
+        parent = view.chains[c][-1]
+        header = new_block(
+            c,
+            parent.height + 1,
+            hash_header(parent),
+            rank,
+            next_rank + rand.choice([0, 0, 0, 1, 2]),
+            (),
+            1,
+        ).header
+        view.add(header, hash_header(header))
+    return view
 
 
 def test_criterion_4_total_order_consistency():

@@ -38,6 +38,17 @@ def test_read_config_file_parses_comments_and_spacing(tmp_path):
     assert "bad.cfg:1" in str(info.value)
 
 
+def test_read_config_file_rejects_duplicate_keys(tmp_path, capsys):
+    path = tmp_path / "dup.cfg"
+    path.write_text("num_nodes = 5\n# comment\nnum_nodes = 7\n")
+    with pytest.raises(ConfigError) as info:
+        read_config_file(str(path))
+    message = str(info.value)
+    assert "dup.cfg:3" in message and "'num_nodes'" in message and "line 1" in message
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "duplicate key 'num_nodes'" in capsys.readouterr().err
+
+
 def test_build_config_rejects_unknown_keys():
     with pytest.raises(ConfigError) as info:
         build_config({"num_nodez": "4"})
@@ -243,6 +254,31 @@ def test_verify_order_catches_forged_consistent_header(tmp_path, capsys):
 
     assert main(["verify-order", str(out)]) == 1
     capsys.readouterr()
+
+
+def test_verify_order_rejects_malformed_snapshots(tmp_path, capsys):
+    out = run_and_verify_dirs(tmp_path)
+    snap = out / "snapshots.csv"
+    lines = snap.read_text().splitlines()
+    capsys.readouterr()
+
+    def edited(index, column, value):
+        cells = lines[index].split(",")
+        cells[column] = value
+        return lines[:index] + [",".join(cells)] + lines[index + 1 :]
+
+    cases = [
+        (lines + ["garbage,1,2"], len(lines) + 1, "expected 10 fields, found 3"),
+        (edited(5, 3, "x7"), 6, "invalid literal for int"),
+        (edited(9, 7, "zz" * 32), 10, "non-hexadecimal"),
+        (edited(11, 4, "-1"), 12, "out of range"),
+        (edited(13, 8, "ab"), 14, "64 hex digits"),
+    ]
+    for rows, lineno, why in cases:
+        snap.write_text("\n".join(rows) + "\n")
+        assert main(["verify-order", str(out), "--out", str(tmp_path / "v")]) == 2
+        err = capsys.readouterr().err
+        assert f"verify-order: {snap}:{lineno}: " in err and why in err, err
 
 
 def test_argparse_usage_errors(capsys):

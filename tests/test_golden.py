@@ -1,0 +1,105 @@
+"""Pinned SHA-256 digests of every output file for a few fixed runs.
+
+Each case runs ``shadowraft run`` on a fixed configuration, then
+``verify-order`` on its output, and compares the digest of every file written
+with the value pinned here. A change that must keep output bytes unchanged
+(a refactor, a speed-up) is held to that by this test; a change that alters
+outputs on purpose updates the digests and says so in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from shadowraft.cli import main
+
+CASES = {
+    "single-chain": (
+        {
+            "seed": "11",
+            "num_nodes": "5",
+            "num_chains": "1",
+            "lottery_bits": "3",
+            "tx_rate": "0.8",
+            "sensitive_fraction": "0.3",
+            "run_duration": "900",
+            "snapshot_interval": "150",
+        },
+        {
+            "beacon.csv": "ad25863edce2c4308f925f7656f8770d4764e4bc2749e2f4ef9367fef88ba6c9",
+            "confirmbar.csv": "8588725ac2ea19f96a2fc1aa5c9ad6643b1107c44c1b01b482444cc5b01dde87",
+            "latency.csv": "07878790003b7da0f9e3bbd7bb30df016842567b288680a02566e766baa26d66",
+            "order.csv": "4cf89de3483fbce4b5f7256eb3b465059c690a468b637b7960fdae2dcd51fbe1",
+            "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
+            "snapshots.csv": "e26fb74d9989631ed03c230e35ebc035f1e82eed1ffa1274d7abe5cd0b4b89b5",
+            "summary.txt": "8b75384316dc04bb6ac3537957137d78c62fe58df9a1e9662c50170fc139e5d0",
+            "throughput.csv": "377198993f01a40ce48a31512adab16fb1ee5c647f4f441ef091818b832cc647",
+            "verify/order.csv": "4e097ee31fd5f73f20ffcea119b01fac6dafea25bcd96f2dd382ce9944c0cedd",
+        },
+    ),
+    "multi-chain-crash": (
+        {
+            "seed": "23",
+            "num_nodes": "12",
+            "num_chains": "4",
+            "lottery_bits": "3",
+            "tx_rate": "1.0",
+            "crash_schedule": "500:4,800:9",
+            "run_duration": "1500",
+            "snapshot_interval": "200",
+        },
+        {
+            "beacon.csv": "b20c0b4a262bb8d5437707224af1999a424285a6bfd4358479802b3f3f41e0d5",
+            "confirmbar.csv": "d3720cd7cb65d9848837b7a55f147b3bed7726bd517911ce9249c23fa17da4a3",
+            "latency.csv": "37acd43ad16475b145a6dfdebd21f7149fd64faee2f9546bf7301052d68d10a7",
+            "order.csv": "97176475048fdaf03edcdfd70528fa821e862b4dc002de391abc2480507f6462",
+            "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
+            "snapshots.csv": "2e0bf0f929d3ad611f19518bd7fb5a54a994f573df12afd08832849d6433e959",
+            "summary.txt": "97a6f0c5872b3ef32e68513d61675990dadf958f7a677228ddd74ecc8ed7b38f",
+            "throughput.csv": "a4a43fc980c118f48bb3921485b4e5fb451140fb651f02f4b98b8cbac1d148ff",
+            "verify/order.csv": "5d73a826d30a4131889254fd5c48cf7a0482d60ddbd286682e79dbaf9d598b66",
+        },
+    ),
+    "traced": (
+        {
+            "seed": "5",
+            "num_nodes": "4",
+            "num_chains": "2",
+            "lottery_bits": "2",
+            "election_timeout": "60",
+            "heartbeat_interval": "15",
+            "run_duration": "600",
+            "snapshot_interval": "200",
+            "trace_events": "true",
+        },
+        {
+            "beacon.csv": "e9ee7f3ac0e20738bd29b0a45ed487958ba241c113edfca81ff2b0438ad5f276",
+            "confirmbar.csv": "9896eb6dbcf31ca07a56e0fa9c8d689eb75f0b1a3428240e1efd51a123891331",
+            "events.csv": "76103a20fe07cb12ae0b065b83a11828ab1a166a638f2747c6a6b10e575d2e46",
+            "latency.csv": "8386f3bc77b3980d31a70e3f01e6658a315281f3a85db996e52028529967e843",
+            "order.csv": "451786f1036fbd47d21c07dd660eece29240f762c23adf5cb4378d473c39664c",
+            "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
+            "snapshots.csv": "61089b0485a99c0c3f15521b9cc56ad2f4b9c210be816c3fff47e40c1478c3a7",
+            "summary.txt": "9441007624b5a2684ef031a7bd1b89cecb3398b21d3bc12fae2256d32a9417d7",
+            "throughput.csv": "a0c4f4bcab17d199bc5523b68395563ae2d7892004672751b368871a50a780f3",
+            "verify/order.csv": "b6cc5a1ac9d5dfed7ec0b93892e99e9647154c74188c38efe3b04877b53a846e",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_digests_are_pinned(name, tmp_path, capsys):
+    keys, expected = CASES[name]
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    run, verify = tmp_path / "run", tmp_path / "verify"
+    assert main(["run", "--config", str(cfg), "--out", str(run)]) == 0
+    assert main(["verify-order", str(run), "--out", str(verify)]) == 0
+    capsys.readouterr()
+    digests = {
+        prefix + path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for prefix, directory in (("", run), ("verify/", verify))
+        for path in sorted(directory.iterdir())
+    }
+    assert digests == expected

@@ -10,23 +10,28 @@ from dataclasses import replace
 
 import pytest
 
-from shadowraft.ledger import ZERO_HASH, Transaction, hash_header, make_genesis, new_block
+from shadowraft.ledger import hash_header, make_genesis, new_block
 from shadowraft.ordering import (
-    DanglingRef,
     GlobalView,
     IncompleteView,
-    OrderedBlockRef,
     OrderingError,
     UnknownChain,
     confirm_bar,
     expected_next_rank,
-    flatten_transactions,
-    is_prefix,
     propose_rank_fields,
     reference_total_order,
     total_order,
     validate_view,
 )
+
+
+def build_view(num_chains, chains):
+    """A GlobalView holding the given headers, added chain by chain."""
+    view = GlobalView(num_chains)
+    for headers in chains.values():
+        for h in headers:
+            view.add(h, hash_header(h))
+    return view
 
 
 class ViewBuilder:
@@ -35,16 +40,13 @@ class ViewBuilder:
     def __init__(self, num_chains):
         self.num_chains = num_chains
         self.blocks = {c: [make_genesis(c)] for c in range(num_chains)}
-        self.counter = 0
 
     def view(self, upto=None):
-        chains, bodies = {}, {}
+        chains = {}
         for c, blocks in self.blocks.items():
             keep = blocks if upto is None else blocks[: upto.get(c, len(blocks))]
-            chains[c] = tuple(b.header for b in keep)
-            for b in keep:
-                bodies[hash_header(b.header)] = b
-        return GlobalView(self.num_chains, chains, bodies)
+            chains[c] = [b.header for b in keep]
+        return build_view(self.num_chains, chains)
 
     def propose(self, chain_id, slack=0, txs=()):
         """Append a block using the production rank rule plus optional slack."""
@@ -61,10 +63,6 @@ class ViewBuilder:
         )
         self.blocks[chain_id].append(blk)
         return blk
-
-    def tx(self):
-        self.counter += 1
-        return Transaction(f"tx-{self.counter}".encode(), False, 1, self.counter)
 
 
 def genesis_view(num_chains):
@@ -128,13 +126,12 @@ def test_confirm_bar_explicit_y_values():
         blk = new_block(chain_id, 1, hash_header(g.header), 1, next_rank, (), 1)
         return (g.header, blk.header)
 
-    view = GlobalView(3, {0: solo_chain(0, 3), 1: solo_chain(1, 7), 2: solo_chain(2, 5)})
+    view = build_view(3, {0: solo_chain(0, 3), 1: solo_chain(1, 7), 2: solo_chain(2, 5)})
     assert confirm_bar(view) == 3
 
 
 def test_confirm_bar_requires_every_chain():
-    view = genesis_view(2)
-    partial = GlobalView(2, {0: view.chains[0]})
+    partial = build_view(2, {0: [make_genesis(0).header]})
     with pytest.raises(IncompleteView):
         confirm_bar(partial)
     with pytest.raises(IncompleteView):
@@ -155,7 +152,7 @@ def test_total_order_strict_inequality_at_bar():
     b.propose(1)
     grown = total_order(b.view())
     assert (1, 0) in [(r.rank, r.chain_id) for r in grown]
-    assert is_prefix(order, grown)
+    assert grown[: len(order)] == order
 
 
 def test_total_order_interleaves_ranks():
@@ -169,25 +166,6 @@ def test_total_order_interleaves_ranks():
     assert ranks[:4] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
-def test_flatten_transactions_concatenates():
-    b = ViewBuilder(1)
-    t1, t2, t3 = b.tx(), b.tx(), b.tx()
-    b.propose(0, txs=[t1, t2])
-    b.propose(0, txs=[t3])
-    b.propose(0)  # move the bar past the tx blocks
-    view = b.view()
-    order = total_order(view)
-    assert flatten_transactions(order, view) == [t1, t2, t3]
-    assert flatten_transactions([], view) == []
-
-
-def test_flatten_rejects_dangling_ref():
-    view = genesis_view(1)
-    ghost = OrderedBlockRef(0, 0, 0, b"\xaa" * 32)
-    with pytest.raises(DanglingRef):
-        flatten_transactions([ghost], view)
-
-
 def test_validate_view_accepts_built_views():
     b = ViewBuilder(3)
     for step in range(12):
@@ -196,7 +174,7 @@ def test_validate_view_accepts_built_views():
 
 
 def test_validate_view_rejects_corruption():
-    b = ViewBuilder(1)
+    b = ViewBuilder(2)
     b.propose(0)
     g, child = b.view().chains[0]
 
@@ -205,14 +183,22 @@ def test_validate_view_rejects_corruption():
         replace(child, next_rank=child.rank),
         replace(child, parent_hash=bytes(32)),
         replace(child, height=5),
-        replace(child, chain_id=3),
+        replace(child, chain_id=1),
     ):
+        # the add path refuses the header outright
+        view = build_view(2, {0: [g]})
         with pytest.raises(OrderingError):
-            validate_view(GlobalView(1, {0: (g, broken)}))
+            view.add(broken, hash_header(broken))
+        # a header edited after it entered is caught by the recheck
+        view = b.view()
+        view.chains[0][1] = broken
+        with pytest.raises(OrderingError):
+            validate_view(view)
 
-    headless = GlobalView(1, {0: (child,)})
     with pytest.raises(OrderingError):
-        validate_view(headless)
+        build_view(1, {0: [child]})  # a chain must start at genesis
+    with pytest.raises(UnknownChain):
+        build_view(1, {0: [make_genesis(3).header]})
 
 
 def random_builder(rand, max_chains=4, max_blocks=6):
@@ -250,7 +236,7 @@ def test_prefix_stability_as_views_grow():
             if not grew:
                 break
         for earlier, later in zip(snapshots, snapshots[1:]):
-            assert is_prefix(earlier, later)
+            assert later[: len(earlier)] == earlier
 
 
 def test_bar_never_regresses_as_views_grow():

@@ -168,6 +168,20 @@ def test_vote_reply_with_higher_term_steps_candidate_down():
     assert nodes[0].role is Role.FOLLOWER and nodes[0].current_term == 4
 
 
+def test_same_term_step_down_keeps_the_vote():
+    # a term-1 candidate that hears from the term-1 leader becomes a follower,
+    # but it voted for itself in term 1 and may not vote again in that term
+    nodes = build_cluster(4)
+    nodes[1].handle_election_timeout(0)
+    assert nodes[1].current_term == 1 and nodes[1].voted_for == 1
+    nodes[1].handle_append_entries(0, AppendEntries(1, 0, 0, 0, (), 0), 5)
+    assert nodes[1].role is Role.FOLLOWER and nodes[1].current_term == 1
+    req = VoteRequest(term=1, candidate_id=3, last_log_index=0, last_log_term=0)
+    [(_, reply)] = nodes[1].handle_vote_request(3, req, 6)
+    assert not reply.granted
+    assert nodes[1].voted_for == 1
+
+
 def test_client_submit_builds_appends():
     nodes = build_cluster(3)
     elect(nodes, 0)
