@@ -301,14 +301,15 @@ def _csv_rows(path: Path, width: int):
             yield lineno, cells
 
 
-def _load_snapshots(path: Path) -> dict[tuple[int, int], list[tuple[BlockHeader, bytes]]]:
-    """snapshots.csv -> {(time, node): [(header, stored hash)]}.
+def _load_snapshots(path: Path) -> list[tuple[int, int, BlockHeader, bytes]]:
+    """snapshots.csv -> [(time, node, header, stored hash)] in (time, node,
+    chain, height) order.
 
-    A header recurs in every later snapshot, so each distinct header row is
-    parsed, and its stored hash checked, once. A malformed row raises
-    _Rejected with exit 2.
+    A header recurs in the rows of every node that holds it, so each
+    distinct header row is parsed, and its stored hash checked, once. A
+    malformed row raises _Rejected with exit 2.
     """
-    views: dict[tuple[int, int], list[tuple[BlockHeader, bytes]]] = {}
+    rows = []
     known: dict[str, tuple[BlockHeader, bytes]] = {}
     for lineno, cells in _csv_rows(path, 10):
         try:
@@ -319,8 +320,9 @@ def _load_snapshots(path: Path) -> dict[tuple[int, int], list[tuple[BlockHeader,
                 entry = known[key] = _parse_header(cells, time, node_id)
         except ValueError as exc:
             raise _Rejected(2, f"{path}:{lineno}: {exc}") from None
-        views.setdefault((time, node_id), []).append(entry)
-    return views
+        rows.append((time, node_id, *entry))
+    rows.sort(key=lambda row: (row[0], row[1], row[2].chain_id, row[2].height))
+    return rows
 
 
 def _load_tx_counts(path: Path) -> dict[str, int]:
@@ -364,20 +366,36 @@ def cmd_verify_order(args) -> int:
 
 
 def _verify_order(trace_dir: Path, out: Path) -> int:
+    """Rebuild each node's view cumulatively from its snapshot rows and check
+    the order after every (time, node) group.
+
+    A snapshot holds only the headers new to the node since its previous
+    one, so a missing, repeated or misplaced row breaks linkage in
+    GlobalView.add. Every order must extend the node's previous order and be
+    a prefix of the longest order in the file, which is written out.
+    """
     snapshots = trace_dir / "snapshots.csv"
-    views = _load_snapshots(snapshots) if snapshots.is_file() else None
-    if not views:
+    rows = _load_snapshots(snapshots) if snapshots.is_file() else None
+    if not rows:
         raise _Rejected(2, f"no snapshots found in {trace_dir}")
     tx_counts = _load_tx_counts(trace_dir / "order.csv")
 
-    orders: dict[tuple[int, int], list] = {}
+    num_chains = len({header.chain_id for _, _, header, _ in rows})
+    views: dict[int, GlobalView] = {}
     last_per_node: dict[int, tuple[int, list]] = {}
-    for (time, node_id), rows in sorted(views.items()):
-        rows.sort(key=lambda row: (row[0].chain_id, row[0].height))
-        view = GlobalView(len({header.chain_id for header, _ in rows}))
+    longest_label, longest = "", []
+    checked = 0
+    for i, (time, node_id, header, stored) in enumerate(rows):
+        view = views.get(node_id)
+        if view is None:
+            view = views[node_id] = GlobalView(num_chains)
         try:
-            for header, stored in rows:
-                view.add(header, stored)
+            view.add(header, stored)
+        except OrderingError as exc:
+            raise _Rejected(1, f"t={time} node={node_id}: {exc}") from None
+        if i + 1 < len(rows) and rows[i + 1][:2] == (time, node_id):
+            continue  # the (time, node) group goes on
+        try:
             validate_view(view)
             order = total_order(view)
         except OrderingError as exc:
@@ -388,38 +406,34 @@ def _verify_order(trace_dir: Path, out: Path) -> int:
                 f"t={time} node={node_id}: total_order disagrees with the "
                 f"brute-force reference",
             )
-        orders[(time, node_id)] = order
+        checked += 1
+        label = f"node {node_id} t={time}"
         prev = last_per_node.get(node_id)
         if prev is not None and order[: len(prev[1])] != prev[1]:
-            _print_divergence(
-                f"node {node_id} t={prev[0]}", prev[1], f"node {node_id} t={time}", order
-            )
+            _print_divergence(f"node {node_id} t={prev[0]}", prev[1], label, order)
             return 1
         last_per_node[node_id] = (time, order)
+        # every order seen so far is a prefix of longest, so checking a new
+        # one against it keeps that true when a longer one replaces it
+        common = min(len(order), len(longest))
+        if order[:common] != longest[:common]:
+            _print_divergence(longest_label, longest, label, order)
+            return 1
+        if len(order) > len(longest):
+            longest_label, longest = label, order
 
-    times = sorted({t for t, _ in orders})
-    for time in times:
-        at_time = sorted((n, o) for (t, n), o in orders.items() if t == time)
-        for i in range(len(at_time) - 1):
-            (na, oa), (nb, ob) = at_time[i], at_time[i + 1]
-            short, long_ = (oa, ob) if len(oa) <= len(ob) else (ob, oa)
-            if long_[: len(short)] != short:
-                _print_divergence(f"node {na} t={time}", oa, f"node {nb} t={time}", ob)
-                return 1
-
-    final = max(orders.items(), key=lambda kv: (kv[0][0], len(kv[1])))[1]
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "order.csv", "w") as fh:
         fh.write("position,rank,chain_id,height,block_hash,tx_count\n")
-        for pos, ref in enumerate(final):
+        for pos, ref in enumerate(longest):
             hex_hash = ref.block_hash.hex()
             fh.write(
                 f"{pos},{ref.rank},{ref.chain_id},{ref.height},{hex_hash},"
                 f"{tx_counts.get(hex_hash, 0)}\n"
             )
     print(
-        f"verify-order: {len(orders)} snapshot orders consistent; "
-        f"final order has {len(final)} blocks"
+        f"verify-order: {checked} snapshot orders consistent; "
+        f"final order has {len(longest)} blocks"
     )
     return 0
 

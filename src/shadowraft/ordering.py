@@ -13,8 +13,8 @@ node and only ever grows by appending.
 A GlobalView is one node's live, growing view of every chain. Headers enter
 it only through ``GlobalView.add``, which applies the ledger's linkage rule
 (``ledger.check_link``) and keeps the ConfirmBar current. The simulator
-holds one view per node; ``verify-order`` rebuilds one per snapshot. The
-functions below read a view and never change it.
+holds one view per node; ``verify-order`` rebuilds one per node from its
+snapshot rows. The functions below read a view and never change it.
 """
 
 from __future__ import annotations

@@ -17,11 +17,15 @@ Raft/gossip phase draws per-message delays uniformly from
 scheduled tick onward the node receives nothing, fires nothing, sends
 nothing, and never recovers.
 
-The simulator is also the property-test vehicle: election safety, log
-matching, state-machine safety, commit quorum, rank discipline, ConfirmBar
-monotonicity, pairwise prefix consistency of total orders, and sealed
-round-trip integrity are all checked during the run and recorded as safety
-flags, which must stay empty.
+The simulator is also the property-test vehicle: election safety, one vote
+per term, log matching, state-machine safety, commit quorum, rank
+discipline, ConfirmBar monotonicity, prefix stability and cross-node prefix
+consistency of total orders, and sealed round-trip integrity are all checked
+during the run and recorded as safety flags, which must stay empty.
+
+A snapshot writes, for each live node, only the headers that entered its
+view since its previous snapshot; the view of node n at time t is the union
+of n's snapshot rows up to t.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from .ordering import (
     total_order,
     validate_view,
 )
-from .raft import RaftNode, Role, quorum_threshold
+from .raft import RaftNode, Role, VoteReply, quorum_threshold
 from .rng import Stream
 from .sealing import KeyDirectory, SealedPayload, SealingError, seal
 
@@ -314,6 +318,7 @@ class _Node:
         "buffer",
         "confirmed_ptr",
         "last_order",
+        "written",
     )
 
     def __init__(self, node_id: int, chain_id: int, raft: RaftNode, genesis_by_chain):
@@ -330,6 +335,7 @@ class _Node:
         self.buffer: dict[int, dict[int, BlockHeader]] = {c: {} for c in genesis_by_chain}
         self.confirmed_ptr = 1  # genesis is already below the initial bar
         self.last_order: list[tuple] = []
+        self.written = [0] * len(genesis_by_chain)  # headers per chain in snapshots
 
 
 class Simulation:
@@ -361,12 +367,14 @@ class Simulation:
             c: [] for c in range(config.num_chains)
         }
         self.submitted = 0
-        # committed-state cross checks
-        self.committed_cmds: dict[tuple[int, int], bytes] = {}
+        # committed-state cross checks; each committed command is decoded
+        # once, by the first replica to apply it, and the result shared
+        self.committed_cmds: dict[tuple[int, int], tuple[bytes, Block | DecodeError]] = {}
         self.canonical: dict[int, list[Block]] = {}
         self.canonical_hash: dict[int, list[bytes]] = {}
         self.skipped: set[tuple[int, int]] = set()
         self.election_winners: dict[tuple[int, int], int] = {}
+        self.votes: dict[tuple[int, int, int], int] = {}  # (chain, term, voter) -> candidate
         self._tick_at: dict[int, int] = {}
 
     # -- plumbing ---------------------------------------------------------
@@ -469,6 +477,8 @@ class Simulation:
             # a no-op entry lets the new leader commit inherited entries
             pending.extend(r.client_submit(b"", now))
         for dst, msg in pending:
+            if type(msg) is VoteReply and msg.granted:
+                self._record_vote(node, msg.term, dst)
             self._send(node.node_id, dst, msg, now)
         if r.commit_index > node.seen_commit:
             if r.role is Role.LEADER:
@@ -493,16 +503,21 @@ class Simulation:
                 continue
             key = (node.chain_id, entry.index)
             digest = hashlib.sha256(entry.command).digest()
-            seen = self.committed_cmds.setdefault(key, digest)
-            if seen != digest:
+            seen = self.committed_cmds.get(key)
+            if seen is None:
+                try:
+                    decoded = decode_block(entry.command)
+                except DecodeError as exc:
+                    decoded = exc
+                seen = self.committed_cmds[key] = (digest, decoded)
+            if seen[0] != digest:
                 self._flag(
                     f"state-machine-safety chain={node.chain_id} index={entry.index}"
                 )
                 continue
-            try:
-                block = decode_block(entry.command)
-            except DecodeError as exc:
-                self._flag(f"command-decode chain={node.chain_id}: {exc}")
+            block = seen[1]
+            if isinstance(block, DecodeError):
+                self._flag(f"command-decode chain={node.chain_id}: {block}")
                 continue
             try:
                 node.ledger = append_block(node.ledger, block)
@@ -514,6 +529,15 @@ class Simulation:
             self._record_canonical(node.chain_id, block)
             self._ingest_header(node, block.header, now)
             self._gossip_block(node, block.header, now)
+
+    def _record_vote(self, node: _Node, term: int, candidate: int) -> None:
+        key = (node.chain_id, term, node.node_id)
+        first = self.votes.setdefault(key, candidate)
+        if first != candidate:
+            self._flag(
+                f"vote-safety chain={node.chain_id} term={term} "
+                f"voter={node.node_id} candidates={first},{candidate}"
+            )
 
     def _record_canonical(self, chain: int, block: Block) -> None:
         chain_blocks = self.canonical[chain]
@@ -631,12 +655,10 @@ class Simulation:
         self._after_raft(node, now, out)
 
     def _on_snapshot(self, now: int) -> None:
-        orders = {}
-        for node in self.nodes:
-            if node.node_id in self.crashed:
-                continue
+        live = [node for node in self.nodes if node.node_id not in self.crashed]
+        rows = self.snapshot_rows
+        for node in live:
             order = total_order(node.view)
-            orders[node.node_id] = order
             if node.last_order != order[: len(node.last_order)]:
                 self._flag(
                     f"prefix-stability node={node.node_id} t={now} "
@@ -644,8 +666,9 @@ class Simulation:
                 )
             node.last_order = order
             for chain, headers in enumerate(node.view.chains):
-                for h, ref in zip(headers, node.view.refs[chain]):
-                    self.snapshot_rows.append(
+                start = node.written[chain]
+                for h, ref in zip(headers[start:], node.view.refs[chain][start:]):
+                    rows.append(
                         (
                             now,
                             node.node_id,
@@ -659,13 +682,17 @@ class Simulation:
                             ref.block_hash.hex(),
                         )
                     )
-        ids = sorted(orders)
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                oa, ob = orders[a], orders[b]
-                short, long_ = (oa, ob) if len(oa) <= len(ob) else (ob, oa)
-                if short != long_[: len(short)]:
-                    self._flag(f"prefix-consistency nodes={a},{b} t={now}")
+                node.written[chain] = len(headers)
+        # orders are consistent iff each is a prefix of the longest one
+        if live:
+            top = max(live, key=lambda node: len(node.last_order))
+            longest = top.last_order
+            for node in live:
+                order = node.last_order
+                if order != longest[: len(order)]:
+                    self._flag(
+                        f"prefix-consistency nodes={top.node_id},{node.node_id} t={now}"
+                    )
 
     # -- main loop ----------------------------------------------------------
 

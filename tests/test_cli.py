@@ -256,6 +256,58 @@ def test_verify_order_catches_forged_consistent_header(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_order_catches_missing_or_repeated_rows(tmp_path, capsys):
+    # each snapshot row is a header new to its node, so dropping one breaks
+    # the node's chain and repeating one puts a height in twice
+    out = run_and_verify_dirs(tmp_path)
+    snap = out / "snapshots.csv"
+    lines = snap.read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    last_time = max(int(r[0]) for r in rows)
+    # a row of node 0, chain 0 before the last snapshot: a later row follows it
+    middle = next(
+        i for i, r in enumerate(rows, 1)
+        if r[1] == "0" and r[2] == "0" and r[3] != "0" and int(r[0]) < last_time
+    )
+    capsys.readouterr()
+    for edited in (
+        lines[:middle] + lines[middle + 1 :],
+        lines[: middle + 1] + lines[middle:],
+    ):
+        snap.write_text("\n".join(edited) + "\n")
+        assert main(["verify-order", str(out), "--out", str(tmp_path / "v")]) == 1
+        assert "node=0" in capsys.readouterr().err
+
+
+def test_verify_order_checks_every_order_against_the_longest(tmp_path, capsys):
+    # node 1 holds a prefix of both node 0 and node 2, which disagree with
+    # each other: a check of adjacent node ids alone would pass this file
+    from shadowraft.ledger import Transaction, hash_header, make_genesis, new_block
+
+    genesis = make_genesis(0).header
+    link = dict(chain_id=0, height=1, parent_hash=hash_header(genesis), rank=1,
+                next_rank=2, proposer_term=1)
+    block_a = new_block(transactions=[Transaction(b"a", False, 1, 0)], **link).header
+    block_b = new_block(transactions=[Transaction(b"b", False, 1, 0)], **link).header
+    views = {0: [genesis, block_a], 1: [genesis], 2: [genesis, block_b]}
+    lines = ["time,node_id,chain_id,height,rank,next_rank,proposer_term,"
+             "parent_hash,tx_root,block_hash"]
+    for node, headers in views.items():
+        for h in headers:
+            lines.append(
+                f"100,{node},{h.chain_id},{h.height},{h.rank},{h.next_rank},"
+                f"{h.proposer_term},{h.parent_hash.hex()},{h.tx_root.hex()},"
+                f"{hash_header(h).hex()}"
+            )
+    trace = tmp_path / "trace"
+    trace.mkdir()
+    (trace / "snapshots.csv").write_text("\n".join(lines) + "\n")
+    assert main(["verify-order", str(trace), "--out", str(tmp_path / "v")]) == 1
+    err = capsys.readouterr().err
+    assert "orders diverge at position 1" in err
+    assert "node 0 t=100" in err and "node 2 t=100" in err
+
+
 def test_verify_order_rejects_malformed_snapshots(tmp_path, capsys):
     out = run_and_verify_dirs(tmp_path)
     snap = out / "snapshots.csv"

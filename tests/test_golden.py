@@ -31,7 +31,7 @@ CASES = {
             "latency.csv": "07878790003b7da0f9e3bbd7bb30df016842567b288680a02566e766baa26d66",
             "order.csv": "4cf89de3483fbce4b5f7256eb3b465059c690a468b637b7960fdae2dcd51fbe1",
             "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
-            "snapshots.csv": "e26fb74d9989631ed03c230e35ebc035f1e82eed1ffa1274d7abe5cd0b4b89b5",
+            "snapshots.csv": "cbcc4d3d5f479c5e055fd6f6ccf98b354fb3b27967ca69c0fa2d9cc870365a13",
             "summary.txt": "8b75384316dc04bb6ac3537957137d78c62fe58df9a1e9662c50170fc139e5d0",
             "throughput.csv": "377198993f01a40ce48a31512adab16fb1ee5c647f4f441ef091818b832cc647",
             "verify/order.csv": "4e097ee31fd5f73f20ffcea119b01fac6dafea25bcd96f2dd382ce9944c0cedd",
@@ -54,7 +54,7 @@ CASES = {
             "latency.csv": "37acd43ad16475b145a6dfdebd21f7149fd64faee2f9546bf7301052d68d10a7",
             "order.csv": "97176475048fdaf03edcdfd70528fa821e862b4dc002de391abc2480507f6462",
             "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
-            "snapshots.csv": "2e0bf0f929d3ad611f19518bd7fb5a54a994f573df12afd08832849d6433e959",
+            "snapshots.csv": "04902a98752fcf06163290ea28e27fd2d56e2f263bdf5587fc5ea2c689363c2e",
             "summary.txt": "97a6f0c5872b3ef32e68513d61675990dadf958f7a677228ddd74ecc8ed7b38f",
             "throughput.csv": "a4a43fc980c118f48bb3921485b4e5fb451140fb651f02f4b98b8cbac1d148ff",
             "verify/order.csv": "5d73a826d30a4131889254fd5c48cf7a0482d60ddbd286682e79dbaf9d598b66",
@@ -79,7 +79,7 @@ CASES = {
             "latency.csv": "8386f3bc77b3980d31a70e3f01e6658a315281f3a85db996e52028529967e843",
             "order.csv": "451786f1036fbd47d21c07dd660eece29240f762c23adf5cb4378d473c39664c",
             "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
-            "snapshots.csv": "61089b0485a99c0c3f15521b9cc56ad2f4b9c210be816c3fff47e40c1478c3a7",
+            "snapshots.csv": "c207a194f91dd04a6e30d01a29d63487bb65a74767847b67ee7410099c8b68a6",
             "summary.txt": "9441007624b5a2684ef031a7bd1b89cecb3398b21d3bc12fae2256d32a9417d7",
             "throughput.csv": "a0c4f4bcab17d199bc5523b68395563ae2d7892004672751b368871a50a780f3",
             "verify/order.csv": "b6cc5a1ac9d5dfed7ec0b93892e99e9647154c74188c38efe3b04877b53a846e",

@@ -8,6 +8,9 @@ from dataclasses import replace
 
 import pytest
 
+from shadowraft.ledger import hash_header, make_genesis, new_block
+from shadowraft.ordering import GlobalView
+from shadowraft.raft import VoteReply
 from shadowraft.sim import (
     AlreadyCrashed,
     ConfigError,
@@ -213,6 +216,65 @@ def test_snapshots_are_recorded():
     assert len(times) >= 3
     header_width = len(trace.snapshot_rows[0])
     assert header_width == 10
+
+
+def test_snapshots_write_each_header_once_per_node():
+    cfg = small_cfg(
+        seed=23, num_nodes=9, num_chains=3, snapshot_interval=150,
+        crash_schedule=((500, 4),), run_duration=1200,
+    )
+    trace = run_simulation(cfg)
+    assert not trace.safety_flags
+    heights: dict[tuple[int, int], list[int]] = {}
+    for time, node, chain, height, *_ in trace.snapshot_rows:
+        assert not (node == 4 and time >= 500), "a crashed node took a snapshot"
+        heights.setdefault((node, chain), []).append(height)
+    assert len(heights) == cfg.num_nodes * cfg.num_chains
+    for key, seen in heights.items():
+        assert seen == list(range(len(seen))), key
+
+
+def test_snapshot_rows_grow_linearly_with_duration():
+    base = SimConfig(
+        seed=7, num_nodes=6, num_chains=2, snapshot_interval=100,
+        crash_schedule=((600, 1),), run_duration=1000,
+    )
+    short = run_simulation(base)
+    long_ = run_simulation(replace(base, run_duration=2000))
+    assert not short.safety_flags and not long_.safety_flags
+    assert len(long_.snapshot_rows) <= 2.5 * len(short.snapshot_rows)
+
+
+def test_second_vote_in_a_term_is_flagged():
+    sim = Simulation(small_cfg(num_nodes=5, run_duration=400))
+    sim.run()
+    assert not sim.flags
+    voter = sim.nodes[0]
+    a, b = [n for n in sim.assignment[voter.chain_id] if n != voter.node_id][:2]
+    term = 10**6
+    sim._after_raft(voter, sim.now, [(a, VoteReply(term, True))])
+    sim._after_raft(voter, sim.now, [(a, VoteReply(term, True)), (b, VoteReply(term, False))])
+    assert not sim.flags  # a repeated grant and a refusal are not second votes
+    sim._after_raft(voter, sim.now, [(b, VoteReply(term, True))])
+    assert sim.flags == [
+        f"vote-safety chain={voter.chain_id} term={term} voter=0 candidates={a},{b}"
+    ]
+
+
+def test_order_that_is_not_a_prefix_of_the_longest_is_flagged():
+    sim = Simulation(small_cfg(num_nodes=5, run_duration=400))
+    sim.run()
+    assert not sim.flags
+    # node 3 forks after genesis with a block no other node holds
+    genesis = make_genesis(0)
+    fork = new_block(0, 1, hash_header(genesis.header), 1, 2, (), 99).header
+    forked = sim.nodes[3]
+    forked.view = GlobalView(1)
+    forked.view.add(genesis.header, hash_header(genesis.header))
+    forked.view.add(fork, hash_header(fork))
+    forked.last_order = []
+    sim._on_snapshot(sim.now)
+    assert sim.flags == [f"prefix-consistency nodes=0,3 t={sim.now}"]
 
 
 def test_event_trace_is_optional():
