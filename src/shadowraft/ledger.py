@@ -7,15 +7,15 @@ SHA-256 throughout. The header byte layout (the hashing preimage) is:
     chain_id u32 || height u64 || parent_hash 32B || rank u64
     || next_rank u64 || tx_root 32B || proposer_term u64
 
-All values here are immutable once constructed; a ledger grows only by
-``append_block`` returning an extended ledger value.
+All values here are immutable except ``ChainLedger``, which grows only by
+``append_block`` checking a block against its tip and appending it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 HASH_LEN = 32
@@ -75,17 +75,13 @@ class Block:
     transactions: tuple[Transaction, ...]
 
 
-@dataclass(frozen=True)
+@dataclass
 class ChainLedger:
+    """One chain's blocks, and the header hash of each, in height order."""
+
     chain_id: int
-    blocks: tuple[Block, ...] = ()
-
-    @property
-    def tip(self) -> Block | None:
-        return self.blocks[-1] if self.blocks else None
-
-    def __len__(self) -> int:
-        return len(self.blocks)
+    blocks: list[Block] = field(default_factory=list)
+    hashes: list[bytes] = field(default_factory=list)
 
 
 def encode_transaction(tx: Transaction) -> bytes:
@@ -217,19 +213,20 @@ def check_link(
         raise RankError(f"next_rank {header.next_rank} <= rank {header.rank}")
 
 
-def append_block(ledger: ChainLedger, block: Block) -> ChainLedger:
+def append_block(ledger: ChainLedger, block: Block) -> None:
     """Check the block's chain, tx_root and linkage (check_link), then append.
 
-    Returns a new ledger value; the input ledger is unchanged.
+    The tip's hash is the stored one; the new header is hashed once, here.
+    A block that fails a check raises and leaves the ledger unchanged.
     """
     h = block.header
     if h.chain_id != ledger.chain_id:
         raise ChainMismatch(f"block chain {h.chain_id} != ledger chain {ledger.chain_id}")
     if h.tx_root != tx_root(block.transactions):
         raise LinkageError("tx_root does not match transaction list")
-    tip = ledger.tip
-    if tip is None:
-        check_link(h, None, None)
+    if ledger.blocks:
+        check_link(h, ledger.blocks[-1].header, ledger.hashes[-1])
     else:
-        check_link(h, tip.header, hash_header(tip.header))
-    return ChainLedger(ledger.chain_id, ledger.blocks + (block,))
+        check_link(h, None, None)
+    ledger.blocks.append(block)
+    ledger.hashes.append(hash_header(h))

@@ -17,11 +17,16 @@ Raft/gossip phase draws per-message delays uniformly from
 scheduled tick onward the node receives nothing, fires nothing, sends
 nothing, and never recovers.
 
-The simulator is also the property-test vehicle: election safety, one vote
-per term, log matching, state-machine safety, commit quorum, rank
-discipline, ConfirmBar monotonicity, prefix stability and cross-node prefix
-consistency of total orders, and sealed round-trip integrity are all checked
-during the run and recorded as safety flags, which must stay empty.
+The simulator is also the property-test vehicle: beacon certificates,
+election safety, one vote per term, log matching, state-machine safety,
+commit quorum, rank discipline, ConfirmBar monotonicity, prefix stability
+and cross-node prefix consistency of total orders, and sealed round-trip
+integrity are all checked during the run and recorded as safety flags,
+which must stay empty.
+
+Each chain has one ledger. The first replica to apply a committed entry
+decodes it and appends it; every other replica checks that its own command
+has the same digest and keeps only its height in that ledger.
 
 A snapshot writes, for each live node, only the headers that entered its
 view since its previous snapshot; the view of node n at time t is the union
@@ -39,14 +44,10 @@ from dataclasses import dataclass, replace
 from . import beacon as beacon_mod
 from .beacon import Repeat, assign_chains, invoke_beacon, make_beacon_nodes, select_seed
 from .ledger import (
-    Block,
     BlockHeader,
     ChainLedger,
-    ChainMismatch,
     DecodeError,
     LedgerError,
-    LinkageError,
-    RankError,
     Transaction,
     append_block,
     check_link,
@@ -304,13 +305,13 @@ _KIND_NAMES = {
 
 
 class _Node:
-    """Simulator-side wrapper: raft instance plus ledger, view, and buffers."""
+    """Simulator-side wrapper: raft instance plus ledger height, view, and buffers."""
 
     __slots__ = (
         "node_id",
         "chain_id",
         "raft",
-        "ledger",
+        "height",
         "applied",
         "seen_commit",
         "led_term",
@@ -321,21 +322,21 @@ class _Node:
         "written",
     )
 
-    def __init__(self, node_id: int, chain_id: int, raft: RaftNode, genesis_by_chain):
+    def __init__(self, node_id: int, chain_id: int, raft: RaftNode, ledgers):
         self.node_id = node_id
         self.chain_id = chain_id
         self.raft = raft
-        self.ledger = ChainLedger(chain_id, (genesis_by_chain[chain_id][0],))
+        self.height = 0  # blocks of the chain's ledger this replica has applied
         self.applied = 0
         self.seen_commit = 0
         self.led_term = 0
-        self.view = GlobalView(len(genesis_by_chain))
-        for genesis, genesis_hash in genesis_by_chain.values():
-            self.view.add(genesis.header, genesis_hash)
-        self.buffer: dict[int, dict[int, BlockHeader]] = {c: {} for c in genesis_by_chain}
+        self.view = GlobalView(len(ledgers))
+        for ledger in ledgers.values():
+            self.view.add(ledger.blocks[0].header, ledger.hashes[0])
+        self.buffer: dict[int, dict[int, BlockHeader]] = {c: {} for c in ledgers}
         self.confirmed_ptr = 1  # genesis is already below the initial bar
         self.last_order: list[tuple] = []
-        self.written = [0] * len(genesis_by_chain)  # headers per chain in snapshots
+        self.written = [0] * len(ledgers)  # headers per chain in snapshots
 
 
 class Simulation:
@@ -367,12 +368,10 @@ class Simulation:
             c: [] for c in range(config.num_chains)
         }
         self.submitted = 0
-        # committed-state cross checks; each committed command is decoded
-        # once, by the first replica to apply it, and the result shared
-        self.committed_cmds: dict[tuple[int, int], tuple[bytes, Block | DecodeError]] = {}
-        self.canonical: dict[int, list[Block]] = {}
-        self.canonical_hash: dict[int, list[bytes]] = {}
-        self.skipped: set[tuple[int, int]] = set()
+        self.canonical: dict[int, ChainLedger] = {}
+        # (chain, index) -> (digest, block or DecodeError, height or None if skipped)
+        self.committed_cmds: dict[tuple[int, int], tuple] = {}
+        self.skipped = 0
         self.election_winners: dict[tuple[int, int], int] = {}
         self.votes: dict[tuple[int, int, int], int] = {}  # (chain, term, voter) -> candidate
         self._tick_at: dict[int, int] = {}
@@ -407,6 +406,7 @@ class Simulation:
     def _run_beacon_phase(self) -> int:
         cfg = self.cfg
         enclaves = make_beacon_nodes(cfg.num_nodes, cfg.lottery_bits, cfg.seed)
+        keys = {enclave.node_id: enclave.secret for enclave in enclaves}
         crash_at = {}
         for when, nid in cfg.crash_schedule:
             crash_at[nid] = min(when, crash_at.get(nid, when))
@@ -414,24 +414,31 @@ class Simulation:
             t0 = epoch * cfg.delta
             certs = []
             for enclave in enclaves:
-                if crash_at.get(enclave.node_id, -1) >= 0 and crash_at[enclave.node_id] <= t0:
+                if crash_at.get(enclave.node_id, t0 + 1) <= t0:
                     continue
                 cert = invoke_beacon(enclave, epoch)
                 if cert is not None:
                     certs.append(cert)
             messages = len(certs) * (cfg.num_nodes - 1)
             self._count("BeaconCertificate", messages)
+            certs = [cert for cert in certs if self._verified(cert, keys, epoch)]
             try:
                 seed = select_seed(certs, epoch)
             except Repeat:
-                self.beacon_rows.append((epoch, 0, 0, None, 0))
+                self.beacon_rows.append((epoch, 0, 0, None, messages))
                 continue
             self.beacon_rows.append((epoch, 1, len(certs), seed, messages))
             self.locked_seed = seed
             return (epoch + 1) * cfg.delta
-        raise SimError(
-            f"beacon failed to lock a seed in {cfg.max_beacon_epochs} epochs"
-        )
+        raise SimError(f"beacon failed to lock a seed in {cfg.max_beacon_epochs} epochs")
+
+    def _verified(self, cert, keys: dict[int, bytes], epoch: int) -> bool:
+        """Check a broadcast certificate's epoch and tag; flag it if either fails."""
+        if cert.epoch == epoch and cert.node_id in keys:
+            if beacon_mod.verify_certificate(cert, keys):
+                return True
+        self._flag(f"beacon-certificate epoch={epoch} node={cert.node_id}")
+        return False
 
     # -- workload ----------------------------------------------------------
 
@@ -505,30 +512,42 @@ class Simulation:
             digest = hashlib.sha256(entry.command).digest()
             seen = self.committed_cmds.get(key)
             if seen is None:
-                try:
-                    decoded = decode_block(entry.command)
-                except DecodeError as exc:
-                    decoded = exc
-                seen = self.committed_cmds[key] = (digest, decoded)
+                seen = self.committed_cmds[key] = self._append_committed(
+                    node.chain_id, entry.command, digest
+                )
             if seen[0] != digest:
                 self._flag(
                     f"state-machine-safety chain={node.chain_id} index={entry.index}"
                 )
                 continue
-            block = seen[1]
+            _, block, height = seen
             if isinstance(block, DecodeError):
                 self._flag(f"command-decode chain={node.chain_id}: {block}")
                 continue
-            try:
-                node.ledger = append_block(node.ledger, block)
-            except (LinkageError, RankError, ChainMismatch):
-                # a stale proposal from a superseded leader; every replica
-                # skips it identically
-                self.skipped.add(key)
+            if height is None:
+                continue  # a stale proposal, skipped by every replica
+            if height != node.height + 1:
+                self._flag(
+                    f"ledger-divergence chain={node.chain_id} node={node.node_id} "
+                    f"index={entry.index} height={height} expected={node.height + 1}"
+                )
                 continue
-            self._record_canonical(node.chain_id, block)
+            node.height = height
             self._ingest_header(node, block.header, now)
             self._gossip_block(node, block.header, now)
+
+    def _append_committed(self, chain: int, command: bytes, digest: bytes):
+        """Decode a committed command and append it to the chain's ledger."""
+        try:
+            block = decode_block(command)
+        except DecodeError as exc:
+            return digest, exc, None
+        try:
+            append_block(self.canonical[chain], block)
+        except LedgerError:
+            self.skipped += 1  # a stale proposal from a superseded leader
+            return digest, block, None
+        return digest, block, block.header.height
 
     def _record_vote(self, node: _Node, term: int, candidate: int) -> None:
         key = (node.chain_id, term, node.node_id)
@@ -538,20 +557,6 @@ class Simulation:
                 f"vote-safety chain={node.chain_id} term={term} "
                 f"voter={node.node_id} candidates={first},{candidate}"
             )
-
-    def _record_canonical(self, chain: int, block: Block) -> None:
-        chain_blocks = self.canonical[chain]
-        chain_hashes = self.canonical_hash[chain]
-        height = block.header.height
-        bh = hash_header(block.header)
-        if height == len(chain_blocks):
-            chain_blocks.append(block)
-            chain_hashes.append(bh)
-        elif height < len(chain_blocks):
-            if chain_hashes[height] != bh:
-                self._flag(f"ledger-divergence chain={chain} height={height}")
-        else:
-            self._flag(f"ledger-gap chain={chain} height={height}")
 
     # -- views and gossip ----------------------------------------------------
 
@@ -608,9 +613,9 @@ class Simulation:
             header = headers[node.confirmed_ptr]
             if header.rank >= bar:
                 break
-            if header.height >= len(node.ledger.blocks):
+            if header.height > node.height:
                 break  # body not applied locally yet; a peer will sample it
-            block = node.ledger.blocks[header.height]
+            block = self.canonical[node.chain_id].blocks[header.height]
             for tx in block.transactions:
                 if tx.nonce not in self.sampled:
                     self.sampled.add(tx.nonce)
@@ -641,11 +646,10 @@ class Simulation:
             return
         del queue[: len(txs)]
         rank, next_rank = propose_rank_fields(node.view, chain)
-        parent = node.ledger.tip
         block = new_block(
             chain_id=chain,
-            height=parent.header.height + 1,
-            parent_hash=hash_header(parent.header),
+            height=node.height + 1,
+            parent_hash=self.canonical[chain].hashes[node.height],
             rank=rank,
             next_rank=next_rank,
             transactions=txs,
@@ -705,12 +709,9 @@ class Simulation:
             for nid in members:
                 chain_of[nid] = chain
 
-        genesis_by_chain = {}
         for chain in range(cfg.num_chains):
-            g = make_genesis(chain)
-            genesis_by_chain[chain] = (g, hash_header(g.header))
-            self.canonical[chain] = [g]
-            self.canonical_hash[chain] = [hash_header(g.header)]
+            ledger = self.canonical[chain] = ChainLedger(chain)
+            append_block(ledger, make_genesis(chain))
 
         self.nodes = [
             _Node(
@@ -724,7 +725,7 @@ class Simulation:
                     Stream.from_labels("timeout", cfg.seed, nid),
                     now=t_start,
                 ),
-                genesis_by_chain,
+                self.canonical,
             )
             for nid in range(cfg.num_nodes)
         ]
@@ -810,10 +811,10 @@ class Simulation:
 
         self._final_checks()
         committed_txs = {
-            c: sum(len(b.transactions) for b in blocks)
-            for c, blocks in self.canonical.items()
+            c: sum(len(b.transactions) for b in ledger.blocks)
+            for c, ledger in self.canonical.items()
         }
-        committed_blocks = {c: len(blocks) - 1 for c, blocks in self.canonical.items()}
+        committed_blocks = {c: len(ledger.blocks) - 1 for c, ledger in self.canonical.items()}
         return SimTrace(
             config=cfg,
             workload_start=self.workload_start,
@@ -822,7 +823,7 @@ class Simulation:
             assignment=[list(m) for m in self.assignment],
             committed_txs=committed_txs,
             committed_blocks=committed_blocks,
-            skipped_blocks=len(self.skipped),
+            skipped_blocks=self.skipped,
             submitted_txs=self.submitted,
             latency_rows=self.latency_rows,
             bar_rows=self.bar_rows,
@@ -875,9 +876,9 @@ class Simulation:
                         )
 
         self.rank_checked = 0
-        for chain, blocks in self.canonical.items():
+        for chain, ledger in self.canonical.items():
             parent = parent_hash = None
-            for block, block_hash in zip(blocks, self.canonical_hash[chain]):
+            for block, block_hash in zip(ledger.blocks, ledger.hashes):
                 h = block.header
                 self.rank_checked += 1
                 try:
@@ -887,8 +888,8 @@ class Simulation:
                 parent, parent_hash = h, block_hash
 
         self.sealed_verified = 0
-        for chain, blocks in self.canonical.items():
-            for block in blocks:
+        for ledger in self.canonical.values():
+            for block in ledger.blocks:
                 for tx in block.transactions:
                     if not tx.sensitive:
                         continue
@@ -908,9 +909,8 @@ class Simulation:
         if honest:
             node = honest[0]
             hash_to_block = {}
-            for chain, blocks in self.canonical.items():
-                for block, bh in zip(blocks, self.canonical_hash[chain]):
-                    hash_to_block[bh] = block
+            for ledger in self.canonical.values():
+                hash_to_block.update(zip(ledger.hashes, ledger.blocks))
             for rank, chain, height, bh in orders[node.node_id]:
                 body = hash_to_block.get(bh)
                 tx_count = len(body.transactions) if body is not None else 0

@@ -108,6 +108,24 @@ def test_run_rejects_unknown_key(tmp_path, capsys):
 def test_run_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2
     assert "absent.cfg" in capsys.readouterr().err
+    # unreadable inputs and outputs end in a diagnostic, not a traceback
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"seed = 5\n\xff\xfe\n")
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    out = run_and_verify_dirs(tmp_path)
+    (out / "snapshots.csv").write_bytes((out / "snapshots.csv").read_bytes() + b"\xff,\n")
+    capsys.readouterr()
+    cases = [
+        (["run", "--config", str(binary)], "can't decode"),
+        (["run", "--config", str(tmp_path)], "Is a directory"),
+        (["verify-order", str(out), "--out", str(tmp_path / "v")], "can't decode"),
+        (["run", "--config", str(write_cfg(tmp_path)), "--out", str(taken)], "File exists"),
+    ]
+    for argv, why in cases:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and why in err, err
 
 
 def test_run_seed_override_changes_outputs(tmp_path):

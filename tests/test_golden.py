@@ -2,7 +2,7 @@
 
 Each case runs ``shadowraft run`` on a fixed configuration, then
 ``verify-order`` on its output, and compares the digest of every file written
-with the value pinned here. A change that must keep output bytes unchanged
+with the value pinned here. One more case does the same for ``beacon-stats``. A change that must keep output bytes unchanged
 (a refactor, a speed-up) is held to that by this test; a change that alters
 outputs on purpose updates the digests and says so in CHANGES.md.
 """
@@ -103,3 +103,20 @@ def test_output_digests_are_pinned(name, tmp_path, capsys):
         for path in sorted(directory.iterdir())
     }
     assert digests == expected
+
+
+BEACON_STATS = {
+    "beacon.csv": "7dbd1ce73266b867994cb7e3707a556307965995ffc8ff550185ddf8951556a5",
+    "beacon_summary.txt": "df62f89bf7c1f819a16c37def8d1b783c17e2bb29c88c05d4deb52306b39a3b8",
+}
+
+
+def test_beacon_stats_digests_are_pinned(tmp_path, capsys):
+    argv = ["--nodes", "16", "--bits", "3", "--epochs", "300", "--seed", "7"]
+    assert main(["beacon-stats", *argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.iterdir())
+    }
+    assert digests == BEACON_STATS

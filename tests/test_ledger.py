@@ -151,87 +151,84 @@ def test_genesis_shape():
     assert g.transactions == ()
 
 
+def genesis_ledger(chain_id=0):
+    ledger = ChainLedger(chain_id)
+    append_block(ledger, make_genesis(chain_id))
+    return ledger
+
+
 def grow(ledger, rank, next_rank, txs=(), term=1):
-    tip = ledger.tip
     blk = new_block(
-        ledger.chain_id,
-        len(ledger),
-        hash_header(tip.header) if tip else ZERO_HASH,
-        rank,
-        next_rank,
-        txs,
-        term,
+        ledger.chain_id, len(ledger.blocks), ledger.hashes[-1], rank, next_rank, txs, term
     )
-    return append_block(ledger, blk), blk
+    append_block(ledger, blk)
+    return blk
+
+
+def assert_rejected(ledger, block, error):
+    """append_block raises error and leaves the ledger as it was."""
+    before = (list(ledger.blocks), list(ledger.hashes))
+    with pytest.raises(error):
+        append_block(ledger, block)
+    assert (ledger.blocks, ledger.hashes) == before
 
 
 def test_append_builds_linked_chain():
-    ledger = append_block(ChainLedger(0), make_genesis(0))
-    ledger, b1 = grow(ledger, 1, 2, [sample_tx(1)])
-    ledger, b2 = grow(ledger, 2, 5)
-    assert len(ledger) == 3
-    assert ledger.blocks[2].header.parent_hash == hash_header(b1.header)
-    assert ledger.tip == b2
+    ledger = genesis_ledger()
+    b1 = grow(ledger, 1, 2, [sample_tx(1)])
+    b2 = grow(ledger, 2, 5)
+    assert ledger.blocks == [make_genesis(0), b1, b2]
+    assert ledger.hashes == [hash_header(b.header) for b in ledger.blocks]
+    assert b2.header.parent_hash == hash_header(b1.header)
 
 
 def test_append_rejects_wrong_chain():
-    ledger = append_block(ChainLedger(0), make_genesis(0))
-    stray = new_block(1, 1, hash_header(ledger.tip.header), 1, 2, (), 1)
-    with pytest.raises(ChainMismatch):
-        append_block(ledger, stray)
+    ledger = genesis_ledger()
+    stray = new_block(1, 1, ledger.hashes[-1], 1, 2, (), 1)
+    assert_rejected(ledger, stray, ChainMismatch)
 
 
 def test_append_rejects_bad_height():
-    ledger = append_block(ChainLedger(0), make_genesis(0))
-    skip = new_block(0, 2, hash_header(ledger.tip.header), 1, 2, (), 1)
-    with pytest.raises(LinkageError):
-        append_block(ledger, skip)
+    ledger = genesis_ledger()
+    skip = new_block(0, 2, ledger.hashes[-1], 1, 2, (), 1)
+    assert_rejected(ledger, skip, LinkageError)
 
 
 def test_append_rejects_bad_parent():
-    ledger = append_block(ChainLedger(0), make_genesis(0))
+    ledger = genesis_ledger()
     orphan = new_block(0, 1, b"\x01" * 32, 1, 2, (), 1)
-    with pytest.raises(LinkageError):
-        append_block(ledger, orphan)
+    assert_rejected(ledger, orphan, LinkageError)
 
 
 def test_append_rejects_tx_root_mismatch():
-    ledger = append_block(ChainLedger(0), make_genesis(0))
-    good = new_block(0, 1, hash_header(ledger.tip.header), 1, 2, [sample_tx(2)], 1)
+    ledger = genesis_ledger()
+    good = new_block(0, 1, ledger.hashes[-1], 1, 2, [sample_tx(2)], 1)
     forged = Block(good.header, ())
-    with pytest.raises(LinkageError):
-        append_block(ledger, forged)
+    assert_rejected(ledger, forged, LinkageError)
 
 
 def test_append_rejects_nonincreasing_next_rank():
-    ledger = append_block(ChainLedger(0), make_genesis(0))
-    parent = hash_header(ledger.tip.header)
+    ledger = genesis_ledger()
     for rank, nr in [(1, 1), (1, 0)]:
-        bad = new_block(0, 1, parent, rank, nr, (), 1)
-        with pytest.raises(RankError):
-            append_block(ledger, bad)
+        bad = new_block(0, 1, ledger.hashes[-1], rank, nr, (), 1)
+        assert_rejected(ledger, bad, RankError)
 
 
 def test_append_rejects_rank_discontinuity():
-    ledger = append_block(ChainLedger(0), make_genesis(0))
+    ledger = genesis_ledger()
     # tip next_rank is 1, so rank must be exactly 1
-    bad = new_block(0, 1, hash_header(ledger.tip.header), 2, 3, (), 1)
-    with pytest.raises(RankError):
-        append_block(ledger, bad)
+    bad = new_block(0, 1, ledger.hashes[-1], 2, 3, (), 1)
+    assert_rejected(ledger, bad, RankError)
 
 
 def test_genesis_append_rules():
-    with pytest.raises(LinkageError):
-        append_block(ChainLedger(0), new_block(0, 0, b"\x01" * 32, 0, 1, (), 0))
-    with pytest.raises(RankError):
-        append_block(ChainLedger(0), new_block(0, 0, ZERO_HASH, 1, 2, (), 0))
+    assert_rejected(ChainLedger(0), new_block(0, 0, b"\x01" * 32, 0, 1, (), 0), LinkageError)
+    assert_rejected(ChainLedger(0), new_block(0, 0, ZERO_HASH, 1, 2, (), 0), RankError)
 
 
 def test_append_rejects_tampered_encoded_block():
-    ledger = append_block(ChainLedger(0), make_genesis(0))
-    ledger, b1 = grow(ledger, 1, 2)
+    b1 = grow(genesis_ledger(), 1, 2)
     # flip a rank byte inside the encoded header of the block at height 1
     raw = bytearray(encode_block(b1))
     raw[51] ^= 0x01
-    with pytest.raises((LinkageError, RankError)):
-        append_block(ChainLedger(0, ledger.blocks[:1]), decode_block(bytes(raw)))
+    assert_rejected(genesis_ledger(), decode_block(bytes(raw)), (LinkageError, RankError))

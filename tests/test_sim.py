@@ -8,9 +8,11 @@ from dataclasses import replace
 
 import pytest
 
-from shadowraft.ledger import hash_header, make_genesis, new_block
-from shadowraft.ordering import GlobalView
-from shadowraft.raft import VoteReply
+import shadowraft.sim as sim_module
+from shadowraft.beacon import Certificate
+from shadowraft.ledger import encode_block, hash_header, make_genesis, new_block
+from shadowraft.ordering import GlobalView, propose_rank_fields
+from shadowraft.raft import LogEntry, VoteReply
 from shadowraft.sim import (
     AlreadyCrashed,
     ConfigError,
@@ -81,6 +83,37 @@ def test_beacon_that_never_locks_is_an_error():
         run_simulation(cfg)
 
 
+def test_forged_beacon_certificates_are_dropped_and_flagged(monkeypatch):
+    cfg = small_cfg(num_nodes=6, num_chains=2, run_duration=600)
+    clean = Simulation(cfg)
+    clean.run()
+    assert not clean.flags
+    forgers = []
+
+    def forging(enclave, epoch):
+        cert = real_invoke(enclave, epoch)
+        if cert is not None or epoch > 0 or len(forgers) == 2:
+            return cert
+        forgers.append(enclave.node_id)
+        # the lowest rnd there is: either would win the epoch if accepted
+        if len(forgers) == 1:
+            return Certificate(epoch, 0, enclave.node_id, b"\x00" * 32)
+        return Certificate(epoch, 0, 99, b"\x00" * 32)  # no such node
+
+    real_invoke = sim_module.invoke_beacon
+    monkeypatch.setattr(sim_module, "invoke_beacon", forging)
+    forged = Simulation(cfg)
+    forged.run()
+    assert forged.flags == [
+        f"beacon-certificate epoch=0 node={forgers[0]}",
+        "beacon-certificate epoch=0 node=99",
+    ]
+    assert forged.locked_seed == clean.locked_seed
+    assert forged.assignment == clean.assignment
+    # the forged certificates were broadcast, so only the message count differs
+    assert [row[:4] for row in forged.beacon_rows] == [row[:4] for row in clean.beacon_rows]
+
+
 def test_assignment_partitions_nodes_into_committees():
     trace = run_simulation(small_cfg(num_nodes=9, num_chains=3, run_duration=800))
     flat = sorted(n for committee in trace.assignment for n in committee)
@@ -113,7 +146,7 @@ def test_leader_crash_elects_successor_and_commits_resume():
     assert later, "no re-election after the leader crash"
     assert all(w != leader for w in later.values())
     # blocks proposed under the successor's term made it onto the chain
-    successor_terms = {h.proposer_term for h in (b.header for b in sim.canonical[0])}
+    successor_terms = {b.header.proposer_term for b in sim.canonical[0].blocks}
     assert max(successor_terms) > first_term
     assert trace.total_committed_txs() > 0
 
@@ -258,6 +291,77 @@ def test_second_vote_in_a_term_is_flagged():
     sim._after_raft(voter, sim.now, [(b, VoteReply(term, True))])
     assert sim.flags == [
         f"vote-safety chain={voter.chain_id} term={term} voter=0 candidates={a},{b}"
+    ]
+
+
+def counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_stale_proposal_is_skipped_once_by_every_replica(monkeypatch):
+    # the leader's third proposal names a wrong parent: Raft commits it, and
+    # the ledger skips it
+    proposals = []
+
+    def wrong_parent_on_third(**fields):
+        proposals.append(fields["height"])
+        if len(proposals) == 3:
+            fields["parent_hash"] = b"\xff" * 32
+        return real_new_block(**fields)
+
+    real_new_block = sim_module.new_block
+    calls = {"append_block": 0, "decode_block": 0}
+    monkeypatch.setattr(sim_module, "new_block", wrong_parent_on_third)
+    for name in calls:
+        monkeypatch.setattr(sim_module, name, counted(calls, name, getattr(sim_module, name)))
+    sim = Simulation(small_cfg(num_nodes=5, run_duration=800))
+    trace = sim.run()
+    assert trace.skipped_blocks == 1
+    assert trace.safety_flags == []
+    committed = trace.committed_blocks[0]
+    assert committed > 3
+    assert {node.height for node in sim.nodes} == {committed}
+    # each committed entry is decoded and appended once, not once per replica
+    assert calls["decode_block"] == committed + 1
+    assert calls["append_block"] == committed + 1 + 1  # plus the genesis
+
+
+def test_replicas_that_disagree_on_a_committed_entry_are_flagged():
+    sim = Simulation(small_cfg(num_nodes=5, run_duration=600))
+    sim.run()
+    assert not sim.flags
+    a, b = (sim.nodes[n] for n in sim.assignment[0][:2])
+    height, index = a.height, a.raft.last_log_index() + 1
+    assert (b.height, b.raft.last_log_index() + 1) == (height, index)
+    rank, next_rank = propose_rank_fields(a.view, 0)
+    parent = sim.canonical[0].hashes[height]
+
+    def commit(node, term):
+        block = new_block(0, height + 1, parent, rank, next_rank, (), term)
+        node.raft.log.append(LogEntry(node.raft.current_term, index, encode_block(block)))
+        node.raft.commit_index = index
+        sim._apply_committed(node, sim.now)
+
+    commit(a, 7)
+    assert a.height == height + 1 and not sim.flags
+    commit(b, 8)  # the same index with a different command
+    assert sim.flags == [f"state-machine-safety chain=0 index={index}"]
+    assert b.height == height
+    # b never applied the block at height + 1, so the next one does not fit it
+    sim.flags.clear()
+    index += 1
+    height, parent = height + 1, sim.canonical[0].hashes[height + 1]
+    rank, next_rank = next_rank, next_rank + 1
+    commit(a, 7)
+    commit(b, 7)
+    assert a.height == height + 1 and b.height == height - 1
+    assert sim.flags == [
+        f"ledger-divergence chain=0 node={b.node_id} index={index} "
+        f"height={height + 1} expected={height}"
     ]
 
 
