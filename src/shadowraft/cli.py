@@ -27,6 +27,7 @@ from .beacon import invoke_beacon, make_beacon_nodes
 from .ledger import HASH_LEN, BlockHeader, hash_header
 from .ordering import (
     GlobalView,
+    LongestOrder,
     OrderingError,
     reference_total_order,
     total_order,
@@ -92,9 +93,13 @@ _PARSERS = {
 
 
 def read_config_file(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     raw: dict[str, str] = {}
     set_on: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -291,10 +296,13 @@ def _parse_header(cells: list[str], time: int, node_id: int) -> tuple[BlockHeade
 
 def _csv_rows(path: Path, width: int):
     """(line number, cells) for each data row of a CSV file of width fields."""
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         fh.readline()
         for lineno, line in enumerate(fh, 2):
-            cells = line.rstrip("\n").split(",")
+            try:
+                cells = line.decode().rstrip("\r\n").split(",")
+            except UnicodeDecodeError as exc:
+                raise _Rejected(2, f"{path}:{lineno}: {exc}") from None
             if len(cells) != width:
                 why = f"expected {width} fields, found {len(cells)}"
                 raise _Rejected(2, f"{path}:{lineno}: {why}")
@@ -371,7 +379,7 @@ def _verify_order(trace_dir: Path, out: Path) -> int:
 
     A snapshot holds only the headers new to the node since its previous
     one, so a missing, repeated or misplaced row breaks linkage in
-    GlobalView.add. Every order must extend the node's previous order and be
+    GlobalView.add. Every order must equal the brute-force reference and be
     a prefix of the longest order in the file, which is written out.
     """
     snapshots = trace_dir / "snapshots.csv"
@@ -382,8 +390,7 @@ def _verify_order(trace_dir: Path, out: Path) -> int:
 
     num_chains = len({header.chain_id for _, _, header, _ in rows})
     views: dict[int, GlobalView] = {}
-    last_per_node: dict[int, tuple[int, list]] = {}
-    longest_label, longest = "", []
+    longest = LongestOrder()  # holder is a "node n t=time" label
     checked = 0
     for i, (time, node_id, header, stored) in enumerate(rows):
         view = views.get(node_id)
@@ -408,24 +415,14 @@ def _verify_order(trace_dir: Path, out: Path) -> int:
             )
         checked += 1
         label = f"node {node_id} t={time}"
-        prev = last_per_node.get(node_id)
-        if prev is not None and order[: len(prev[1])] != prev[1]:
-            _print_divergence(f"node {node_id} t={prev[0]}", prev[1], label, order)
+        if not longest.check(order, label):
+            _print_divergence(longest.holder, longest.refs, label, order)
             return 1
-        last_per_node[node_id] = (time, order)
-        # every order seen so far is a prefix of longest, so checking a new
-        # one against it keeps that true when a longer one replaces it
-        common = min(len(order), len(longest))
-        if order[:common] != longest[:common]:
-            _print_divergence(longest_label, longest, label, order)
-            return 1
-        if len(order) > len(longest):
-            longest_label, longest = label, order
 
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "order.csv", "w") as fh:
         fh.write("position,rank,chain_id,height,block_hash,tx_count\n")
-        for pos, ref in enumerate(longest):
+        for pos, ref in enumerate(longest.refs):
             hex_hash = ref.block_hash.hex()
             fh.write(
                 f"{pos},{ref.rank},{ref.chain_id},{ref.height},{hex_hash},"
@@ -433,7 +430,7 @@ def _verify_order(trace_dir: Path, out: Path) -> int:
             )
     print(
         f"verify-order: {checked} snapshot orders consistent; "
-        f"final order has {len(longest)} blocks"
+        f"final order has {len(longest.refs)} blocks"
     )
     return 0
 

@@ -12,9 +12,10 @@ node and only ever grows by appending.
 
 A GlobalView is one node's live, growing view of every chain. Headers enter
 it only through ``GlobalView.add``, which applies the ledger's linkage rule
-(``ledger.check_link``) and keeps the ConfirmBar current. The simulator
-holds one view per node; ``verify-order`` rebuilds one per node from its
-snapshot rows. The functions below read a view and never change it.
+(``ledger.check_link``) and keeps the ConfirmBar and the total order
+current. The simulator holds one view per node; ``verify-order`` rebuilds
+one per node from its snapshot rows. The functions below read a view and
+never change it.
 """
 
 from __future__ import annotations
@@ -50,10 +51,11 @@ class GlobalView:
     OrderedBlockRef of each, built once when the header enters: its hash is
     the one the view links the next header against. tails[c] is the
     expected next rank of chain c (its tail's next_rank, 0 while the chain
-    is empty), and bar is the minimum of tails.
+    is empty), and bar is the minimum of tails. order lists the refs ranked
+    below bar, sorted, and confirmed[c] counts the refs of chain c in it.
     """
 
-    __slots__ = ("num_chains", "chains", "refs", "tails", "bar")
+    __slots__ = ("num_chains", "chains", "refs", "tails", "bar", "order", "confirmed")
 
     def __init__(self, num_chains: int):
         self.num_chains = num_chains
@@ -61,6 +63,8 @@ class GlobalView:
         self.refs: list[list[OrderedBlockRef]] = [[] for _ in range(num_chains)]
         self.tails = [0] * num_chains
         self.bar = 0
+        self.order: list[OrderedBlockRef] = []
+        self.confirmed = [0] * num_chains
 
     def add(self, header: BlockHeader, header_hash: bytes) -> None:
         """Check header against its chain's tail (the linkage rule), then append it.
@@ -69,6 +73,8 @@ class GlobalView:
         checks it, so each header is hashed once. Raises UnknownChain for a
         chain outside the view and OrderingError for a broken link. Because
         every header passes the linkage rule, tails and bar never decrease.
+        When the bar rises, the refs with old bar <= rank < new bar are
+        appended to the order, sorted.
         """
         chain = header.chain_id
         if not 0 <= chain < self.num_chains:
@@ -81,7 +87,15 @@ class GlobalView:
         old = self.tails[chain]
         self.tails[chain] = header.next_rank
         if old == self.bar:
-            self.bar = min(self.tails)
+            self.bar = bar = min(self.tails)
+            new = []
+            for c, chain_refs in enumerate(self.refs):
+                cut = self.confirmed[c]
+                while cut < len(chain_refs) and chain_refs[cut].rank < bar:
+                    new.append(chain_refs[cut])
+                    cut += 1
+                self.confirmed[c] = cut
+            self.order += sorted(new)
 
 
 def _link(header: BlockHeader, parent: BlockHeader | None, parent_hash: bytes | None) -> None:
@@ -123,21 +137,37 @@ def confirm_bar(view: GlobalView) -> int:
 def total_order(view: GlobalView) -> list[OrderedBlockRef]:
     """Fully confirmed blocks: rank < confirm_bar, sorted by (rank, chain_id).
 
-    As the view grows the result only gains a suffix (prefix stability):
-    the bar is monotone in the view, and every future block on any chain
-    ranks at or above that chain's current tail next_rank, hence at or
-    above the old bar.
+    A copy of view.order. As the view grows it only gains a suffix (prefix
+    stability): every later block on any chain ranks at or above that
+    chain's tail next_rank, hence at or above the bar.
     """
-    bar = confirm_bar(view)
-    order: list[OrderedBlockRef] = []
-    for refs in view.refs:
-        # ranks rise along a chain, so its confirmed blocks are a prefix
-        cut = len(refs)
-        while cut and refs[cut - 1].rank >= bar:
-            cut -= 1
-        order += refs[:cut]
-    order.sort()
-    return order
+    confirm_bar(view)
+    return list(view.order)
+
+
+class LongestOrder:
+    """The longest of the orders checked so far, and the holder that extended it.
+
+    Orders are consistent iff each is a prefix of the longest one.
+    """
+
+    def __init__(self):
+        self.refs: list[OrderedBlockRef] = []
+        self.holder = None
+
+    def check(self, order: list[OrderedBlockRef], holder, start: int = 0) -> bool:
+        """False if order[start:] disagrees with refs; else extend refs to cover order.
+
+        refs only grows by a suffix, so order[:start] needs no check once it passed.
+        """
+        refs = self.refs
+        common = min(len(order), len(refs))
+        if order[start:common] != refs[start:common]:
+            return False
+        if len(order) > len(refs):
+            refs += order[len(refs) :]
+            self.holder = holder
+        return True
 
 
 def reference_total_order(view: GlobalView) -> list[OrderedBlockRef]:

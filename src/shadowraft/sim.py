@@ -22,7 +22,7 @@ election safety, one vote per term, log matching, state-machine safety,
 commit quorum, rank discipline, ConfirmBar monotonicity, prefix stability
 and cross-node prefix consistency of total orders, and sealed round-trip
 integrity are all checked during the run and recorded as safety flags,
-which must stay empty.
+which must stay empty. A node's order is checked when its ConfirmBar rises.
 
 Each chain has one ledger. The first replica to apply a committed entry
 decodes it and appends it; every other replica checks that its own command
@@ -50,7 +50,6 @@ from .ledger import (
     LedgerError,
     Transaction,
     append_block,
-    check_link,
     decode_block,
     encode_block,
     hash_header,
@@ -59,9 +58,10 @@ from .ledger import (
 )
 from .ordering import (
     GlobalView,
+    LongestOrder,
     OrderingError,
     propose_rank_fields,
-    total_order,
+    reference_total_order,
     validate_view,
 )
 from .raft import RaftNode, Role, VoteReply, quorum_threshold
@@ -318,7 +318,6 @@ class _Node:
         "view",
         "buffer",
         "confirmed_ptr",
-        "last_order",
         "written",
     )
 
@@ -335,7 +334,6 @@ class _Node:
             self.view.add(ledger.blocks[0].header, ledger.hashes[0])
         self.buffer: dict[int, dict[int, BlockHeader]] = {c: {} for c in ledgers}
         self.confirmed_ptr = 1  # genesis is already below the initial bar
-        self.last_order: list[tuple] = []
         self.written = [0] * len(ledgers)  # headers per chain in snapshots
 
 
@@ -374,6 +372,7 @@ class Simulation:
         self.skipped = 0
         self.election_winners: dict[tuple[int, int], int] = {}
         self.votes: dict[tuple[int, int, int], int] = {}  # (chain, term, voter) -> candidate
+        self.longest = LongestOrder()  # holder is a node id
         self._tick_at: dict[int, int] = {}
 
     # -- plumbing ---------------------------------------------------------
@@ -565,7 +564,9 @@ class Simulation:
         chain = header.chain_id
         headers = view.chains[chain]
         if header.height < len(headers):
-            if hash_header(header) != view.refs[chain][header.height].block_hash:
+            known = view.refs[chain][header.height].block_hash
+            # replicas share one decoded header object: only another one needs hashing
+            if header is not headers[header.height] and hash_header(header) != known:
                 self._flag(
                     f"view-divergence node={node.node_id} chain={chain} "
                     f"height={header.height}"
@@ -573,7 +574,7 @@ class Simulation:
             return
         buf = node.buffer[chain]
         buf.setdefault(header.height, header)
-        bar, tail = view.bar, len(headers)
+        bar, tail, confirmed = view.bar, len(headers), len(view.order)
         while len(headers) in buf:
             nxt = buf.pop(len(headers))
             try:
@@ -583,9 +584,9 @@ class Simulation:
                     f"header-linkage node={node.node_id} chain={chain} "
                     f"height={nxt.height}"
                 )
-                return
+                break
         if len(headers) > tail:
-            self._bar_advance(node, bar, now)
+            self._bar_advance(node, bar, confirmed, now)
 
     def _gossip_block(self, node: _Node, header: BlockHeader, now: int) -> None:
         for dst in range(self.cfg.num_nodes):
@@ -597,13 +598,17 @@ class Simulation:
             self._count("Gossip")
             self._push(now + delay, _GOSSIP, dst, header)
 
-    def _bar_advance(self, node: _Node, old_bar: int, now: int) -> None:
-        bar = node.view.bar
-        if bar < old_bar:
+    def _bar_advance(self, node: _Node, old_bar: int, confirmed: int, now: int) -> None:
+        """Record a rise of the node's bar; check its order past position confirmed."""
+        view = node.view
+        if view.bar < old_bar:
             self._flag(f"confirmbar-regression node={node.node_id} t={now}")
             return
-        if bar > old_bar:
-            self.bar_rows.append((now, node.node_id, bar))
+        if view.bar > old_bar:
+            self.bar_rows.append((now, node.node_id, view.bar))
+            if not self.longest.check(view.order, node.node_id, confirmed):
+                holder = self.longest.holder
+                self._flag(f"prefix-consistency nodes={holder},{node.node_id} t={now}")
         self._sample_latency(node, now)
 
     def _sample_latency(self, node: _Node, now: int) -> None:
@@ -662,13 +667,6 @@ class Simulation:
         live = [node for node in self.nodes if node.node_id not in self.crashed]
         rows = self.snapshot_rows
         for node in live:
-            order = total_order(node.view)
-            if node.last_order != order[: len(node.last_order)]:
-                self._flag(
-                    f"prefix-stability node={node.node_id} t={now} "
-                    f"(earlier order is not a prefix)"
-                )
-            node.last_order = order
             for chain, headers in enumerate(node.view.chains):
                 start = node.written[chain]
                 for h, ref in zip(headers[start:], node.view.refs[chain][start:]):
@@ -687,16 +685,6 @@ class Simulation:
                         )
                     )
                 node.written[chain] = len(headers)
-        # orders are consistent iff each is a prefix of the longest one
-        if live:
-            top = max(live, key=lambda node: len(node.last_order))
-            longest = top.last_order
-            for node in live:
-                order = node.last_order
-                if order != longest[: len(order)]:
-                    self._flag(
-                        f"prefix-consistency nodes={top.node_id},{node.node_id} t={now}"
-                    )
 
     # -- main loop ----------------------------------------------------------
 
@@ -849,17 +837,22 @@ class Simulation:
             except OrderingError as exc:
                 self._flag(f"final-view node={node.node_id}: {exc}")
 
-        orders = {n.node_id: total_order(n.view) for n in honest}
-        if orders:
-            ids = sorted(orders)
-            first = orders[ids[0]]
-            for other in ids[1:]:
-                if orders[other] != first:
-                    self._flag(f"final-order-divergence nodes={ids[0]},{other}")
+        self.final_order = []
+        if honest:
+            first = honest[0]
+            for other in honest[1:]:
+                if other.view.order != first.view.order:
+                    self._flag(f"final-order-divergence nodes={first.node_id},{other.node_id}")
                     break
-            for node in honest:
-                if node.last_order != orders[node.node_id][: len(node.last_order)]:
-                    self._flag(f"prefix-stability node={node.node_id} t=final")
+            if first.view.order != reference_total_order(first.view):
+                self._flag(f"prefix-stability node={first.node_id} t=final")
+            hash_to_block = {}
+            for ledger in self.canonical.values():
+                hash_to_block.update(zip(ledger.hashes, ledger.blocks))
+            for rank, chain, height, bh in first.view.order:
+                body = hash_to_block.get(bh)
+                tx_count = len(body.transactions) if body is not None else 0
+                self.final_order.append((rank, chain, height, bh.hex(), tx_count))
 
         # log matching: deepest shared (index, term) implies identical prefixes
         for chain, members in enumerate(self.assignment):
@@ -875,17 +868,8 @@ class Simulation:
                             f"log-matching chain={chain} nodes={a.node_id},{b.node_id}"
                         )
 
-        self.rank_checked = 0
-        for chain, ledger in self.canonical.items():
-            parent = parent_hash = None
-            for block, block_hash in zip(ledger.blocks, ledger.hashes):
-                h = block.header
-                self.rank_checked += 1
-                try:
-                    check_link(h, parent, parent_hash)
-                except LedgerError as exc:
-                    self._flag(f"rank-linkage chain={chain} height={h.height}: {exc}")
-                parent, parent_hash = h, block_hash
+        # append_block, the ledgers' only writer, checked each block's link
+        self.rank_checked = sum(len(ledger.blocks) for ledger in self.canonical.values())
 
         self.sealed_verified = 0
         for ledger in self.canonical.values():
@@ -904,17 +888,6 @@ class Simulation:
                         self._flag(f"sealed-roundtrip nonce={tx.nonce}: wrong plaintext")
                     else:
                         self.sealed_verified += 1
-
-        self.final_order = []
-        if honest:
-            node = honest[0]
-            hash_to_block = {}
-            for ledger in self.canonical.values():
-                hash_to_block.update(zip(ledger.hashes, ledger.blocks))
-            for rank, chain, height, bh in orders[node.node_id]:
-                body = hash_to_block.get(bh)
-                tx_count = len(body.transactions) if body is not None else 0
-                self.final_order.append((rank, chain, height, bh.hex(), tx_count))
 
 
 def run_simulation(config: SimConfig) -> SimTrace:

@@ -113,19 +113,15 @@ def test_run_missing_config_file(tmp_path, capsys):
     binary.write_bytes(b"seed = 5\n\xff\xfe\n")
     taken = tmp_path / "taken"
     taken.write_text("a file, not a directory\n")
-    out = run_and_verify_dirs(tmp_path)
-    (out / "snapshots.csv").write_bytes((out / "snapshots.csv").read_bytes() + b"\xff,\n")
-    capsys.readouterr()
     cases = [
-        (["run", "--config", str(binary)], "can't decode"),
-        (["run", "--config", str(tmp_path)], "Is a directory"),
-        (["verify-order", str(out), "--out", str(tmp_path / "v")], "can't decode"),
-        (["run", "--config", str(write_cfg(tmp_path)), "--out", str(taken)], "File exists"),
+        (["run", "--config", str(binary)], f"configuration error: {binary}: ", "can't decode"),
+        (["run", "--config", str(tmp_path)], "error: ", "Is a directory"),
+        (["run", "--config", str(write_cfg(tmp_path)), "--out", str(taken)], "error: ", "File exists"),
     ]
-    for argv, why in cases:
+    for argv, start, why in cases:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and why in err, err
+        assert err.startswith(start) and why in err, err
 
 
 def test_run_seed_override_changes_outputs(tmp_path):
@@ -343,12 +339,19 @@ def test_verify_order_rejects_malformed_snapshots(tmp_path, capsys):
         (edited(9, 7, "zz" * 32), 10, "non-hexadecimal"),
         (edited(11, 4, "-1"), 12, "out of range"),
         (edited(13, 8, "ab"), 14, "64 hex digits"),
+        (lines[:7] + ["\udcff,"] + lines[7:], 8, "can't decode"),  # a 0xff byte
     ]
     for rows, lineno, why in cases:
-        snap.write_text("\n".join(rows) + "\n")
+        snap.write_bytes("\n".join(rows + [""]).encode("utf-8", "surrogateescape"))
         assert main(["verify-order", str(out), "--out", str(tmp_path / "v")]) == 2
         err = capsys.readouterr().err
         assert f"verify-order: {snap}:{lineno}: " in err and why in err, err
+    snap.write_text("\n".join(lines) + "\n")
+    order = out / "order.csv"
+    lineno = len(order.read_bytes().splitlines()) + 1
+    order.write_bytes(order.read_bytes() + b"\xff\n")
+    assert main(["verify-order", str(out), "--out", str(tmp_path / "v")]) == 2
+    assert f"verify-order: {order}:{lineno}: " in capsys.readouterr().err
 
 
 def test_argparse_usage_errors(capsys):

@@ -222,21 +222,17 @@ def test_prefix_stability_as_views_grow():
     rand = random.Random(97)
     for _ in range(300):
         b = random_builder(rand, max_chains=3, max_blocks=5)
-        snapshots = []
-        counts = {c: 1 for c in range(b.num_chains)}
-        # replay growth one block at a time, in chain-by-chain commit order
-        while True:
-            snapshots.append(total_order(b.view(upto=dict(counts))))
-            grew = False
-            for c in range(b.num_chains):
-                if counts[c] < len(b.blocks[c]):
-                    counts[c] += 1
-                    grew = True
-                    break
-            if not grew:
-                break
-        for earlier, later in zip(snapshots, snapshots[1:]):
-            assert later[: len(earlier)] == earlier
+        view = b.view(upto={c: 1 for c in range(b.num_chains)})
+        earlier = total_order(view)
+        assert earlier == reference_total_order(view)
+        # grow the one view a block at a time, in chain-by-chain commit order
+        for c in range(b.num_chains):
+            for blk in b.blocks[c][1:]:
+                view.add(blk.header, hash_header(blk.header))
+                order = total_order(view)
+                assert order == reference_total_order(view)
+                assert order[: len(earlier)] == earlier
+                earlier = order
 
 
 def test_bar_never_regresses_as_views_grow():

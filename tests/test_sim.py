@@ -369,16 +369,39 @@ def test_order_that_is_not_a_prefix_of_the_longest_is_flagged():
     sim = Simulation(small_cfg(num_nodes=5, run_duration=400))
     sim.run()
     assert not sim.flags
-    # node 3 forks after genesis with a block no other node holds
+    # a node that does not hold the longest order forks after genesis with a
+    # block no other node holds, and its order grows when the block arrives
+    holder = sim.longest.holder
+    forked = next(node for node in sim.nodes if node.node_id != holder)
     genesis = make_genesis(0)
     fork = new_block(0, 1, hash_header(genesis.header), 1, 2, (), 99).header
-    forked = sim.nodes[3]
     forked.view = GlobalView(1)
     forked.view.add(genesis.header, hash_header(genesis.header))
-    forked.view.add(fork, hash_header(fork))
-    forked.last_order = []
-    sim._on_snapshot(sim.now)
-    assert sim.flags == [f"prefix-consistency nodes=0,3 t={sim.now}"]
+    sim._ingest_header(forked, fork, sim.now)
+    assert sim.flags == [f"prefix-consistency nodes={holder},{forked.node_id} t={sim.now}"]
+
+
+def test_gossip_that_conflicts_with_a_view_is_flagged(monkeypatch):
+    sim = Simulation(small_cfg(num_nodes=5, run_duration=400))
+    sim.run()
+    assert not sim.flags
+    node = sim.nodes[0]
+    held = node.view.chains[0][1]
+    calls = {"hash_header": 0}
+    monkeypatch.setattr(
+        sim_module, "hash_header", counted(calls, "hash_header", sim_module.hash_header)
+    )
+    sim._ingest_header(node, held, sim.now)  # a repeat of the object it holds
+    assert calls["hash_header"] == 0
+    sim._ingest_header(node, replace(held), sim.now)  # an equal copy is hashed
+    assert calls["hash_header"] == 1 and not sim.flags
+    sim._ingest_header(node, replace(held, proposer_term=held.proposer_term + 1), sim.now)
+    assert sim.flags == ["view-divergence node=0 chain=0 height=1"]
+    sim.flags.clear()
+    tip = node.view.chains[0][-1]
+    orphan = new_block(0, tip.height + 1, bytes(32), tip.next_rank, tip.next_rank + 1, (), 1)
+    sim._ingest_header(node, orphan.header, sim.now)
+    assert sim.flags == [f"header-linkage node=0 chain=0 height={tip.height + 1}"]
 
 
 def test_event_trace_is_optional():
