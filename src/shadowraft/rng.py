@@ -83,6 +83,10 @@ class Stream:
         return bytes(out)
 
     def next_u64(self) -> int:
+        pos = self._pos
+        if pos + 8 <= len(self._buf):
+            self._pos = pos + 8
+            return int.from_bytes(self._buf[pos : pos + 8], "big")
         return int.from_bytes(self.next_bytes(8), "big")
 
     def next_below(self, n: int) -> int:

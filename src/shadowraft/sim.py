@@ -4,8 +4,9 @@ One run executes: (1) beacon epochs until a seed locks, each costing one
 synchronous round of `delta` ticks; (2) committee assignment from the locked
 seed; (3) per-chain Raft with leaders batching client transactions into
 blocks on a timer, rank fields taken from the proposer's current view;
-(4) committed-header gossip to every node, which drives each node's
-ConfirmBar and total order; (5) metric and safety collection.
+(4) committed-header gossip, from the replica that appends it, to every
+other node, which drives each node's ConfirmBar and total order; (5) metric
+and safety collection.
 
 Time is an integer tick counter. Events execute in (time, insertion
 sequence) order off a single heap, so a run is a pure function of its
@@ -25,8 +26,9 @@ integrity are all checked during the run and recorded as safety flags,
 which must stay empty. A node's order is checked when its ConfirmBar rises.
 
 Each chain has one ledger. The first replica to apply a committed entry
-decodes it and appends it; every other replica checks that its own command
-has the same digest and keeps only its height in that ledger.
+decodes it, appends it and gossips its header to every other live node, so
+each header is sent at most N-1 times; every other replica checks that its
+own command has the same digest and keeps only its height in that ledger.
 
 A snapshot writes, for each live node, only the headers that entered its
 view since its previous snapshot; the view of node n at time t is the union
@@ -170,7 +172,7 @@ class SimTrace:
     message_counts: dict[str, int]
     safety_flags: list[str]
     expected_stall: bool
-    snapshot_rows: list[tuple]
+    snapshot_rows: list[tuple[int, int, BlockHeader, bytes]]  # time, node, header, hash
     final_order: list[tuple[int, int, int, str, int]]
     sealed_verified: int
     rank_checked: int
@@ -244,7 +246,21 @@ class SimTrace:
             "snapshots.csv",
             "time,node_id,chain_id,height,rank,next_rank,proposer_term,"
             "parent_hash,tx_root,block_hash",
-            self.snapshot_rows,
+            (
+                (
+                    t,
+                    n,
+                    h.chain_id,
+                    h.height,
+                    h.rank,
+                    h.next_rank,
+                    h.proposer_term,
+                    h.parent_hash.hex(),
+                    h.tx_root.hex(),
+                    bh.hex(),
+                )
+                for t, n, h, bh in self.snapshot_rows
+            ),
         )
         csv(
             "order.csv",
@@ -360,7 +376,7 @@ class Simulation:
         self.sampled: set[int] = set()
         self.latency_rows: list[tuple[int, int, int, int]] = []
         self.bar_rows: list[tuple[int, int, int]] = []
-        self.snapshot_rows: list[tuple] = []
+        self.snapshot_rows: list[tuple[int, int, BlockHeader, bytes]] = []
         self.beacon_rows: list[tuple[int, int, int, int | None, int]] = []
         self.pending: dict[int, list[Transaction]] = {
             c: [] for c in range(config.num_chains)
@@ -510,7 +526,8 @@ class Simulation:
             key = (node.chain_id, entry.index)
             digest = hashlib.sha256(entry.command).digest()
             seen = self.committed_cmds.get(key)
-            if seen is None:
+            appender = seen is None
+            if appender:
                 seen = self.committed_cmds[key] = self._append_committed(
                     node.chain_id, entry.command, digest
                 )
@@ -533,7 +550,8 @@ class Simulation:
                 continue
             node.height = height
             self._ingest_header(node, block.header, now)
-            self._gossip_block(node, block.header, now)
+            if appender:
+                self._gossip_block(node, block.header, now)
 
     def _append_committed(self, chain: int, command: bytes, digest: bytes):
         """Decode a committed command and append it to the chain's ledger."""
@@ -575,10 +593,17 @@ class Simulation:
         buf = node.buffer[chain]
         buf.setdefault(header.height, header)
         bar, tail, confirmed = view.bar, len(headers), len(view.order)
+        ledger = self.canonical[chain]
         while len(headers) in buf:
             nxt = buf.pop(len(headers))
+            h = nxt.height
+            # the ledger's own header object has its hash stored; hash any other
+            if h < len(ledger.blocks) and ledger.blocks[h].header is nxt:
+                block_hash = ledger.hashes[h]
+            else:
+                block_hash = hash_header(nxt)
             try:
-                view.add(nxt, hash_header(nxt))
+                view.add(nxt, block_hash)
             except OrderingError:
                 self._flag(
                     f"header-linkage node={node.node_id} chain={chain} "
@@ -670,20 +695,7 @@ class Simulation:
             for chain, headers in enumerate(node.view.chains):
                 start = node.written[chain]
                 for h, ref in zip(headers[start:], node.view.refs[chain][start:]):
-                    rows.append(
-                        (
-                            now,
-                            node.node_id,
-                            chain,
-                            h.height,
-                            h.rank,
-                            h.next_rank,
-                            h.proposer_term,
-                            h.parent_hash.hex(),
-                            h.tx_root.hex(),
-                            ref.block_hash.hex(),
-                        )
-                    )
+                    rows.append((now, node.node_id, h, ref.block_hash))
                 node.written[chain] = len(headers)
 
     # -- main loop ----------------------------------------------------------

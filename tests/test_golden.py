@@ -27,12 +27,12 @@ CASES = {
         },
         {
             "beacon.csv": "ad25863edce2c4308f925f7656f8770d4764e4bc2749e2f4ef9367fef88ba6c9",
-            "confirmbar.csv": "8588725ac2ea19f96a2fc1aa5c9ad6643b1107c44c1b01b482444cc5b01dde87",
-            "latency.csv": "07878790003b7da0f9e3bbd7bb30df016842567b288680a02566e766baa26d66",
+            "confirmbar.csv": "a5798aca9c047386d2bdbcd7f6913fdd49278fe8e8ce77c299c782e518114916",
+            "latency.csv": "b09afeb711ed2b0b5e93615104641d520dfa214761a1215ae0f305c95d454b8b",
             "order.csv": "4cf89de3483fbce4b5f7256eb3b465059c690a468b637b7960fdae2dcd51fbe1",
             "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
             "snapshots.csv": "cbcc4d3d5f479c5e055fd6f6ccf98b354fb3b27967ca69c0fa2d9cc870365a13",
-            "summary.txt": "8b75384316dc04bb6ac3537957137d78c62fe58df9a1e9662c50170fc139e5d0",
+            "summary.txt": "52be90cfa055f473ea2ca7ffd4d744ecea2ba100e9355b8ff710649f9fcbc734",
             "throughput.csv": "377198993f01a40ce48a31512adab16fb1ee5c647f4f441ef091818b832cc647",
             "verify/order.csv": "4e097ee31fd5f73f20ffcea119b01fac6dafea25bcd96f2dd382ce9944c0cedd",
         },
@@ -50,12 +50,12 @@ CASES = {
         },
         {
             "beacon.csv": "b20c0b4a262bb8d5437707224af1999a424285a6bfd4358479802b3f3f41e0d5",
-            "confirmbar.csv": "d3720cd7cb65d9848837b7a55f147b3bed7726bd517911ce9249c23fa17da4a3",
-            "latency.csv": "37acd43ad16475b145a6dfdebd21f7149fd64faee2f9546bf7301052d68d10a7",
+            "confirmbar.csv": "7a7f33af36a7946932ff6b2a6f44d45ae76d6c6c21b5f958d491a7286955ee10",
+            "latency.csv": "928ce5a4747b8334dec08318d0cfe68bcd3fcac6e0c1a2e2714a7585e5623c03",
             "order.csv": "97176475048fdaf03edcdfd70528fa821e862b4dc002de391abc2480507f6462",
             "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
             "snapshots.csv": "04902a98752fcf06163290ea28e27fd2d56e2f263bdf5587fc5ea2c689363c2e",
-            "summary.txt": "97a6f0c5872b3ef32e68513d61675990dadf958f7a677228ddd74ecc8ed7b38f",
+            "summary.txt": "4b0039a833eb0a787a98d077084d6e82623635de751edadfa28fd1cd6aa71547",
             "throughput.csv": "a4a43fc980c118f48bb3921485b4e5fb451140fb651f02f4b98b8cbac1d148ff",
             "verify/order.csv": "5d73a826d30a4131889254fd5c48cf7a0482d60ddbd286682e79dbaf9d598b66",
         },
@@ -74,13 +74,13 @@ CASES = {
         },
         {
             "beacon.csv": "e9ee7f3ac0e20738bd29b0a45ed487958ba241c113edfca81ff2b0438ad5f276",
-            "confirmbar.csv": "9896eb6dbcf31ca07a56e0fa9c8d689eb75f0b1a3428240e1efd51a123891331",
-            "events.csv": "76103a20fe07cb12ae0b065b83a11828ab1a166a638f2747c6a6b10e575d2e46",
-            "latency.csv": "8386f3bc77b3980d31a70e3f01e6658a315281f3a85db996e52028529967e843",
+            "confirmbar.csv": "406bc5d34811cf8834ac291e08ee32140380e58e5363db42aad070fcdf8231e0",
+            "events.csv": "c37a27f6954668c394004b466e0647ade0a1e5907d0e376dcce468a24b8faff6",
+            "latency.csv": "ef4dec618ef8be5b80dfd16547287067a1882c8b1b388ede7af2a88cd8b6cc1a",
             "order.csv": "451786f1036fbd47d21c07dd660eece29240f762c23adf5cb4378d473c39664c",
             "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
             "snapshots.csv": "c207a194f91dd04a6e30d01a29d63487bb65a74767847b67ee7410099c8b68a6",
-            "summary.txt": "9441007624b5a2684ef031a7bd1b89cecb3398b21d3bc12fae2256d32a9417d7",
+            "summary.txt": "9fc4bc06604927feb256e7c2aebba142cb2582fe96b2b4f55c7dedd79058376c",
             "throughput.csv": "a0c4f4bcab17d199bc5523b68395563ae2d7892004672751b368871a50a780f3",
             "verify/order.csv": "b6cc5a1ac9d5dfed7ec0b93892e99e9647154c74188c38efe3b04877b53a846e",
         },

@@ -242,13 +242,19 @@ def test_final_order_shape():
     assert trace.rank_checked >= len(order)
 
 
+def snapshot_csv_rows(trace):
+    """The rendered snapshots.csv as lists of fields, header line first."""
+    text = trace.csv_outputs()["snapshots.csv"].decode()
+    return [line.split(",") for line in text.splitlines()]
+
+
 def test_snapshots_are_recorded():
     cfg = small_cfg(num_nodes=4, num_chains=1, run_duration=1100, snapshot_interval=200)
-    trace = run_simulation(cfg)
-    times = {row[0] for row in trace.snapshot_rows}
+    header, *rows = snapshot_csv_rows(run_simulation(cfg))
+    times = {row[0] for row in rows}
     assert len(times) >= 3
-    header_width = len(trace.snapshot_rows[0])
-    assert header_width == 10
+    assert len(header) == 10
+    assert {len(row) for row in rows} == {10}
 
 
 def test_snapshots_write_each_header_once_per_node():
@@ -259,7 +265,8 @@ def test_snapshots_write_each_header_once_per_node():
     trace = run_simulation(cfg)
     assert not trace.safety_flags
     heights: dict[tuple[int, int], list[int]] = {}
-    for time, node, chain, height, *_ in trace.snapshot_rows:
+    _, *rows = snapshot_csv_rows(trace)
+    for time, node, chain, height in (map(int, row[:4]) for row in rows):
         assert not (node == 4 and time >= 500), "a crashed node took a snapshot"
         heights.setdefault((node, chain), []).append(height)
     assert len(heights) == cfg.num_nodes * cfg.num_chains
@@ -276,6 +283,30 @@ def test_snapshot_rows_grow_linearly_with_duration():
     long_ = run_simulation(replace(base, run_duration=2000))
     assert not short.safety_flags and not long_.safety_flags
     assert len(long_.snapshot_rows) <= 2.5 * len(short.snapshot_rows)
+
+
+def test_each_committed_header_is_gossiped_once():
+    # only the replica that appends a block sends its header, to every other node
+    cfg = small_cfg(num_nodes=9, num_chains=3, run_duration=1000)
+    trace = run_simulation(cfg)
+    assert not trace.safety_flags
+    blocks = sum(trace.committed_blocks.values())
+    assert blocks > 0
+    assert trace.message_counts["Gossip"] == blocks * (cfg.num_nodes - 1)
+
+
+def test_one_sender_per_header_reaches_every_live_node_despite_crashes():
+    cfg = small_cfg(seed=23, num_nodes=9, num_chains=3, run_duration=1200)
+    leaders = [first_leader(cfg, chain)[0] for chain in range(2)]
+    crashes = ((400, leaders[0]), (700, leaders[1]))
+    sim = Simulation(replace(cfg, crash_schedule=crashes))
+    trace = sim.run()
+    assert not trace.safety_flags and not trace.expected_stall
+    for node in sim.nodes:
+        if node.node_id in sim.crashed:
+            continue
+        for chain, ledger in sim.canonical.items():
+            assert len(node.view.chains[chain]) == len(ledger.blocks), (node.node_id, chain)
 
 
 def test_second_vote_in_a_term_is_flagged():
