@@ -50,7 +50,6 @@ from .raft import RaftNode, Role, quorum_threshold
 from .rng import Stream, stream_key
 from .sealing import KeyDirectory, SealedPayload, SealKey, seal, unseal
 from .sim import (
-    AlreadyCrashed,
     ConfigError,
     ScalingPoint,
     SimConfig,

@@ -10,8 +10,14 @@ Exit codes are a stable contract: 0 success, 1 property violation,
 2 usage or configuration error.
 
 Configuration files are flat `key = value` text; `#` starts a comment.
-Unknown keys are rejected, and every defaulted key is echoed so a run's
-full parameterization is always visible in its output.
+The keys are the fields of SimConfig, and each value is parsed by its
+field's declared type: an integer, a float, a boolean word (true/false,
+yes/no, on/off, 1/0), or a `time:node` schedule. Unknown and repeated keys
+are rejected, and every defaulted key is echoed so a run's full
+parameterization is always visible in its output.
+
+Every CSV file goes through `sim.csv_bytes`; `beacon.csv` and `order.csv`
+through `sim.beacon_csv` and `sim.order_csv`, as in a run's own outputs.
 """
 
 from __future__ import annotations
@@ -21,9 +27,10 @@ import re
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 from . import beacon as beacon_mod
-from .beacon import invoke_beacon, make_beacon_nodes
+from .beacon import invoke_beacon, make_beacon_nodes, select_seed
 from .ledger import HASH_LEN, BlockHeader, hash_header
 from .ordering import (
     GlobalView,
@@ -33,7 +40,17 @@ from .ordering import (
     total_order,
     validate_view,
 )
-from .sim import ConfigError, SimConfig, SimTrace, measure_scaling, run_simulation
+from .sim import (
+    ConfigError,
+    SimConfig,
+    SimError,
+    SimTrace,
+    beacon_csv,
+    csv_bytes,
+    measure_scaling,
+    order_csv,
+    run_simulation,
+)
 
 _BOOL_WORDS = {
     "true": True,
@@ -54,7 +71,7 @@ def _parse_bool(text: str) -> bool:
         raise ValueError(f"not a boolean: {text!r}") from None
 
 
-def _parse_crash_schedule(text: str) -> tuple[tuple[int, int], ...]:
+def _parse_schedule(text: str) -> tuple[tuple[int, int], ...]:
     """Parse 'time:node' pairs separated by commas, semicolons, or spaces."""
     pairs = []
     for item in re.split(r"[\s,;]+", text.strip()):
@@ -67,28 +84,12 @@ def _parse_crash_schedule(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-_PARSERS = {
-    "seed": int,
-    "num_nodes": int,
-    "num_chains": int,
-    "lottery_bits": int,
-    "delta": int,
-    "raft_delay_min": int,
-    "raft_delay_max": int,
-    "election_timeout": int,
-    "heartbeat_interval": int,
-    "block_interval": int,
-    "tx_rate": float,
-    "sensitive_fraction": float,
-    "crash_schedule": _parse_crash_schedule,
-    "run_duration": int,
-    "drain_window": int,
-    "max_batch": int,
-    "snapshot_interval": int,
-    "empty_blocks": _parse_bool,
-    "num_seal_keys": int,
-    "max_beacon_epochs": int,
-    "trace_events": _parse_bool,
+# a SimConfig field's declared type picks the parser for its config key
+_PARSE_TYPE = {
+    int: int,
+    float: float,
+    bool: _parse_bool,
+    tuple[tuple[int, int], ...]: _parse_schedule,
 }
 
 
@@ -119,14 +120,19 @@ def read_config_file(path: str) -> dict[str, str]:
 def build_config(
     raw: dict[str, str], seed_override: int | None = None, trace: bool = False
 ) -> tuple[SimConfig, list[str]]:
-    """Materialize a SimConfig and the echo lines showing every key."""
-    unknown = sorted(set(raw) - set(_PARSERS))
+    """Materialize a SimConfig and the echo lines showing every key.
+
+    The keys are SimConfig's fields, each parsed by its declared type.
+    """
+    types = get_type_hints(SimConfig)
+    parsers = {f.name: _PARSE_TYPE[types[f.name]] for f in fields(SimConfig)}
+    unknown = sorted(set(raw) - set(parsers))
     if unknown:
         raise ConfigError(f"unknown configuration key(s): {', '.join(unknown)}")
     kwargs = {}
     for key, value in raw.items():
         try:
-            kwargs[key] = _PARSERS[key](value)
+            kwargs[key] = parsers[key](value)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from None
     if seed_override is not None:
@@ -190,10 +196,9 @@ def cmd_beacon_stats(args) -> int:
         total_msgs += msgs
         if certs:
             succeeded += 1
-            seed = min((c.rnd, c.node_id) for c in certs)[0]
-            rows.append((epoch, 1, len(certs), seed, msgs))
+            rows.append((epoch, 1, len(certs), select_seed(certs, epoch), msgs))
         else:
-            rows.append((epoch, 0, 0, "", 0))
+            rows.append((epoch, 0, 0, None, 0))
     repeat_rate = 1 - succeeded / epochs
     closed = beacon_mod.repeat_probability(n, bits)
     mean_certs = total_certs / epochs
@@ -203,10 +208,7 @@ def cmd_beacon_stats(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "beacon.csv", "w") as fh:
-        fh.write("epoch,succeeded,num_certificates,seed,messages_sent\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+    (out / "beacon.csv").write_bytes(beacon_csv(rows))
     summary = (
         f"beacon stats: N={n} l={bits} epochs={epochs} seed={args.seed}\n"
         f"  empirical repeat rate: {repeat_rate:.6f}\n"
@@ -240,13 +242,15 @@ def cmd_scale(args) -> int:
     points = measure_scaling(base, counts, committee_size=args.committee)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "scaling.csv", "w") as fh:
-        fh.write("chains,nodes,committed_txs,window,txs_per_tick\n")
-        for p in points:
-            fh.write(
-                f"{p.chains},{p.nodes},{p.committed_txs},{p.window},"
-                f"{p.throughput:.6f}\n"
-            )
+    (out / "scaling.csv").write_bytes(
+        csv_bytes(
+            "chains,nodes,committed_txs,window,txs_per_tick",
+            [
+                (p.chains, p.nodes, p.committed_txs, p.window, f"{p.throughput:.6f}")
+                for p in points
+            ],
+        )
+    )
     baseline = next((p for p in points if p.chains == 1), points[0])
     per_unit = baseline.throughput / baseline.chains
     lines = [f"scaling (committee size {args.committee}, per-chain load fixed):"]
@@ -420,14 +424,13 @@ def _verify_order(trace_dir: Path, out: Path) -> int:
             return 1
 
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "order.csv", "w") as fh:
-        fh.write("position,rank,chain_id,height,block_hash,tx_count\n")
-        for pos, ref in enumerate(longest.refs):
-            hex_hash = ref.block_hash.hex()
-            fh.write(
-                f"{pos},{ref.rank},{ref.chain_id},{ref.height},{hex_hash},"
-                f"{tx_counts.get(hex_hash, 0)}\n"
-            )
+    final = []
+    for ref in longest.refs:
+        hex_hash = ref.block_hash.hex()
+        final.append(
+            (ref.rank, ref.chain_id, ref.height, hex_hash, tx_counts.get(hex_hash, 0))
+        )
+    (out / "order.csv").write_bytes(order_csv(final))
     print(
         f"verify-order: {checked} snapshot orders consistent; "
         f"final order has {len(longest.refs)} blocks"
@@ -485,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError) as exc:
+    except (SimError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

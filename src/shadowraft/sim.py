@@ -14,9 +14,9 @@ SimConfig: identical configs give byte-identical CSV outputs.
 
 Two delay regimes: the beacon phase is synchronous with bound delta, the
 Raft/gossip phase draws per-message delays uniformly from
-[raft_delay_min, raft_delay_max]. Crashes are crash-stop: from the
-scheduled tick onward the node receives nothing, fires nothing, sends
-nothing, and never recovers.
+[raft_delay_min, raft_delay_max]. Crashes are crash-stop, at most one per
+node: from the scheduled tick onward the node receives nothing, fires
+nothing, sends nothing, and never recovers.
 
 The simulator is also the property-test vehicle: beacon certificates,
 election safety, one vote per term, log matching, state-machine safety,
@@ -76,10 +76,6 @@ class SimError(Exception):
 
 
 class ConfigError(SimError):
-    pass
-
-
-class AlreadyCrashed(SimError):
     pass
 
 
@@ -147,11 +143,40 @@ class SimConfig:
             bad("num_seal_keys", "must be >= 1")
         if self.max_beacon_epochs < 1:
             bad("max_beacon_epochs", "must be >= 1")
+        listed = set()
         for when, nid in self.crash_schedule:
             if when < 0:
                 bad("crash_schedule", f"negative time {when}")
             if not 0 <= nid < self.num_nodes:
                 bad("crash_schedule", f"unknown node {nid}")
+            if nid in listed:
+                bad("crash_schedule", f"node {nid} listed twice")
+            listed.add(nid)
+
+
+def csv_bytes(header: str, rows) -> bytes:
+    """One CSV file: the header line, then each row's cells joined by commas."""
+    buf = io.StringIO()
+    buf.write(header + "\n")
+    for row in rows:
+        buf.write(",".join(str(v) for v in row) + "\n")
+    return buf.getvalue().encode()
+
+
+def beacon_csv(rows) -> bytes:
+    """beacon.csv from (epoch, succeeded, certificates, seed or None, messages)."""
+    return csv_bytes(
+        "epoch,succeeded,num_certificates,seed,messages_sent",
+        ((e, s, c, "" if seed is None else seed, m) for e, s, c, seed, m in rows),
+    )
+
+
+def order_csv(rows) -> bytes:
+    """order.csv from (rank, chain, height, block hash hex, tx count), numbered."""
+    return csv_bytes(
+        "position,rank,chain_id,height,block_hash,tx_count",
+        ((i, *row) for i, row in enumerate(rows)),
+    )
 
 
 @dataclass
@@ -208,17 +233,8 @@ class SimTrace:
     def csv_outputs(self) -> dict[str, bytes]:
         """All output files as name -> bytes; the determinism unit."""
         out: dict[str, bytes] = {}
-
-        def csv(name, header, rows):
-            buf = io.StringIO()
-            buf.write(header + "\n")
-            for row in rows:
-                buf.write(",".join(str(v) for v in row) + "\n")
-            out[name] = buf.getvalue().encode()
-
         window = max(1, self.config.run_duration - self.workload_start)
-        csv(
-            "throughput.csv",
+        out["throughput.csv"] = csv_bytes(
             "chain_id,committed_blocks,committed_txs,window,txs_per_tick",
             [
                 (
@@ -231,19 +247,13 @@ class SimTrace:
                 for c in range(self.config.num_chains)
             ],
         )
-        csv("latency.csv", "nonce,submit_time,confirm_time,latency", self.latency_rows)
-        csv("confirmbar.csv", "time,node_id,confirm_bar", self.bar_rows)
-        csv(
-            "beacon.csv",
-            "epoch,succeeded,num_certificates,seed,messages_sent",
-            [
-                (e, s, c, "" if seed is None else seed, m)
-                for e, s, c, seed, m in self.beacon_rows
-            ],
+        out["latency.csv"] = csv_bytes(
+            "nonce,submit_time,confirm_time,latency", self.latency_rows
         )
-        csv("safety.csv", "flag", [(f,) for f in self.safety_flags])
-        csv(
-            "snapshots.csv",
+        out["confirmbar.csv"] = csv_bytes("time,node_id,confirm_bar", self.bar_rows)
+        out["beacon.csv"] = beacon_csv(self.beacon_rows)
+        out["safety.csv"] = csv_bytes("flag", [(f,) for f in self.safety_flags])
+        out["snapshots.csv"] = csv_bytes(
             "time,node_id,chain_id,height,rank,next_rank,proposer_term,"
             "parent_hash,tx_root,block_hash",
             (
@@ -262,16 +272,11 @@ class SimTrace:
                 for t, n, h, bh in self.snapshot_rows
             ),
         )
-        csv(
-            "order.csv",
-            "position,rank,chain_id,height,block_hash,tx_count",
-            [
-                (i, r, c, h, bh, txs)
-                for i, (r, c, h, bh, txs) in enumerate(self.final_order)
-            ],
-        )
+        out["order.csv"] = order_csv(self.final_order)
         if self.event_rows is not None:
-            csv("events.csv", "time,seq,kind,node_id,detail", self.event_rows)
+            out["events.csv"] = csv_bytes(
+                "time,seq,kind,node_id,detail", self.event_rows
+            )
         return out
 
     def summary_text(self) -> str:
@@ -329,7 +334,6 @@ class _Node:
         "raft",
         "height",
         "applied",
-        "seen_commit",
         "led_term",
         "view",
         "buffer",
@@ -343,7 +347,6 @@ class _Node:
         self.raft = raft
         self.height = 0  # blocks of the chain's ledger this replica has applied
         self.applied = 0
-        self.seen_commit = 0
         self.led_term = 0
         self.view = GlobalView(len(ledgers))
         for ledger in ledgers.values():
@@ -361,6 +364,7 @@ class Simulation:
         self._seq = 0
         self.queue: list[tuple] = []
         self.crashed: set[int] = set()
+        self.crash_at = {nid: when for when, nid in config.crash_schedule}
         self.flags: list[str] = []
         self.counts: dict[str, int] = {}
         self.events_processed = 0
@@ -422,14 +426,11 @@ class Simulation:
         cfg = self.cfg
         enclaves = make_beacon_nodes(cfg.num_nodes, cfg.lottery_bits, cfg.seed)
         keys = {enclave.node_id: enclave.secret for enclave in enclaves}
-        crash_at = {}
-        for when, nid in cfg.crash_schedule:
-            crash_at[nid] = min(when, crash_at.get(nid, when))
         for epoch in range(cfg.max_beacon_epochs):
             t0 = epoch * cfg.delta
             certs = []
             for enclave in enclaves:
-                if crash_at.get(enclave.node_id, t0 + 1) <= t0:
+                if self.crash_at.get(enclave.node_id, t0 + 1) <= t0:
                     continue
                 cert = invoke_beacon(enclave, epoch)
                 if cert is not None:
@@ -502,17 +503,13 @@ class Simulation:
             if type(msg) is VoteReply and msg.granted:
                 self._record_vote(node, msg.term, dst)
             self._send(node.node_id, dst, msg, now)
-        if r.commit_index > node.seen_commit:
-            if r.role is Role.LEADER:
-                acks = 1 + sum(
-                    1 for p in r.peers if r.match_index[p] >= r.commit_index
+        if r.commit_index > node.applied and r.role is Role.LEADER:
+            acks = 1 + sum(1 for p in r.peers if r.match_index[p] >= r.commit_index)
+            if acks < r.quorum:
+                self._flag(
+                    f"commit-quorum chain={node.chain_id} "
+                    f"index={r.commit_index} acks={acks} quorum={r.quorum}"
                 )
-                if acks < r.quorum:
-                    self._flag(
-                        f"commit-quorum chain={node.chain_id} "
-                        f"index={r.commit_index} acks={acks} quorum={r.quorum}"
-                    )
-            node.seen_commit = r.commit_index
         self._apply_committed(node, now)
         self._arm_timer(node, now)
 
@@ -733,12 +730,9 @@ class Simulation:
         self.end_time = cfg.run_duration + cfg.drain_window
 
         crashed_per_chain = {c: 0 for c in range(cfg.num_chains)}
-        crash_nodes = set()
-        for when, nid in cfg.crash_schedule:
+        for nid, when in self.crash_at.items():
             self._push(when, _CRASH, nid, None)
-            if nid not in crash_nodes:
-                crash_nodes.add(nid)
-                crashed_per_chain[chain_of[nid]] += 1
+            crashed_per_chain[chain_of[nid]] += 1
         expected_stall = any(
             crashed_per_chain[c] >= quorum_threshold(len(self.assignment[c]))
             for c in range(cfg.num_chains)
@@ -803,8 +797,6 @@ class Simulation:
                 self.submit_times[payload.nonce] = time
                 self.submitted += 1
             elif kind == _CRASH:
-                if nid in self.crashed:
-                    raise AlreadyCrashed(f"node {nid} crashed twice")
                 self.crashed.add(nid)
             elif kind == _SNAPSHOT:
                 self._on_snapshot(time)

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, outputs, and the snapshot checker."""
 
+from dataclasses import fields
+
 import pytest
 
 from shadowraft.cli import build_config, main, read_config_file
@@ -69,6 +71,48 @@ def test_build_config_seed_and_trace_overrides():
     assert config.trace_events
 
 
+def test_config_file_round_trips_every_field(tmp_path):
+    config = SimConfig(
+        seed=7,
+        num_nodes=7,
+        num_chains=3,
+        lottery_bits=4,
+        delta=12,
+        raft_delay_min=2,
+        raft_delay_max=6,
+        election_timeout=90,
+        heartbeat_interval=25,
+        block_interval=40,
+        tx_rate=1.25,
+        sensitive_fraction=0.5,
+        crash_schedule=((100, 1), (350, 4)),
+        run_duration=1500,
+        drain_window=300,
+        max_batch=32,
+        snapshot_interval=200,
+        empty_blocks=False,
+        num_seal_keys=3,
+        max_beacon_epochs=500,
+        trace_events=True,
+    )
+    default = SimConfig()
+    # a field added to SimConfig but not here keeps its default and fails
+    for f in fields(SimConfig):
+        assert getattr(config, f.name) != getattr(default, f.name), f.name
+
+    def text(value):
+        if isinstance(value, tuple):
+            return ", ".join(f"{when}:{nid}" for when, nid in value)
+        return str(value).lower() if isinstance(value, bool) else str(value)
+
+    path = tmp_path / "every.cfg"
+    lines = [f"{f.name} = {text(getattr(config, f.name))}\n" for f in fields(SimConfig)]
+    path.write_text("".join(lines))
+    parsed, echo = build_config(read_config_file(str(path)))
+    assert parsed == config
+    assert not any("(default)" in line for line in echo)
+
+
 def test_run_writes_outputs_and_exits_zero(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
@@ -122,6 +166,23 @@ def test_run_missing_config_file(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith(start) and why in err, err
+
+
+def test_failed_runs_end_in_one_line_diagnostics(tmp_path, capsys):
+    twice = write_cfg(tmp_path, "twice.cfg", crash_schedule="100:1, 300:1")
+    never = write_cfg(
+        tmp_path, "never.cfg", num_nodes="3", num_chains="1", lottery_bits="32",
+        max_beacon_epochs="2",
+    )
+    no_lock = "error: beacon failed to lock a seed in 2 epochs\n"
+    cases = [
+        (["run", "--config", str(twice)], "configuration error: crash_schedule: node 1 listed twice\n"),
+        (["run", "--config", str(never)], no_lock),
+        (["scale", "--config", str(never), "--chains", "1"], no_lock),
+    ]
+    for argv, err in cases:
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2, argv
+        assert capsys.readouterr().err == err
 
 
 def test_run_seed_override_changes_outputs(tmp_path):

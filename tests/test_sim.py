@@ -14,7 +14,6 @@ from shadowraft.ledger import encode_block, hash_header, make_genesis, new_block
 from shadowraft.ordering import GlobalView, propose_rank_fields
 from shadowraft.raft import LogEntry, VoteReply
 from shadowraft.sim import (
-    AlreadyCrashed,
     ConfigError,
     SimConfig,
     SimError,
@@ -182,8 +181,9 @@ def test_quorum_loss_stalls_one_chain_and_freezes_the_bar():
 
 def test_crashing_twice_is_rejected():
     cfg = small_cfg(num_nodes=5, num_chains=1, crash_schedule=((100, 1), (300, 1)))
-    with pytest.raises(AlreadyCrashed):
+    with pytest.raises(ConfigError) as info:
         run_simulation(cfg)
+    assert str(info.value) == "crash_schedule: node 1 listed twice"
 
 
 def test_config_validation_names_the_offending_key():
