@@ -181,8 +181,9 @@ def cmd_run(args) -> int:
 
 def cmd_beacon_stats(args) -> int:
     n, bits, epochs = args.nodes, args.bits, args.epochs
-    if n < 1 or not 1 <= bits <= 32 or epochs < 1:
-        print("beacon-stats: need nodes >= 1, 1 <= bits <= 32, epochs >= 1", file=sys.stderr)
+    if n < 1 or not 1 <= bits <= 32 or epochs < 1 or not 0 <= args.seed < 2**64:
+        print("beacon-stats: need nodes >= 1, 1 <= bits <= 32, epochs >= 1, "
+              "0 <= seed < 2**64", file=sys.stderr)
         return 2
     enclaves = make_beacon_nodes(n, bits, args.seed)
     rows = []

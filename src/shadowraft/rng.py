@@ -14,6 +14,8 @@ by hand or by another implementation:
 where an integer label contributes its 8-byte big-endian encoding and a
 string label its UTF-8 bytes. The stream is the concatenation of the blocks,
 consumed left to right; ``next_u64`` reads the next 8 bytes big-endian.
+Each draw is served as a slice or an unpack of the current block, which
+reads exactly the stream defined above.
 
 ``next_below(n)`` is unbiased: it draws 64-bit values and rejects any draw
 at or above the largest multiple of ``n`` that fits in 64 bits. ``shuffle``
@@ -24,16 +26,20 @@ drawing each swap partner via ``next_below``.
 from __future__ import annotations
 
 import hashlib
+import struct
 
 _DOMAIN = b"shadowraft.stream.v1"
 _SEP = b"\x1f"
 _U64 = 1 << 64
+_unpack_u64 = struct.Struct(">Q").unpack_from
 
 
 def _label_bytes(label: int | str) -> bytes:
     if isinstance(label, bool):
         raise TypeError("bool labels are ambiguous")
     if isinstance(label, int):
+        if not 0 <= label < _U64:
+            raise ValueError(f"integer label {label} is outside [0, 2**64)")
         return label.to_bytes(8, "big")
     return label.encode("utf-8")
 
@@ -51,7 +57,7 @@ def stream_key(*labels: int | str) -> bytes:
 
 
 class Stream:
-    """One deterministic byte stream, identified by its key."""
+    """One deterministic byte stream, identified by its key, read in 32-byte blocks."""
 
     __slots__ = ("key", "_counter", "_buf", "_pos")
 
@@ -61,32 +67,39 @@ class Stream:
         self.key = key
         self._counter = 0
         self._buf = b""
-        self._pos = 0
+        self._pos = 32  # block used up: the first draw computes block 0
 
     @classmethod
     def from_labels(cls, *labels: int | str) -> "Stream":
         return cls(stream_key(*labels))
 
-    def _refill(self) -> None:
-        self._buf = hashlib.sha256(self.key + self._counter.to_bytes(8, "big")).digest()
+    def _refill(self) -> bytes:
+        buf = self._buf = hashlib.sha256(self.key + self._counter.to_bytes(8, "big")).digest()
         self._counter += 1
-        self._pos = 0
+        return buf
 
     def next_bytes(self, n: int) -> bytes:
-        out = bytearray()
-        while len(out) < n:
-            if self._pos >= len(self._buf):
-                self._refill()
-            take = min(n - len(out), len(self._buf) - self._pos)
-            out += self._buf[self._pos : self._pos + take]
-            self._pos += take
-        return bytes(out)
+        pos = self._pos
+        end = pos + n
+        if pos <= end <= 32:
+            self._pos = end
+            return self._buf[pos:end]
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        head = self._buf[pos:]
+        blocks = (end - 1) // 32
+        tail = b"".join([self._refill() for _ in range(blocks)])
+        self._pos = end - blocks * 32
+        return head + tail[: end - 32]
 
     def next_u64(self) -> int:
         pos = self._pos
-        if pos + 8 <= len(self._buf):
+        if pos <= 24:
             self._pos = pos + 8
-            return int.from_bytes(self._buf[pos : pos + 8], "big")
+            return _unpack_u64(self._buf, pos)[0]
+        if pos == 32:
+            self._pos = 8
+            return _unpack_u64(self._refill(), 0)[0]
         return int.from_bytes(self.next_bytes(8), "big")
 
     def next_below(self, n: int) -> int:

@@ -40,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import io
+import math
 import statistics
 from dataclasses import dataclass, replace
 
@@ -127,8 +128,8 @@ class SimConfig:
             bad("heartbeat_interval", "must be in [1, election_timeout]")
         if self.block_interval < 1:
             bad("block_interval", "must be >= 1")
-        if self.tx_rate < 0:
-            bad("tx_rate", "must be >= 0")
+        if not 0 <= self.tx_rate < math.inf:
+            bad("tx_rate", "must be finite and >= 0")
         if not 0 <= self.sensitive_fraction <= 1:
             bad("sensitive_fraction", "must be in [0, 1]")
         if self.run_duration < 1:

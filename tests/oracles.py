@@ -22,20 +22,22 @@ def oracle_key(*labels):
 
 
 class OracleStream:
-    """Counter-mode SHA-256 byte stream, read 8 bytes at a time."""
+    """Counter-mode SHA-256 byte stream, read front to back."""
 
     def __init__(self, key):
         self.key = key
         self.counter = 0
         self.buf = b""
 
-    def u64(self):
-        while len(self.buf) < 8:
+    def read(self, n):
+        while len(self.buf) < n:
             self.buf += hashlib.sha256(self.key + self.counter.to_bytes(8, "big")).digest()
             self.counter += 1
-        value = int.from_bytes(self.buf[:8], "big")
-        self.buf = self.buf[8:]
-        return value
+        out, self.buf = self.buf[:n], self.buf[n:]
+        return out
+
+    def u64(self):
+        return int.from_bytes(self.read(8), "big")
 
     def below(self, n):
         limit = U64 - (U64 % n)

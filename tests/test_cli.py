@@ -174,11 +174,18 @@ def test_failed_runs_end_in_one_line_diagnostics(tmp_path, capsys):
         tmp_path, "never.cfg", num_nodes="3", num_chains="1", lottery_bits="32",
         max_beacon_epochs="2",
     )
+    endless, undefined = (write_cfg(tmp_path, f"{v}.cfg", tx_rate=v) for v in ("inf", "nan"))
     no_lock = "error: beacon failed to lock a seed in 2 epochs\n"
+    bad_rate = "configuration error: tx_rate: must be finite and >= 0\n"
+    bad_stats = "beacon-stats: need nodes >= 1, 1 <= bits <= 32, epochs >= 1, 0 <= seed < 2**64\n"
     cases = [
         (["run", "--config", str(twice)], "configuration error: crash_schedule: node 1 listed twice\n"),
         (["run", "--config", str(never)], no_lock),
         (["scale", "--config", str(never), "--chains", "1"], no_lock),
+        (["run", "--config", str(endless)], bad_rate),
+        (["run", "--config", str(undefined)], bad_rate),
+        (["beacon-stats", "--seed", "-1"], bad_stats),
+        (["beacon-stats", "--seed", str(1 << 64)], bad_stats),
     ]
     for argv, err in cases:
         assert main([*argv, "--out", str(tmp_path / "o")]) == 2, argv

@@ -8,7 +8,10 @@ code and the tests cannot share a bug.
 
 import hashlib
 
+import oracles
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from shadowraft.rng import Stream, stream_key
 
@@ -69,6 +72,13 @@ def test_bool_labels_rejected():
         stream_key(True)
 
 
+def test_integer_labels_outside_u64_rejected():
+    for label in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="outside"):
+            stream_key("beacon-rng", label)
+    assert stream_key((1 << 64) - 1) == oracle_key((1 << 64) - 1)
+
+
 def test_label_kinds_are_distinct():
     # int 1 encodes as 8 bytes, str "1" as one byte
     assert stream_key(1) != stream_key("1")
@@ -81,6 +91,17 @@ def test_stream_bytes_match_oracle():
     s = Stream(key)
     got = s.next_bytes(7) + s.next_bytes(1) + s.next_bytes(70) + s.next_bytes(0)
     assert got == oracle_bytes(key, 78)
+
+
+def test_next_bytes_rejects_negative_counts_without_moving():
+    key = oracle_key("negative-test")
+    s = Stream(key)
+    s.next_bytes(5)
+    with pytest.raises(ValueError):
+        s.next_bytes(-1)
+    with pytest.raises(ValueError):
+        s.next_bytes(-40)
+    assert s.next_bytes(30) == oracle_bytes(key, 35)[5:]
 
 
 def test_next_u64_is_big_endian_prefix():
@@ -197,3 +218,52 @@ def test_shuffle_empty_and_singleton():
     s.shuffle(empty)
     s.shuffle(one)
     assert empty == [] and one == [42]
+
+
+# One draw each: (method name, arguments). Byte counts up to 70 cross one or
+# two block edges from any offset; the Stream's offset after each op is the
+# running byte count mod 32, so reads that straddle an edge, end on one or
+# start on one all occur.
+_DRAWS = st.one_of(
+    st.tuples(st.just("next_bytes"), st.tuples(st.integers(0, 70))),
+    st.tuples(st.just("next_u64"), st.just(())),
+    st.tuples(st.just("next_below"), st.tuples(st.integers(1, 1 << 64))),
+    st.tuples(st.just("uniform_int"), st.tuples(st.integers(-5, 5), st.integers(5, 300))),
+    st.tuples(st.just("chance"), st.tuples(st.floats(-0.5, 1.5))),
+    st.tuples(st.just("shuffle"), st.tuples(st.integers(0, 9))),
+)
+
+
+def _oracle_draw(o, name, args):
+    if name == "next_bytes":
+        return o.read(args[0])
+    if name == "next_u64":
+        return o.u64()
+    if name == "next_below":
+        return o.below(args[0])
+    if name == "uniform_int":
+        return args[0] + o.below(args[1] - args[0] + 1)
+    if name == "chance":
+        value = o.u64()
+        return args[0] > 0 and value < min(1 << 64, int(args[0] * (1 << 64)))
+    items = list(range(args[0]))
+    o.shuffle(items)
+    return items
+
+
+@given(label=st.integers(0, (1 << 64) - 1), draws=st.lists(_DRAWS, max_size=40))
+@example(label=0, draws=[("next_bytes", (8,)), ("next_bytes", (56,)), ("next_u64", ())])
+@example(label=1, draws=[("next_bytes", (3,)), ("next_u64", ()), ("next_bytes", (29,))])
+@example(label=2, draws=[("next_bytes", (70,)), ("next_bytes", (26,)), ("next_u64", ())])
+def test_any_draw_interleaving_reads_the_oracle_bytes(label, draws):
+    s = Stream.from_labels("interleave", label)
+    o = oracles.OracleStream(oracles.oracle_key("interleave", label))
+    for name, args in draws:
+        if name == "shuffle":
+            got = list(range(args[0]))
+            s.shuffle(got)
+        else:
+            got = getattr(s, name)(*args)
+        assert got == _oracle_draw(o, name, args), (name, args)
+    # the next bytes agree only if both consumed exactly the same prefix
+    assert s.next_bytes(40) == o.read(40)

@@ -195,6 +195,8 @@ def test_config_validation_names_the_offending_key():
         (dict(crash_schedule=((50, 40),)), "crash_schedule"),
         (dict(lottery_bits=0), "lottery_bits"),
         (dict(tx_rate=-1.0), "tx_rate"),
+        (dict(tx_rate=float("nan")), "tx_rate"),
+        (dict(tx_rate=float("inf")), "tx_rate"),
     ]
     for kwargs, key in bad:
         with pytest.raises(ConfigError) as info:
