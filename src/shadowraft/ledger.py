@@ -7,6 +7,12 @@ SHA-256 throughout. The header byte layout (the hashing preimage) is:
     chain_id u32 || height u64 || parent_hash 32B || rank u64
     || next_rank u64 || tx_root 32B || proposer_term u64
 
+A block carries ``body``, the encoding of its transaction list, made once:
+``new_block`` encodes the list and hashes that for ``tx_root``,
+``encode_block`` writes it after the header, ``decode_block`` keeps it as a
+view of the bytes it parsed, and ``append_block`` checks ``tx_root`` against
+its hash.
+
 All values here are immutable except ``ChainLedger``, which grows only by
 ``append_block`` checking a block against its tip and appending it.
 """
@@ -22,6 +28,8 @@ HASH_LEN = 32
 ZERO_HASH = b"\x00" * HASH_LEN
 
 _HEADER = struct.Struct(">IQ32sQQ32sQ")  # 100 bytes
+_U64 = struct.Struct(">Q")
+_TX_TAIL = struct.Struct(">BQQ")  # sensitivity flag, fee, nonce
 
 
 class LedgerError(Exception):
@@ -44,7 +52,7 @@ class DecodeError(LedgerError):
     """Bytes do not parse as a canonical encoding."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     payload: bytes
     sensitive: bool
@@ -52,8 +60,8 @@ class Transaction:
     nonce: int
 
     def __post_init__(self):
-        if self.fee < 0:
-            raise ValueError("fee must be non-negative")
+        if not 0 <= self.fee < 1 << 64:
+            raise ValueError("fee out of u64 range")
         if not 0 <= self.nonce < 1 << 64:
             raise ValueError("nonce out of range")
 
@@ -71,8 +79,15 @@ class BlockHeader:
 
 @dataclass(frozen=True)
 class Block:
+    """A header, its transactions and their encoding, computed if not given."""
+
     header: BlockHeader
     transactions: tuple[Transaction, ...]
+    body: bytes | memoryview = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.body is None:
+            object.__setattr__(self, "body", encode_transactions(self.transactions))
 
 
 @dataclass
@@ -85,38 +100,27 @@ class ChainLedger:
 
 
 def encode_transaction(tx: Transaction) -> bytes:
-    if not 0 <= tx.fee < 1 << 64:
-        raise ValueError("fee out of u64 range")
-    return b"".join(
-        (
-            struct.pack(">Q", len(tx.payload)),
-            tx.payload,
-            b"\x01" if tx.sensitive else b"\x00",
-            struct.pack(">QQ", tx.fee, tx.nonce),
-        )
-    )
+    tail = _TX_TAIL.pack(tx.sensitive, tx.fee, tx.nonce)
+    return _U64.pack(len(tx.payload)) + tx.payload + tail
 
 
 def _decode_transaction(buf: bytes, pos: int) -> tuple[Transaction, int]:
     if pos + 8 > len(buf):
         raise DecodeError("truncated transaction length")
-    (plen,) = struct.unpack_from(">Q", buf, pos)
-    pos += 8
-    if pos + plen + 17 > len(buf):
+    (plen,) = _U64.unpack_from(buf, pos)
+    start = pos + 8
+    pos = start + plen
+    if pos + _TX_TAIL.size > len(buf):
         raise DecodeError("truncated transaction body")
-    payload = buf[pos : pos + plen]
-    pos += plen
-    flag = buf[pos]
-    if flag not in (0, 1):
+    flag, fee, nonce = _TX_TAIL.unpack_from(buf, pos)
+    if flag > 1:
         raise DecodeError("invalid sensitivity flag")
-    fee, nonce = struct.unpack_from(">QQ", buf, pos + 1)
-    pos += 17
-    return Transaction(payload, bool(flag), fee, nonce), pos
+    return Transaction(buf[start:pos], flag == 1, fee, nonce), pos + _TX_TAIL.size
 
 
 def encode_transactions(txs: Iterable[Transaction]) -> bytes:
     txs = tuple(txs)
-    return struct.pack(">Q", len(txs)) + b"".join(encode_transaction(t) for t in txs)
+    return _U64.pack(len(txs)) + b"".join(encode_transaction(t) for t in txs)
 
 
 def tx_root(txs: Iterable[Transaction]) -> bytes:
@@ -150,16 +154,17 @@ def new_block(
 ) -> Block:
     """Build a block with its tx_root computed from the transaction list."""
     txs = tuple(transactions)
+    body = encode_transactions(txs)
     header = BlockHeader(
         chain_id=chain_id,
         height=height,
         parent_hash=parent_hash,
         rank=rank,
         next_rank=next_rank,
-        tx_root=tx_root(txs),
+        tx_root=hashlib.sha256(body).digest(),
         proposer_term=proposer_term,
     )
-    return Block(header, txs)
+    return Block(header, txs, body)
 
 
 def make_genesis(chain_id: int) -> Block:
@@ -168,16 +173,17 @@ def make_genesis(chain_id: int) -> Block:
 
 
 def encode_block(block: Block) -> bytes:
-    return header_bytes(block.header) + encode_transactions(block.transactions)
+    return header_bytes(block.header) + block.body
 
 
 def decode_block(data: bytes) -> Block:
+    """Parse an encoded block; its body is a view of data, not a copy."""
     if len(data) < _HEADER.size + 8:
         raise DecodeError("truncated block header")
     fields = _HEADER.unpack_from(data, 0)
     header = BlockHeader(*fields)
     pos = _HEADER.size
-    (count,) = struct.unpack_from(">Q", data, pos)
+    (count,) = _U64.unpack_from(data, pos)
     pos += 8
     txs = []
     for _ in range(count):
@@ -185,7 +191,7 @@ def decode_block(data: bytes) -> Block:
         txs.append(tx)
     if pos != len(data):
         raise DecodeError("trailing bytes after block")
-    return Block(header, tuple(txs))
+    return Block(header, tuple(txs), memoryview(data)[_HEADER.size :])
 
 
 def check_link(
@@ -222,7 +228,7 @@ def append_block(ledger: ChainLedger, block: Block) -> None:
     h = block.header
     if h.chain_id != ledger.chain_id:
         raise ChainMismatch(f"block chain {h.chain_id} != ledger chain {ledger.chain_id}")
-    if h.tx_root != tx_root(block.transactions):
+    if h.tx_root != hashlib.sha256(block.body).digest():
         raise LinkageError("tx_root does not match transaction list")
     if ledger.blocks:
         check_link(h, ledger.blocks[-1].header, ledger.hashes[-1])

@@ -3,8 +3,9 @@
 Models the enclave confidentiality guarantee: a sensitive payload appears on
 the ledger only as authenticated ciphertext, decryptable by holders of the
 simulated processor key. The cipher is AES-256-GCM (12-byte nonce, 16-byte
-tag), fixed project-wide. Nonces come from a per-key counter so uniqueness
-is provable under deterministic simulation seeds.
+tag), fixed project-wide. Each key builds its cipher context once. Nonces
+come from a per-key counter so uniqueness is provable under deterministic
+simulation seeds.
 
 Wire layout of a sealed payload:
 
@@ -25,6 +26,8 @@ NONCE_LEN = 12
 TAG_LEN = 16
 KEY_LEN = 32
 NONCE_LIMIT = 1 << (8 * NONCE_LEN)
+
+_HEAD = struct.Struct(f">I{NONCE_LEN}sQ")  # key_id, nonce, ciphertext_len
 
 
 class SealingError(Exception):
@@ -49,15 +52,19 @@ class DecodeError(SealingError):
 
 @dataclass
 class SealKey:
+    """A key, its nonce counter, and the one AEAD context built for it."""
+
     key_id: int
     key_bytes: bytes
     nonce_counter: int = field(default=0, repr=False)
+    aead: AESGCM = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.key_bytes) != KEY_LEN:
             raise ValueError("key must be 32 bytes")
         if not 0 <= self.key_id < 1 << 32:
             raise ValueError("key_id out of u32 range")
+        self.aead = AESGCM(self.key_bytes)
 
 
 @dataclass(frozen=True)
@@ -68,29 +75,18 @@ class SealedPayload:
     auth_tag: bytes
 
     def encode(self) -> bytes:
-        return b"".join(
-            (
-                struct.pack(">I", self.key_id),
-                self.nonce,
-                struct.pack(">Q", len(self.ciphertext)),
-                self.ciphertext,
-                self.auth_tag,
-            )
-        )
+        head = _HEAD.pack(self.key_id, self.nonce, len(self.ciphertext))
+        return head + self.ciphertext + self.auth_tag
 
     @classmethod
     def decode(cls, data: bytes) -> "SealedPayload":
-        head = 4 + NONCE_LEN + 8
-        if len(data) < head + TAG_LEN:
+        if len(data) < _HEAD.size + TAG_LEN:
             raise DecodeError("sealed payload too short")
-        (key_id,) = struct.unpack_from(">I", data, 0)
-        nonce = data[4 : 4 + NONCE_LEN]
-        (clen,) = struct.unpack_from(">Q", data, 4 + NONCE_LEN)
-        if len(data) != head + clen + TAG_LEN:
+        key_id, nonce, clen = _HEAD.unpack_from(data, 0)
+        end = _HEAD.size + clen
+        if len(data) != end + TAG_LEN:
             raise DecodeError("sealed payload length mismatch")
-        ciphertext = data[head : head + clen]
-        tag = data[head + clen :]
-        return cls(key_id, nonce, ciphertext, tag)
+        return cls(key_id, nonce, data[_HEAD.size : end], data[end:])
 
 
 def generate_key(key_id: int, stream: Stream) -> SealKey:
@@ -103,7 +99,7 @@ def seal(key: SealKey, plaintext: bytes, associated_data: bytes) -> SealedPayloa
         raise NonceExhausted(f"key {key.key_id} has no nonces left")
     nonce = key.nonce_counter.to_bytes(NONCE_LEN, "big")
     key.nonce_counter += 1
-    ct_tag = AESGCM(key.key_bytes).encrypt(nonce, plaintext, associated_data)
+    ct_tag = key.aead.encrypt(nonce, plaintext, associated_data)
     return SealedPayload(key.key_id, nonce, ct_tag[:-TAG_LEN], ct_tag[-TAG_LEN:])
 
 
@@ -111,7 +107,7 @@ def unseal(key: SealKey, sealed: SealedPayload, associated_data: bytes) -> bytes
     if sealed.key_id != key.key_id:
         raise UnknownKey(f"sealed with key {sealed.key_id}, not {key.key_id}")
     try:
-        return AESGCM(key.key_bytes).decrypt(
+        return key.aead.decrypt(
             sealed.nonce, sealed.ciphertext + sealed.auth_tag, associated_data
         )
     except InvalidTag as exc:

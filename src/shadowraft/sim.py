@@ -10,7 +10,10 @@ and safety collection.
 
 Time is an integer tick counter. Events execute in (time, insertion
 sequence) order off a single heap, so a run is a pure function of its
-SimConfig: identical configs give byte-identical CSV outputs.
+SimConfig: identical configs give byte-identical CSV outputs. The client
+workload is drawn before the run starts, as one heap entry per tick with
+arrivals: it holds that tick's transactions in nonce order and reserves one
+sequence number for each, and each transaction counts as one event.
 
 Two delay regimes: the beacon phase is synchronous with bound delta, the
 Raft/gossip phase draws per-message delays uniformly from
@@ -376,9 +379,9 @@ class Simulation:
         self.directory = KeyDirectory.generate(
             config.num_seal_keys, Stream.from_labels("seal", config.seed)
         )
-        self.plaintexts: dict[int, bytes] = {}
-        self.submit_times: dict[int, int] = {}
-        self.sampled: set[int] = set()
+        self.plaintexts: list[bytes | None] = []  # by nonce; None if not sealed
+        self.submit_times: list[int] = []  # by nonce
+        self.sampled = bytearray()  # by nonce: 1 once its latency is sampled
         self.latency_rows: list[tuple[int, int, int, int]] = []
         self.bar_rows: list[tuple[int, int, int]] = []
         self.snapshot_rows: list[tuple[int, int, BlockHeader, bytes]] = []
@@ -468,6 +471,9 @@ class Simulation:
         keys = [self.directory.get(k) for k in range(cfg.num_seal_keys)]
         for t in range(start, cfg.run_duration):
             k = whole + (1 if wl.chance(frac) else 0)
+            if not k:
+                continue
+            arrivals = []
             for _ in range(k):
                 chain = wl.next_below(cfg.num_chains)
                 sensitive = wl.chance(cfg.sensitive_fraction)
@@ -477,12 +483,17 @@ class Simulation:
                     key = keys[wl.next_below(len(keys))]
                     ad = nonce.to_bytes(8, "big") + fee.to_bytes(8, "big")
                     payload_bytes = seal(key, payload, ad).encode()
-                    self.plaintexts[nonce] = payload
+                    self.plaintexts.append(payload)
                 else:
                     payload_bytes = payload
-                tx = Transaction(payload_bytes, sensitive, fee, nonce)
-                self._push(t, _CLIENT, chain, tx)
+                    self.plaintexts.append(None)
+                arrivals.append((chain, Transaction(payload_bytes, sensitive, fee, nonce)))
                 nonce += 1
+            # one entry per tick: its transactions take seqs seq .. seq + k - 1
+            heapq.heappush(self.queue, (t, self._seq + 1, _CLIENT, -1, arrivals))
+            self._seq += k
+        self.submit_times = [0] * nonce
+        self.sampled = bytearray(nonce)
 
     # -- raft interaction --------------------------------------------------
 
@@ -645,8 +656,8 @@ class Simulation:
                 break  # body not applied locally yet; a peer will sample it
             block = self.canonical[node.chain_id].blocks[header.height]
             for tx in block.transactions:
-                if tx.nonce not in self.sampled:
-                    self.sampled.add(tx.nonce)
+                if not self.sampled[tx.nonce]:
+                    self.sampled[tx.nonce] = 1
                     submit = self.submit_times[tx.nonce]
                     self.latency_rows.append((tx.nonce, submit, now, now - submit))
             node.confirmed_ptr += 1
@@ -685,6 +696,19 @@ class Simulation:
         )
         out = r.client_submit(encode_block(block), now)
         self._after_raft(node, now, out)
+
+    def _on_arrivals(self, now: int, seq: int, arrivals) -> None:
+        """Queue one tick's (chain, tx) arrivals; each is one event, at seq + i."""
+        self.events_processed += len(arrivals)
+        if self.event_rows is not None:
+            name = _KIND_NAMES[_CLIENT]
+            self.event_rows.extend(
+                (now, seq + i, name, chain, name) for i, (chain, _) in enumerate(arrivals)
+            )
+        for chain, tx in arrivals:
+            self.pending[chain].append(tx)
+            self.submit_times[tx.nonce] = now
+        self.submitted += len(arrivals)
 
     def _on_snapshot(self, now: int) -> None:
         live = [node for node in self.nodes if node.node_id not in self.crashed]
@@ -762,6 +786,9 @@ class Simulation:
             if flush and kind not in (_MSG, _GOSSIP):
                 continue
             self.now = time
+            if kind == _CLIENT:
+                self._on_arrivals(time, seq, payload)
+                continue
             self.events_processed += 1
             if self.event_rows is not None:
                 detail = _KIND_NAMES[kind]
@@ -793,10 +820,6 @@ class Simulation:
                 self._after_raft(node, time, out)
             elif kind == _PROPOSE:
                 self._on_propose(nid, time)
-            elif kind == _CLIENT:
-                self.pending[nid].append(payload)
-                self.submit_times[payload.nonce] = time
-                self.submitted += 1
             elif kind == _CRASH:
                 self.crashed.add(nid)
             elif kind == _SNAPSHOT:
@@ -889,7 +912,7 @@ class Simulation:
                     except SealingError as exc:
                         self._flag(f"sealed-roundtrip nonce={tx.nonce}: {exc}")
                         continue
-                    if plain != self.plaintexts.get(tx.nonce):
+                    if plain != self.plaintexts[tx.nonce]:
                         self._flag(f"sealed-roundtrip nonce={tx.nonce}: wrong plaintext")
                     else:
                         self.sealed_verified += 1

@@ -85,6 +85,35 @@ CASES = {
             "verify/order.csv": "b6cc5a1ac9d5dfed7ec0b93892e99e9647154c74188c38efe3b04877b53a846e",
         },
     ),
+    # the traced run at a load where ticks take up to four arrivals each, so
+    # events.csv pins the seq of every client row within a tick
+    "traced-busy": (
+        {
+            "seed": "5",
+            "num_nodes": "4",
+            "num_chains": "2",
+            "lottery_bits": "2",
+            "election_timeout": "60",
+            "heartbeat_interval": "15",
+            "tx_rate": "3.5",
+            "sensitive_fraction": "0.5",
+            "run_duration": "600",
+            "snapshot_interval": "200",
+            "trace_events": "true",
+        },
+        {
+            "beacon.csv": "e9ee7f3ac0e20738bd29b0a45ed487958ba241c113edfca81ff2b0438ad5f276",
+            "confirmbar.csv": "406bc5d34811cf8834ac291e08ee32140380e58e5363db42aad070fcdf8231e0",
+            "events.csv": "faa1f1fb4521b4c2f97a53579cf935d836b8d91dacae5c72d929f2e4c9b3b32f",
+            "latency.csv": "b116bb59ec2d364978940b03ee415d139ab18c805658b9f61301d4ec33c07405",
+            "order.csv": "9bc7134f31f42385d749579bb55d54637872d26c28a4150cba8fbda57bddaf74",
+            "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
+            "snapshots.csv": "3807b17272c342cd666cc00d2198c9337eca478b572f652616e68827feaa226a",
+            "summary.txt": "1179ed93cc0103b838f75a07ef37df7132d7243e2390c1d3e1bce6066193ce9d",
+            "throughput.csv": "611e2d935ece35aceef2eab0b7e9fb9473b865c45f65ba8e91355ba7a48bc315",
+            "verify/order.csv": "4baddc3e32f7bc4d5ec4c3809da5eb5ca9233bfd9aae33f28080b9bf46bc1622",
+        },
+    ),
 }
 
 

@@ -8,6 +8,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shadowraft.ledger import (
     ZERO_HASH,
@@ -92,7 +94,7 @@ def test_transaction_field_validation():
     with pytest.raises(ValueError):
         Transaction(b"", False, 0, 1 << 64)
     with pytest.raises(ValueError):
-        encode_transaction(Transaction(b"", False, 1 << 64, 0))
+        Transaction(b"", False, 1 << 64, 0)
 
 
 def test_header_layout_matches_oracle():
@@ -117,6 +119,29 @@ def test_block_roundtrip():
         txs = [sample_tx(rng.randrange(1 << 30)) for _ in range(rng.randrange(0, 5))]
         blk = new_block(1, 4, bytes(32), 6, 9, txs, 3)
         assert decode_block(encode_block(blk)) == blk
+
+
+_TXS = st.lists(
+    st.builds(
+        Transaction,
+        payload=st.binary(max_size=40),
+        sensitive=st.booleans(),
+        fee=st.integers(0, (1 << 64) - 1),
+        nonce=st.integers(0, (1 << 64) - 1),
+    ),
+    max_size=6,
+)
+
+
+@given(txs=_TXS)
+def test_block_body_is_the_transaction_list_encoding(txs):
+    blk = new_block(1, 4, bytes(32), 6, 9, txs, 3)
+    assert blk.body == encode_transactions(txs)
+    assert Block(blk.header, blk.transactions).body == blk.body
+    assert blk.header.tx_root == hashlib.sha256(encode_transactions(txs)).digest()
+    decoded = decode_block(encode_block(blk))
+    assert decoded == blk
+    assert bytes(decoded.body) == encode_transactions(decoded.transactions)
 
 
 def test_decode_rejects_malformed_bytes():
@@ -204,6 +229,17 @@ def test_append_rejects_tx_root_mismatch():
     ledger = genesis_ledger()
     good = new_block(0, 1, ledger.hashes[-1], 1, 2, [sample_tx(2)], 1)
     forged = Block(good.header, ())
+    assert_rejected(ledger, forged, LinkageError)
+
+
+def test_append_rejects_tampered_transaction_body():
+    ledger = genesis_ledger()
+    tx = Transaction(b"abc", False, 5, 9)
+    raw = bytearray(encode_block(new_block(0, 1, ledger.hashes[-1], 1, 2, [tx], 1)))
+    # header, tx count, payload length, payload, flag, then the fee's low byte
+    raw[100 + 8 + 8 + 3 + 1 + 7] ^= 0x01
+    forged = decode_block(bytes(raw))
+    assert forged.transactions == (Transaction(b"abc", False, 4, 9),)
     assert_rejected(ledger, forged, LinkageError)
 
 

@@ -1,60 +1,17 @@
-"""Stream primitives, cross-checked against an inline re-derivation.
+"""Stream primitives, cross-checked against the hashlib oracles in oracles.py.
 
-The oracle functions below re-implement the documented construction
-(SHA-256 over domain-separated labels, counter-mode blocks, rejection
-sampling, descending Fisher-Yates) straight from hashlib so the production
-code and the tests cannot share a bug.
+The oracles re-implement the documented construction (SHA-256 over
+domain-separated labels, counter-mode blocks, rejection sampling, descending
+Fisher-Yates) straight from hashlib so the production code and the tests
+cannot share a bug.
 """
 
-import hashlib
-
-import oracles
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from oracles import OracleStream, oracle_key
 
 from shadowraft.rng import Stream, stream_key
-
-DOMAIN = b"shadowraft.stream.v1"
-
-
-def oracle_key(*labels):
-    parts = []
-    for label in labels:
-        if isinstance(label, int):
-            parts.append(label.to_bytes(8, "big"))
-        else:
-            parts.append(label.encode("utf-8"))
-    return hashlib.sha256(DOMAIN + b"\x1f".join(parts)).digest()
-
-
-def oracle_bytes(key, n):
-    out = b""
-    counter = 0
-    while len(out) < n:
-        out += hashlib.sha256(key + counter.to_bytes(8, "big")).digest()
-        counter += 1
-    return out[:n]
-
-
-class OracleStream:
-    """Independent reader over the oracle byte stream."""
-
-    def __init__(self, key):
-        self.key = key
-        self.pos = 0
-
-    def u64(self):
-        raw = oracle_bytes(self.key, self.pos + 8)[self.pos :]
-        self.pos += 8
-        return int.from_bytes(raw, "big")
-
-    def below(self, n):
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            v = self.u64()
-            if v < limit:
-                return v % n
 
 
 def test_key_matches_oracle():
@@ -90,7 +47,7 @@ def test_stream_bytes_match_oracle():
     key = oracle_key("bytes-test", 5)
     s = Stream(key)
     got = s.next_bytes(7) + s.next_bytes(1) + s.next_bytes(70) + s.next_bytes(0)
-    assert got == oracle_bytes(key, 78)
+    assert got == OracleStream(key).read(78)
 
 
 def test_next_bytes_rejects_negative_counts_without_moving():
@@ -101,14 +58,15 @@ def test_next_bytes_rejects_negative_counts_without_moving():
         s.next_bytes(-1)
     with pytest.raises(ValueError):
         s.next_bytes(-40)
-    assert s.next_bytes(30) == oracle_bytes(key, 35)[5:]
+    assert s.next_bytes(30) == OracleStream(key).read(35)[5:]
 
 
 def test_next_u64_is_big_endian_prefix():
     key = oracle_key("u64-test")
     s = Stream(key)
-    assert s.next_u64() == int.from_bytes(oracle_bytes(key, 8), "big")
-    assert s.next_u64() == int.from_bytes(oracle_bytes(key, 16)[8:], "big")
+    raw = OracleStream(key).read(16)
+    assert s.next_u64() == int.from_bytes(raw[:8], "big")
+    assert s.next_u64() == int.from_bytes(raw[8:], "big")
 
 
 def test_stream_determinism():
@@ -257,7 +215,7 @@ def _oracle_draw(o, name, args):
 @example(label=2, draws=[("next_bytes", (70,)), ("next_bytes", (26,)), ("next_u64", ())])
 def test_any_draw_interleaving_reads_the_oracle_bytes(label, draws):
     s = Stream.from_labels("interleave", label)
-    o = oracles.OracleStream(oracles.oracle_key("interleave", label))
+    o = OracleStream(oracle_key("interleave", label))
     for name, args in draws:
         if name == "shuffle":
             got = list(range(args[0]))

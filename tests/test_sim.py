@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import pytest
 
+import shadowraft.ledger as ledger_module
+import shadowraft.sealing as sealing_module
 import shadowraft.sim as sim_module
 from shadowraft.beacon import Certificate
 from shadowraft.ledger import encode_block, hash_header, make_genesis, new_block
@@ -361,6 +363,31 @@ def test_stale_proposal_is_skipped_once_by_every_replica(monkeypatch):
     # each committed entry is decoded and appended once, not once per replica
     assert calls["decode_block"] == committed + 1
     assert calls["append_block"] == committed + 1 + 1  # plus the genesis
+
+
+def test_one_cipher_context_per_key_and_one_encoding_per_transaction(monkeypatch):
+    calls = {"AESGCM": 0, "encode_transaction": 0}
+    monkeypatch.setattr(sealing_module, "AESGCM", counted(calls, "AESGCM", sealing_module.AESGCM))
+    encode = ledger_module.encode_transaction
+    monkeypatch.setattr(
+        ledger_module, "encode_transaction", counted(calls, "encode_transaction", encode)
+    )
+    proposed = []
+
+    def recording_new_block(**fields):
+        block = real_new_block(**fields)
+        proposed.append(len(block.transactions))
+        return block
+
+    real_new_block = sim_module.new_block
+    monkeypatch.setattr(sim_module, "new_block", recording_new_block)
+    cfg = small_cfg(num_nodes=4, tx_rate=2.5, sensitive_fraction=0.5, num_seal_keys=3)
+    trace = run_simulation(cfg)
+    assert trace.safety_flags == []
+    assert trace.sealed_verified > 0
+    assert calls["AESGCM"] == cfg.num_seal_keys
+    assert sum(proposed) >= trace.total_committed_txs() > 0
+    assert calls["encode_transaction"] == sum(proposed)
 
 
 def test_replicas_that_disagree_on_a_committed_entry_are_flagged():
