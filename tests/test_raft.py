@@ -349,6 +349,26 @@ def test_dispatch_rejects_unknown_message():
     node = build_cluster(3)[0]
     with pytest.raises(TypeError):
         node.handle_message(1, "not a message", 0)
+    # a message's fields as a bare tuple are not a message
+    with pytest.raises(TypeError):
+        node.handle_message(1, (1, True), 0)
+
+
+@pytest.mark.parametrize(
+    "msg",
+    [
+        LogEntry(1, 1, b"x"),
+        VoteRequest(1, 0, 0, 0),
+        VoteReply(1, True),
+        AppendEntries(1, 0, 0, 0, (), 0),
+        AppendReply(1, True, 0),
+    ],
+    ids=lambda msg: type(msg).__name__,
+)
+def test_messages_are_immutable(msg):
+    with pytest.raises(AttributeError):
+        msg.term = 2
+    assert msg.term == 1
 
 
 # -- randomized safety harness ------------------------------------------------
