@@ -13,7 +13,10 @@ sequence) order off a single heap, so a run is a pure function of its
 SimConfig: identical configs give byte-identical CSV outputs. The client
 workload is drawn before the run starts, as one heap entry per tick with
 arrivals: it holds that tick's transactions in nonce order and reserves one
-sequence number for each, and each transaction counts as one event.
+sequence number for each, and each transaction counts as one event. Each
+node has one timer at its Raft deadline; a move reserves a sequence number
+and the timer fires there, while the heap keeps one entry for it, so a
+superseded deadline is not an event.
 
 Two delay regimes: the beacon phase is synchronous with bound delta, the
 Raft/gossip phase draws per-message delays uniformly from
@@ -343,6 +346,9 @@ class _Node:
         "buffer",
         "confirmed_ptr",
         "written",
+        "timer_at",
+        "timer_seq",
+        "queued",
     )
 
     def __init__(self, node_id: int, chain_id: int, raft: RaftNode, ledgers):
@@ -358,6 +364,9 @@ class _Node:
         self.buffer: dict[int, dict[int, BlockHeader]] = {c: {} for c in ledgers}
         self.confirmed_ptr = 1  # genesis is already below the initial bar
         self.written = [0] * len(ledgers)  # headers per chain in snapshots
+        self.timer_at: int | None = None  # the current timer's deadline and seq
+        self.timer_seq = 0
+        self.queued: tuple[int, int] | None = None  # the timer heap entry it keeps
 
 
 class Simulation:
@@ -397,7 +406,6 @@ class Simulation:
         self.election_winners: dict[tuple[int, int], int] = {}
         self.votes: dict[tuple[int, int, int], int] = {}  # (chain, term, voter) -> candidate
         self.longest = LongestOrder()  # holder is a node id
-        self._tick_at: dict[int, int] = {}
 
     # -- plumbing ---------------------------------------------------------
 
@@ -417,12 +425,24 @@ class Simulation:
         self._push(now + delay, _MSG, dst, (src, msg))
 
     def _arm_timer(self, node: _Node, now: int) -> None:
+        """Move the node's timer to its deadline; it fires at the seq reserved here.
+
+        The heap keeps one entry for the timer, pushed only when none is
+        queued or the deadline moved earlier. An entry that pops before the
+        deadline is not an event: it is pushed again at the timer's (deadline,
+        seq), so the timer fires where a push per move would have put it.
+        """
         deadline = max(node.raft.next_deadline(), now)
-        if deadline > self.end_time:
+        if deadline > self.end_time or deadline == node.timer_at:
             return
-        if self._tick_at.get(node.node_id) != deadline:
-            self._tick_at[node.node_id] = deadline
-            self._push(deadline, _TIMER, node.node_id, deadline)
+        self._seq += 1
+        node.timer_at, node.timer_seq = deadline, self._seq
+        if node.queued is None or deadline < node.queued[0]:
+            self._queue_timer(node)
+
+    def _queue_timer(self, node: _Node) -> None:
+        node.queued = (node.timer_at, node.timer_seq)
+        heapq.heappush(self.queue, (*node.queued, _TIMER, node.node_id, None))
 
     # -- beacon phase ------------------------------------------------------
 
@@ -789,6 +809,15 @@ class Simulation:
             if kind == _CLIENT:
                 self._on_arrivals(time, seq, payload)
                 continue
+            if kind == _TIMER:
+                node = self.nodes[nid]
+                if node.queued is not None and node.queued[1] == seq:
+                    node.queued = None
+                if time != node.timer_at:
+                    # an early or superseded entry: no event
+                    if node.queued is None and node.timer_at is not None:
+                        self._queue_timer(node)
+                    continue
             self.events_processed += 1
             if self.event_rows is not None:
                 detail = _KIND_NAMES[kind]
@@ -810,18 +839,14 @@ class Simulation:
                     continue
                 self._ingest_header(self.nodes[nid], payload, time)
             elif kind == _TIMER:
-                if nid in self.crashed:
-                    continue
-                if self._tick_at.get(nid) != payload:
-                    continue  # superseded deadline
-                node = self.nodes[nid]
-                self._tick_at.pop(nid, None)
+                node.timer_at = None
                 out = node.raft.tick(time)
                 self._after_raft(node, time, out)
             elif kind == _PROPOSE:
                 self._on_propose(nid, time)
             elif kind == _CRASH:
                 self.crashed.add(nid)
+                self.nodes[nid].timer_at = None  # its queued entries fire no event
             elif kind == _SNAPSHOT:
                 self._on_snapshot(time)
 

@@ -14,7 +14,7 @@ import shadowraft.sim as sim_module
 from shadowraft.beacon import Certificate
 from shadowraft.ledger import encode_block, hash_header, make_genesis, new_block
 from shadowraft.ordering import GlobalView, propose_rank_fields
-from shadowraft.raft import LogEntry, VoteReply
+from shadowraft.raft import LogEntry, RaftNode, VoteReply
 from shadowraft.sim import (
     ConfigError,
     SimConfig,
@@ -473,6 +473,27 @@ def test_event_trace_is_optional():
     assert traced.event_rows
     assert "events.csv" in traced.csv_outputs()
     assert traced.events_processed == plain.events_processed
+
+
+def test_each_timer_event_is_one_tick(monkeypatch):
+    # a superseded deadline costs no event: a crash-free run's timer rows are
+    # exactly its RaftNode.tick calls
+    ticks = []
+    real_tick = RaftNode.tick
+
+    def counting(self, now):
+        ticks.append(now)
+        return real_tick(self, now)
+
+    monkeypatch.setattr(RaftNode, "tick", counting)
+    cfg = small_cfg(
+        seed=5, num_nodes=4, num_chains=2, run_duration=800,
+        election_timeout=60, heartbeat_interval=15, trace_events=True,
+    )
+    trace = run_simulation(cfg)
+    assert not trace.safety_flags
+    timers = [row[0] for row in trace.event_rows if row[2] == "timer"]
+    assert timers and timers == ticks
 
 
 def test_scaling_baseline_matches_plain_run():
