@@ -13,16 +13,19 @@ sequence) order off a single heap, so a run is a pure function of its
 SimConfig: identical configs give byte-identical CSV outputs. The client
 workload is drawn before the run starts, as one heap entry per tick with
 arrivals: it holds that tick's transactions in nonce order and reserves one
-sequence number for each, and each transaction counts as one event. Each
-node has one timer at its Raft deadline; a move reserves a sequence number
-and the timer fires there, while the heap keeps one entry for it, so a
-superseded deadline is not an event.
+sequence number for each, and each transaction counts as one event. A tick
+gets int(tx_rate) arrivals, plus one more with probability frac(tx_rate):
+the ticks with that extra arrival are drawn as geometric gaps, one draw per
+arrival. Each node has one timer at its Raft deadline; a move reserves a
+sequence number and the timer fires there, while the heap keeps one entry
+for it, so a superseded deadline is not an event.
 
 Two delay regimes: the beacon phase is synchronous with bound delta, the
 Raft/gossip phase draws per-message delays uniformly from
-[raft_delay_min, raft_delay_max]. Crashes are crash-stop, at most one per
-node: from the scheduled tick onward the node receives nothing, fires
-nothing, sends nothing, and never recovers.
+[raft_delay_min, raft_delay_max]. Raft messages and gossip draw them from
+separate streams, so a change to gossip moves no Raft delay. Crashes are
+crash-stop, at most one per node: from the scheduled tick onward the node
+receives nothing, fires nothing, sends nothing, and never recovers.
 
 The simulator is also the property-test vehicle: beacon certificates,
 election safety, one vote per term, log matching, state-machine safety,
@@ -48,6 +51,7 @@ import heapq
 import io
 import math
 import statistics
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 from . import beacon as beacon_mod
@@ -159,6 +163,26 @@ class SimConfig:
             if nid in listed:
                 bad("crash_schedule", f"node {nid} listed twice")
             listed.add(nid)
+
+
+def _gap_table(frac: float, ticks: int) -> list[int]:
+    """Thresholds that turn one u64 draw into a Geometric(frac) gap of ticks.
+
+    Entry g - 1 is 2^64 - floor((1 - frac)^g * 2^64), so a draw u gives the
+    gap 1 + bisect_right(table, u), and a gap exceeds g with probability
+    (1 - frac)^g. The powers come from repeated multiplication, which IEEE
+    754 rounds exactly, so no libm call enters the table. It stops where
+    that probability reaches 0, or at g = ticks, past which a gap ends the run.
+    """
+    table = []
+    survive = 1.0
+    while len(table) < ticks:
+        survive *= 1.0 - frac
+        threshold = int(survive * 2.0**64)
+        if not threshold:
+            break
+        table.append(2**64 - threshold)
+    return table
 
 
 def csv_bytes(header: str, rows) -> bytes:
@@ -384,6 +408,7 @@ class Simulation:
         self.event_rows: list[tuple] | None = [] if config.trace_events else None
 
         self._delay = Stream.from_labels("delays", config.seed)
+        self._gossip = Stream.from_labels("gossip", config.seed)
         self._workload = Stream.from_labels("workload", config.seed)
         self.directory = KeyDirectory.generate(
             config.num_seal_keys, Stream.from_labels("seal", config.seed)
@@ -485,14 +510,23 @@ class Simulation:
     def _generate_workload(self, start: int) -> None:
         cfg = self.cfg
         wl = self._workload
+        end = cfg.run_duration
         whole = int(cfg.tx_rate)
         frac = cfg.tx_rate - whole
+        gaps = _gap_table(frac, end - start) if frac else []
+
+        def gap() -> int:
+            return 1 + bisect_right(gaps, wl.next_u64())
+
+        extra = start - 1 + gap() if frac else end  # next tick with the extra arrival
         nonce = 0
         keys = [self.directory.get(k) for k in range(cfg.num_seal_keys)]
-        for t in range(start, cfg.run_duration):
-            k = whole + (1 if wl.chance(frac) else 0)
-            if not k:
-                continue
+        t = start if whole else extra
+        while t < end:
+            k = whole
+            if t == extra:
+                k += 1
+                extra += gap()
             arrivals = []
             for _ in range(k):
                 chain = wl.next_below(cfg.num_chains)
@@ -512,6 +546,7 @@ class Simulation:
             # one entry per tick: its transactions take seqs seq .. seq + k - 1
             heapq.heappush(self.queue, (t, self._seq + 1, _CLIENT, -1, arrivals))
             self._seq += k
+            t = t + 1 if whole else extra
         self.submit_times = [0] * nonce
         self.sampled = bytearray(nonce)
 
@@ -646,7 +681,7 @@ class Simulation:
         for dst in range(self.cfg.num_nodes):
             if dst == node.node_id or dst in self.crashed:
                 continue
-            delay = self._delay.uniform_int(
+            delay = self._gossip.uniform_int(
                 self.cfg.raft_delay_min, self.cfg.raft_delay_max
             )
             self._count("Gossip")

@@ -27,14 +27,14 @@ CASES = {
         },
         {
             "beacon.csv": "ad25863edce2c4308f925f7656f8770d4764e4bc2749e2f4ef9367fef88ba6c9",
-            "confirmbar.csv": "a5798aca9c047386d2bdbcd7f6913fdd49278fe8e8ce77c299c782e518114916",
-            "latency.csv": "b09afeb711ed2b0b5e93615104641d520dfa214761a1215ae0f305c95d454b8b",
-            "order.csv": "4cf89de3483fbce4b5f7256eb3b465059c690a468b637b7960fdae2dcd51fbe1",
+            "confirmbar.csv": "eb34b13d78169868d97e9d867bcb0cdf7fa1e0d2aa4537dc6bfb28474c9ee6df",
+            "latency.csv": "7a7ba5a2f95173807390fa45aeb091d32d5d8e0141af77afef1d9e40ed001b85",
+            "order.csv": "f1a696e2ae4ce723f35ed33d414da30254cab288dc834d0d7d2ae6cf63e82ebe",
             "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
-            "snapshots.csv": "cbcc4d3d5f479c5e055fd6f6ccf98b354fb3b27967ca69c0fa2d9cc870365a13",
-            "summary.txt": "52be90cfa055f473ea2ca7ffd4d744ecea2ba100e9355b8ff710649f9fcbc734",
-            "throughput.csv": "377198993f01a40ce48a31512adab16fb1ee5c647f4f441ef091818b832cc647",
-            "verify/order.csv": "4e097ee31fd5f73f20ffcea119b01fac6dafea25bcd96f2dd382ce9944c0cedd",
+            "snapshots.csv": "9e93cf66a36c205f19b66985cb4f33009d7edefb8a843f1090fd697d081c7d08",
+            "summary.txt": "85ddcd8f1aceb42468870b273c34bc4359549ead2aa1a9cc32ccb06fedb8a0b2",
+            "throughput.csv": "d353cd5a3565d9444c9a176db1e53175202a8a38de40bf8d24325fd9d9624cda",
+            "verify/order.csv": "e9114b3f7f8d87d7a5aa5c5c46aa509f112edeee04c0fc6f80e406a584b2fdae",
         },
     ),
     "multi-chain-crash": (
@@ -50,14 +50,14 @@ CASES = {
         },
         {
             "beacon.csv": "b20c0b4a262bb8d5437707224af1999a424285a6bfd4358479802b3f3f41e0d5",
-            "confirmbar.csv": "7a7f33af36a7946932ff6b2a6f44d45ae76d6c6c21b5f958d491a7286955ee10",
-            "latency.csv": "928ce5a4747b8334dec08318d0cfe68bcd3fcac6e0c1a2e2714a7585e5623c03",
-            "order.csv": "97176475048fdaf03edcdfd70528fa821e862b4dc002de391abc2480507f6462",
+            "confirmbar.csv": "70e761018d434fad741a38d4ae96d4ce2c1492479d3c2fcce40d606372b59d6f",
+            "latency.csv": "ed7ba2be2947e66a383272d411ebe3f5fbae9bed45ae00959639365035d3dfa0",
+            "order.csv": "97827e0d112426b7c0bb4dc5682cb08beb39607819515df652e5e63c2ba9581f",
             "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
-            "snapshots.csv": "04902a98752fcf06163290ea28e27fd2d56e2f263bdf5587fc5ea2c689363c2e",
-            "summary.txt": "4b0039a833eb0a787a98d077084d6e82623635de751edadfa28fd1cd6aa71547",
-            "throughput.csv": "a4a43fc980c118f48bb3921485b4e5fb451140fb651f02f4b98b8cbac1d148ff",
-            "verify/order.csv": "5d73a826d30a4131889254fd5c48cf7a0482d60ddbd286682e79dbaf9d598b66",
+            "snapshots.csv": "08504676851e62fc3bd1fb2e7eff87cd27cd183d8b22447e9b7b4fc4b24fc4de",
+            "summary.txt": "41bce8f9d33e7f59a4d25aec0d466e90c39528e715531bf48631d0b479d8c7d1",
+            "throughput.csv": "407da8201ba1b2e076acd7cb400f611fd456a5cd0c23eb1c8cbbeb8a0540a334",
+            "verify/order.csv": "db87456197a03f1ad49fd148e21eaf2866d07b45d7da7ab77153a21a8b2efddb",
         },
     ),
     "traced": (
@@ -74,15 +74,15 @@ CASES = {
         },
         {
             "beacon.csv": "e9ee7f3ac0e20738bd29b0a45ed487958ba241c113edfca81ff2b0438ad5f276",
-            "confirmbar.csv": "406bc5d34811cf8834ac291e08ee32140380e58e5363db42aad070fcdf8231e0",
-            "events.csv": "c37a27f6954668c394004b466e0647ade0a1e5907d0e376dcce468a24b8faff6",
-            "latency.csv": "ef4dec618ef8be5b80dfd16547287067a1882c8b1b388ede7af2a88cd8b6cc1a",
-            "order.csv": "451786f1036fbd47d21c07dd660eece29240f762c23adf5cb4378d473c39664c",
+            "confirmbar.csv": "db7f669cdfd807e71bbd41a09c8d757c1b6c078247b2d1dbd7729dc629cfbc95",
+            "events.csv": "86eeb374b9a88e77336b3a975a7cc88288a170e1834b38687384dd14fcd3d94d",
+            "latency.csv": "0b085af53b8f210f8a3696913cb6185cbec1dff22c25384a1ab6125fbc39ed10",
+            "order.csv": "8ca66f828c4df7cb90aa6c3b456a2dbb2c8d8dabd8cb2e92016ca6168d86d99e",
             "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
-            "snapshots.csv": "c207a194f91dd04a6e30d01a29d63487bb65a74767847b67ee7410099c8b68a6",
-            "summary.txt": "9fc4bc06604927feb256e7c2aebba142cb2582fe96b2b4f55c7dedd79058376c",
-            "throughput.csv": "a0c4f4bcab17d199bc5523b68395563ae2d7892004672751b368871a50a780f3",
-            "verify/order.csv": "b6cc5a1ac9d5dfed7ec0b93892e99e9647154c74188c38efe3b04877b53a846e",
+            "snapshots.csv": "2596b394bbce4687ba6cab6f7732b5319e6247ece76f98183d5583a4089e19d1",
+            "summary.txt": "59b74aa92c325507f2258014865aed9e36edd792de64b05b5aba59b95e0f1bec",
+            "throughput.csv": "c05ce8d628f8fa6852298a2f2eb9bb6ca69b877779b2d65c84fae9661aef345d",
+            "verify/order.csv": "418ee1d11bf3fd8564deafef64c333454dd6ae116af9e5fc27ed6b4e98a4b35b",
         },
     ),
     # the traced run at a load where ticks take up to four arrivals each, so
@@ -103,15 +103,15 @@ CASES = {
         },
         {
             "beacon.csv": "e9ee7f3ac0e20738bd29b0a45ed487958ba241c113edfca81ff2b0438ad5f276",
-            "confirmbar.csv": "406bc5d34811cf8834ac291e08ee32140380e58e5363db42aad070fcdf8231e0",
-            "events.csv": "faa1f1fb4521b4c2f97a53579cf935d836b8d91dacae5c72d929f2e4c9b3b32f",
-            "latency.csv": "b116bb59ec2d364978940b03ee415d139ab18c805658b9f61301d4ec33c07405",
-            "order.csv": "9bc7134f31f42385d749579bb55d54637872d26c28a4150cba8fbda57bddaf74",
+            "confirmbar.csv": "db7f669cdfd807e71bbd41a09c8d757c1b6c078247b2d1dbd7729dc629cfbc95",
+            "events.csv": "51b7254eaa65db91b21ccde4a76b253010d273b43a24a1ab9c5f679b51b72655",
+            "latency.csv": "768bc5d3318ed8d55798cba70017bc63c97ae8a4c58a02d3b31da68ee976f069",
+            "order.csv": "efc6736b6f42ba4e60800706f9e2608d3ca166eba1ef416c9262e85fe05785b5",
             "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
-            "snapshots.csv": "3807b17272c342cd666cc00d2198c9337eca478b572f652616e68827feaa226a",
-            "summary.txt": "1179ed93cc0103b838f75a07ef37df7132d7243e2390c1d3e1bce6066193ce9d",
+            "snapshots.csv": "576eced34192f9905457d5227dfebb31752c8411ff0007ef429f55cb4a81dbe0",
+            "summary.txt": "ab644c998a2f88833530a3a7f570a875f03b0e81d23e80199464c9066d44b7c7",
             "throughput.csv": "611e2d935ece35aceef2eab0b7e9fb9473b865c45f65ba8e91355ba7a48bc315",
-            "verify/order.csv": "4baddc3e32f7bc4d5ec4c3809da5eb5ca9233bfd9aae33f28080b9bf46bc1622",
+            "verify/order.csv": "069d67481dcbe94e3c160a42b8e289106ceb395d7b4cf1a74d74669a0a1a782c",
         },
     ),
 }

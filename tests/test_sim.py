@@ -496,6 +496,98 @@ def test_each_timer_event_is_one_tick(monkeypatch):
     assert timers and timers == ticks
 
 
+def test_gossip_draws_move_no_raft_delay(monkeypatch):
+    # crashing each chain's first leader forces elections whose vote races
+    # turn on the Raft message delays
+    cfg = small_cfg(
+        seed=27, num_nodes=9, num_chains=3, run_duration=1200,
+        crash_schedule=((400, 2), (550, 1), (700, 5)),
+    )
+    base = Simulation(cfg)
+    base_trace = base.run()
+    skip = 4
+    real_gossip = Simulation._gossip_block
+
+    def skipping(self, node, header, now):
+        # node `skip` misses every header: no delay is drawn for it
+        if node.node_id == skip or skip in self.crashed:
+            return real_gossip(self, node, header, now)
+        self.crashed.add(skip)
+        try:
+            real_gossip(self, node, header, now)
+        finally:
+            self.crashed.discard(skip)
+
+    monkeypatch.setattr(Simulation, "_gossip_block", skipping)
+    cut = Simulation(cfg)
+    cut_trace = cut.run()
+
+    def raft_counts(trace):
+        return {k: v for k, v in trace.message_counts.items() if k != "Gossip"}
+
+    assert cut_trace.message_counts["Gossip"] < base_trace.message_counts["Gossip"]
+    assert raft_counts(cut_trace) == raft_counts(base_trace)
+    assert cut.election_winners == base.election_winners
+
+
+def drawn_workload(cfg):
+    """The simulation with cfg's workload drawn from tick 0, and its per-tick arrivals."""
+    sim = Simulation(cfg)
+    sim._generate_workload(0)
+    counts = [0] * cfg.run_duration
+    for t, _, _, _, arrivals in sim.queue:
+        counts[t] = len(arrivals)
+    return sim, counts
+
+
+def chi_square(observed, probabilities):
+    total = sum(observed)
+    return sum((o - total * p) ** 2 / (total * p) for o, p in zip(observed, probabilities))
+
+
+@pytest.mark.parametrize("tx_rate", [0.25, 2.3])
+def test_arrivals_per_tick_are_whole_plus_bernoulli(tx_rate):
+    ticks = 20_000
+    _, counts = drawn_workload(
+        small_cfg(seed=3, tx_rate=tx_rate, sensitive_fraction=0, run_duration=ticks)
+    )
+    whole = int(tx_rate)
+    p = tx_rate - whole
+    extra = [c - whole for c in counts]
+    assert set(extra) == {0, 1}
+    # chi-square critical values at significance 0.001: 10.83 (1 dof), 16.27 (3 dof)
+    assert chi_square([extra.count(0), extra.count(1)], [1 - p, p]) < 10.83
+    # disjoint pairs of consecutive ticks are independent Bernoulli(p) pairs
+    pairs = [2 * extra[t] + extra[t + 1] for t in range(0, ticks, 2)]
+    expected = [(1 - p) ** 2, (1 - p) * p, p * (1 - p), p * p]
+    assert chi_square([pairs.count(v) for v in range(4)], expected) < 16.27
+
+
+@pytest.mark.parametrize("tx_rate", [0, 1e-17, 0.999999, 2.0, 3.5])
+def test_arrival_sampler_edge_rates(tx_rate, monkeypatch):
+    draws = []
+    real_u64 = sim_module.Stream.next_u64
+
+    def counting(self):
+        draws.append(self)
+        return real_u64(self)
+
+    monkeypatch.setattr(sim_module.Stream, "next_u64", counting)
+    cfg = small_cfg(tx_rate=tx_rate, sensitive_fraction=0, run_duration=500)
+    sim, counts = drawn_workload(cfg)
+    whole = int(tx_rate)
+    frac = tx_rate - whole
+    assert len(sim_module._gap_table(frac, cfg.run_duration)) <= cfg.run_duration
+    assert min(counts) >= whole and max(counts) <= whole + 1
+    if frac < 1e-16:
+        assert counts == [whole] * cfg.run_duration
+    # three u64 draws per transaction (chain, sensitivity, fee), plus one gap
+    # draw per extra arrival and one for the gap that ends past the run
+    txs = sum(counts)
+    gap_draws = txs - whole * cfg.run_duration + 1 if frac else 0
+    assert sum(1 for s in draws if s is sim._workload) == 3 * txs + gap_draws
+
+
 def test_scaling_baseline_matches_plain_run():
     base = small_cfg(num_nodes=5, num_chains=1, run_duration=1000)
     [point] = measure_scaling(base, [1], committee_size=5)
