@@ -123,10 +123,6 @@ def encode_transactions(txs: Iterable[Transaction]) -> bytes:
     return _U64.pack(len(txs)) + b"".join(encode_transaction(t) for t in txs)
 
 
-def tx_root(txs: Iterable[Transaction]) -> bytes:
-    return hashlib.sha256(encode_transactions(txs)).digest()
-
-
 def header_bytes(header: BlockHeader) -> bytes:
     return _HEADER.pack(
         header.chain_id,

@@ -13,12 +13,9 @@ sequence) order off a single heap, so a run is a pure function of its
 SimConfig: identical configs give byte-identical CSV outputs. The client
 workload is drawn before the run starts, as one heap entry per tick with
 arrivals: it holds that tick's transactions in nonce order and reserves one
-sequence number for each, and each transaction counts as one event. A tick
-gets int(tx_rate) arrivals, plus one more with probability frac(tx_rate):
-the ticks with that extra arrival are drawn as geometric gaps, one draw per
-arrival. Each node has one timer at its Raft deadline; a move reserves a
-sequence number and the timer fires there, while the heap keeps one entry
-for it, so a superseded deadline is not an event.
+sequence number for each, and each transaction counts as one event. The
+ticks that get one arrival more than int(tx_rate) are drawn as geometric
+gaps, one draw each. A node's superseded Raft deadline is not an event.
 
 Two delay regimes: the beacon phase is synchronous with bound delta, the
 Raft/gossip phase draws per-message delays uniformly from
@@ -166,13 +163,11 @@ class SimConfig:
 
 
 def _gap_table(frac: float, ticks: int) -> list[int]:
-    """Thresholds that turn one u64 draw into a Geometric(frac) gap of ticks.
+    """Thresholds mapping a u64 draw u to a Geometric(frac) gap, 1 + bisect_right(table, u).
 
-    Entry g - 1 is 2^64 - floor((1 - frac)^g * 2^64), so a draw u gives the
-    gap 1 + bisect_right(table, u), and a gap exceeds g with probability
-    (1 - frac)^g. The powers come from repeated multiplication, which IEEE
-    754 rounds exactly, so no libm call enters the table. It stops where
-    that probability reaches 0, or at g = ticks, past which a gap ends the run.
+    Entry g - 1 is 2^64 - floor((1 - frac)^g * 2^64), the powers taken by
+    repeated IEEE multiplication (exactly rounded, no libm). The table ends
+    where the tail reaches 0, or at `ticks` entries, past which a gap ends the run.
     """
     table = []
     survive = 1.0
@@ -388,8 +383,7 @@ class _Node:
         self.buffer: dict[int, dict[int, BlockHeader]] = {c: {} for c in ledgers}
         self.confirmed_ptr = 1  # genesis is already below the initial bar
         self.written = [0] * len(ledgers)  # headers per chain in snapshots
-        self.timer_at: int | None = None  # the current timer's deadline and seq
-        self.timer_seq = 0
+        self.timer_at, self.timer_seq = None, 0  # the timer fires at (deadline, seq)
         self.queued: tuple[int, int] | None = None  # the timer heap entry it keeps
 
 
@@ -452,10 +446,8 @@ class Simulation:
     def _arm_timer(self, node: _Node, now: int) -> None:
         """Move the node's timer to its deadline; it fires at the seq reserved here.
 
-        The heap keeps one entry for the timer, pushed only when none is
-        queued or the deadline moved earlier. An entry that pops before the
-        deadline is not an event: it is pushed again at the timer's (deadline,
-        seq), so the timer fires where a push per move would have put it.
+        Only a first or an earlier deadline pushes a heap entry. An entry that
+        pops before the deadline is no event: run pushes it again at the timer.
         """
         deadline = max(node.raft.next_deadline(), now)
         if deadline > self.end_time or deadline == node.timer_at:
@@ -510,19 +502,18 @@ class Simulation:
     def _generate_workload(self, start: int) -> None:
         cfg = self.cfg
         wl = self._workload
-        end = cfg.run_duration
         whole = int(cfg.tx_rate)
         frac = cfg.tx_rate - whole
-        gaps = _gap_table(frac, end - start) if frac else []
+        gaps = _gap_table(frac, cfg.run_duration - start) if frac else []
 
         def gap() -> int:
             return 1 + bisect_right(gaps, wl.next_u64())
 
-        extra = start - 1 + gap() if frac else end  # next tick with the extra arrival
+        extra = start - 1 + gap() if frac else cfg.run_duration  # next tick with one more
         nonce = 0
         keys = [self.directory.get(k) for k in range(cfg.num_seal_keys)]
         t = start if whole else extra
-        while t < end:
+        while t < cfg.run_duration:
             k = whole
             if t == extra:
                 k += 1

@@ -30,7 +30,6 @@ from shadowraft.ledger import (
     header_bytes,
     make_genesis,
     new_block,
-    tx_root,
 )
 
 
@@ -84,8 +83,10 @@ def test_transaction_list_encoding_is_count_prefixed():
 
 
 def test_tx_root_is_sha256_of_list_encoding():
+    # the root new_block computes is the one append_block checks
     txs = [sample_tx(4), sample_tx(5)]
-    assert tx_root(txs) == hashlib.sha256(encode_transactions(txs)).digest()
+    blk = grow(genesis_ledger(), 1, 2, txs)
+    assert blk.header.tx_root == hashlib.sha256(encode_transactions(txs)).digest()
 
 
 def test_transaction_field_validation():
@@ -164,7 +165,7 @@ def test_decode_rejects_malformed_bytes():
 def test_new_block_computes_tx_root():
     txs = [sample_tx(11)]
     blk = new_block(2, 1, bytes(32), 1, 2, txs, 1)
-    assert blk.header.tx_root == tx_root(txs)
+    assert blk.header.tx_root == hashlib.sha256(encode_transactions(txs)).digest()
 
 
 def test_genesis_shape():
