@@ -837,7 +837,7 @@ class Simulation:
                 continue
             if kind == _TIMER:
                 node = self.nodes[nid]
-                if node.queued is not None and node.queued[1] == seq:
+                if node.queued == (time, seq):
                     node.queued = None
                 if time != node.timer_at:
                     # an early or superseded entry: no event
