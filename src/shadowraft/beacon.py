@@ -6,8 +6,7 @@ then a 64-bit beacon value rnd; the enclave emits a signed certificate only
 when q == 0. The epoch gate is strictly increasing, so a node cannot re-roll
 a losing draw: discarding an unfavourable output burns its only attempt for
 that epoch. Certificate holders broadcast to everyone else, and the network
-locks in the lowest rnd among valid certificates (node id breaks ties) as
-the epoch seed.
+locks in the lowest rnd among valid certificates as the epoch seed.
 
 With N nodes an epoch repeats (no certificate anywhere) with probability
 (1 - 2^-l)^N, and the expected broadcast load is 2^-l * N * (N - 1)
@@ -23,33 +22,10 @@ from __future__ import annotations
 
 import hmac
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import struct
 
 from .rng import Stream, stream_key
-
-
-__all__ = [
-    "BeaconError",
-    "EpochReplay",
-    "InvalidCertificate",
-    "UnknownNode",
-    "Repeat",
-    "MixedEpochs",
-    "InvalidShape",
-    "Certificate",
-    "BeaconNode",
-    "BeaconEpochResult",
-    "invoke_beacon",
-    "verify_certificate",
-    "select_winner",
-    "select_seed",
-    "assign_chains",
-    "repeat_probability",
-    "expected_messages",
-    "run_beacon_epoch",
-    "make_beacon_nodes",
-]
 
 
 class BeaconError(Exception):
@@ -85,6 +61,7 @@ class Repeat(Exception):
 
 
 _CERT = struct.Struct(">QQI32s")
+_DRAWS = struct.Struct(">QQ")  # an invocation's q and rnd draws
 
 
 @dataclass(frozen=True)
@@ -143,9 +120,10 @@ def invoke_beacon(node: BeaconNode, epoch: int) -> Certificate | None:
             f"node {node.node_id} already invoked epoch {node.last_invoked_epoch}"
         )
     node.last_invoked_epoch = epoch
-    q = node.rng.next_below(1 << node.lottery_bits)
-    rnd = node.rng.next_u64()
-    if q != 0:
+    # next_below(2^l) is the first u64 mod 2^l: a power of two rejects no draw
+    q, rnd = node.rng.peek(_DRAWS)
+    node.rng.skip(_DRAWS.size)
+    if q % (1 << node.lottery_bits):
         return None
     tag = _cert_tag(node.secret, epoch, rnd, node.node_id)
     return Certificate(epoch=epoch, rnd=rnd, node_id=node.node_id, tag=tag)
@@ -159,24 +137,14 @@ def verify_certificate(cert: Certificate, directory: dict[int, bytes]) -> bool:
     return hmac.compare_digest(expect, cert.tag)
 
 
-def select_winner(certs: list[Certificate]) -> Certificate:
-    """Lowest rnd wins; node id breaks ties. All certs must share an epoch."""
-    if not certs:
-        raise ValueError("no certificates to select from")
-    epochs = {c.epoch for c in certs}
-    if len(epochs) != 1:
-        raise MixedEpochs(f"certificates span epochs {sorted(epochs)}")
-    return min(certs, key=lambda c: (c.rnd, c.node_id))
-
-
 def select_seed(certs: list[Certificate], epoch: int) -> int:
-    """Epoch seed locked from the certificate set; Repeat(epoch+1) if empty."""
+    """Lowest rnd of the epoch's certificates; Repeat(epoch+1) if none, MixedEpochs if any is off-epoch."""
     if not certs:
         raise Repeat(epoch + 1)
-    winner = select_winner(certs)
-    if winner.epoch != epoch:
-        raise MixedEpochs(f"expected epoch {epoch}, got {winner.epoch}")
-    return winner.rnd
+    epochs = {c.epoch for c in certs}
+    if epochs != {epoch}:
+        raise MixedEpochs(f"expected epoch {epoch}, certificates span {sorted(epochs)}")
+    return min(c.rnd for c in certs)
 
 
 def assign_chains(seed: int, num_nodes: int, num_chains: int) -> list[list[int]]:

@@ -108,40 +108,30 @@ def _link(header: BlockHeader, parent: BlockHeader | None, parent_hash: bytes | 
         ) from None
 
 
-def expected_next_rank(view: GlobalView, chain_id: int) -> int:
-    """Rank the chain's next block will take: tail next_rank (y_i)."""
-    if not 0 <= chain_id < view.num_chains or not view.chains[chain_id]:
-        raise UnknownChain(f"chain {chain_id} not in view")
-    return view.tails[chain_id]
-
-
 def propose_rank_fields(view: GlobalView, chain_id: int) -> tuple[int, int]:
     """Rank fields for the next block on chain_id given this view.
 
-    rank is inherited from the parent's next_rank. next_rank is
-    max(rank + 1, x) with x the maximum expected next rank across the view,
-    the smallest value satisfying both next_rank > rank and next_rank >= x.
+    rank is inherited from the parent's next_rank (y_i, the chain's tail).
+    next_rank is max(rank + 1, x) with x the maximum expected next rank
+    across the view, the smallest value satisfying both next_rank > rank and
+    next_rank >= x.
     """
-    rank = expected_next_rank(view, chain_id)
+    if not 0 <= chain_id < view.num_chains or not view.chains[chain_id]:
+        raise UnknownChain(f"chain {chain_id} not in view")
+    rank = view.tails[chain_id]
     return rank, max(rank + 1, max(view.tails))
 
 
-def confirm_bar(view: GlobalView) -> int:
-    """Minimum expected next rank over all chains; all chains must appear."""
+def total_order(view: GlobalView) -> list[OrderedBlockRef]:
+    """Fully confirmed blocks: rank < the ConfirmBar, sorted by (rank, chain_id).
+
+    A copy of view.order; every chain must appear. As the view grows it only
+    gains a suffix (prefix stability): every later block on any chain ranks
+    at or above that chain's tail next_rank, hence at or above the bar.
+    """
     if not all(view.chains):
         present = [c for c, headers in enumerate(view.chains) if headers]
         raise IncompleteView(f"view covers {present} of {view.num_chains} chains")
-    return view.bar
-
-
-def total_order(view: GlobalView) -> list[OrderedBlockRef]:
-    """Fully confirmed blocks: rank < confirm_bar, sorted by (rank, chain_id).
-
-    A copy of view.order. As the view grows it only gains a suffix (prefix
-    stability): every later block on any chain ranks at or above that
-    chain's tail next_rank, hence at or above the bar.
-    """
-    confirm_bar(view)
     return list(view.order)
 
 

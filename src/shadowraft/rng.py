@@ -15,8 +15,12 @@ by hand or by another implementation:
 where an integer label contributes its 8-byte big-endian encoding and a
 string label its UTF-8 bytes. The stream is the concatenation of the blocks,
 consumed left to right; ``next_u64`` reads the next 8 bytes big-endian.
-Each draw is served as a slice or an unpack of the current block, which
-reads exactly the stream defined above.
+A refill hashes the next 8 blocks (more if one read needs them) onto the
+unread bytes of the buffer, and each draw is one slice or unpack of that
+buffer, which reads exactly the stream defined above. ``peek(st)`` unpacks
+the next ``st.size`` bytes by a ``struct.Struct`` without consuming them,
+and ``skip(n)`` consumes n bytes, so a caller can read several draws at once
+and take them only when none of them would be rejected.
 
 ``next_below(n)`` is unbiased: it draws 64-bit values and rejects any draw
 at or above the largest multiple of ``n`` that fits in 64 bits. ``shuffle``
@@ -32,6 +36,7 @@ import struct
 _DOMAIN = b"shadowraft.stream.v1"
 _SEP = b"\x1f"
 _U64 = 1 << 64
+_BLOCKS = 8  # blocks hashed per refill
 _unpack_u64 = struct.Struct(">Q").unpack_from
 
 
@@ -58,50 +63,59 @@ def stream_key(*labels: int | str) -> bytes:
 
 
 class Stream:
-    """One deterministic byte stream, identified by its key, read in 32-byte blocks."""
+    """One deterministic byte stream, identified by its key, read through a multi-block buffer."""
 
-    __slots__ = ("key", "_counter", "_buf", "_pos")
+    __slots__ = ("key", "_counter", "_buf", "_pos", "_end")
 
     def __init__(self, key: bytes):
         if len(key) != 32:
             raise ValueError("stream key must be 32 bytes")
         self.key = key
-        self._counter = 0
+        self._counter = 0  # next block to hash
         self._buf = b""
-        self._pos = 32  # block used up: the first draw computes block 0
+        self._pos = self._end = 0  # unread bytes are _buf[_pos:_end]
 
     @classmethod
     def from_labels(cls, *labels: int | str) -> "Stream":
         return cls(stream_key(*labels))
 
-    def _refill(self) -> bytes:
-        buf = self._buf = hashlib.sha256(self.key + self._counter.to_bytes(8, "big")).digest()
-        self._counter += 1
-        return buf
+    def _fill(self, n: int) -> None:
+        """Keep the unread bytes and append blocks until n or more are unread."""
+        c, key = self._counter, self.key
+        self._counter = end = c + max(_BLOCKS, (n - self._end + self._pos + 31) // 32)
+        blocks = [hashlib.sha256(key + i.to_bytes(8, "big")).digest() for i in range(c, end)]
+        self._buf = self._buf[self._pos :] + b"".join(blocks)
+        self._pos, self._end = 0, len(self._buf)
 
     def next_bytes(self, n: int) -> bytes:
+        self.skip(n)
+        return self._buf[self._pos - n : self._pos]
+
+    def skip(self, n: int) -> None:
+        """Consume the next n bytes, typically the ones a peek just read."""
+        end = self._pos + n
+        if not self._pos <= end <= self._end:
+            if n < 0:
+                raise ValueError("n must be >= 0")
+            self._fill(n)
+            end = n
+        self._pos = end
+
+    def peek(self, st: struct.Struct) -> tuple:
+        """st.unpack of the next st.size bytes, leaving them unconsumed."""
         pos = self._pos
-        end = pos + n
-        if pos <= end <= 32:
-            self._pos = end
-            return self._buf[pos:end]
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        head = self._buf[pos:]
-        blocks = (end - 1) // 32
-        tail = b"".join([self._refill() for _ in range(blocks)])
-        self._pos = end - blocks * 32
-        return head + tail[: end - 32]
+        if pos + st.size > self._end:
+            self._fill(st.size)
+            pos = 0
+        return st.unpack_from(self._buf, pos)
 
     def next_u64(self) -> int:
         pos = self._pos
-        if pos <= 24:
-            self._pos = pos + 8
-            return _unpack_u64(self._buf, pos)[0]
-        if pos == 32:
-            self._pos = 8
-            return _unpack_u64(self._refill(), 0)[0]
-        return int.from_bytes(self.next_bytes(8), "big")
+        if pos + 8 > self._end:
+            self._fill(8)
+            pos = 0
+        self._pos = pos + 8
+        return _unpack_u64(self._buf, pos)[0]
 
     def next_below(self, n: int) -> int:
         """Unbiased draw from [0, n) by rejection sampling over 64-bit draws."""
@@ -109,7 +123,7 @@ class Stream:
             raise ValueError("n must be positive")
         if n > _U64:
             raise ValueError("n exceeds 64-bit range")
-        limit = _U64 - (_U64 % n)
+        limit = below_limit(n)
         while True:
             v = self.next_u64()
             if v < limit:
@@ -122,16 +136,21 @@ class Stream:
         return lo + self.next_below(hi - lo + 1)
 
     def chance(self, p: float) -> bool:
-        """Bernoulli draw; compares one 64-bit draw against floor(p * 2^64)."""
-        if p <= 0.0:
-            # still consume a draw so call sites stay stream-aligned
-            self.next_u64()
-            return False
-        threshold = min(_U64, int(p * _U64))
-        return self.next_u64() < threshold
+        """Bernoulli draw: one 64-bit draw, True iff below chance_limit(p)."""
+        return self.next_u64() < chance_limit(p)
 
     def shuffle(self, items: list) -> None:
         """Fisher-Yates, high index down to 1, partner via next_below(i + 1)."""
         for i in range(len(items) - 1, 0, -1):
             j = self.next_below(i + 1)
             items[i], items[j] = items[j], items[i]
+
+
+def below_limit(n: int) -> int:
+    """next_below(n) rejects a draw at or above this, the largest multiple of n up to 2^64."""
+    return _U64 - _U64 % n
+
+
+def chance_limit(p: float) -> int:
+    """floor(p * 2^64) clamped to [0, 2^64]; p <= 0 still costs chance(p) its draw."""
+    return 0 if p <= 0.0 else min(_U64, int(p * _U64))

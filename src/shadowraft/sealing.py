@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -67,8 +68,7 @@ class SealKey:
         self.aead = AESGCM(self.key_bytes)
 
 
-@dataclass(frozen=True)
-class SealedPayload:
+class SealedPayload(NamedTuple):
     key_id: int
     nonce: bytes
     ciphertext: bytes

@@ -48,6 +48,7 @@ import heapq
 import io
 import math
 import statistics
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 
@@ -75,7 +76,7 @@ from .ordering import (
     validate_view,
 )
 from .raft import RaftNode, Role, VoteReply, quorum_threshold
-from .rng import Stream
+from .rng import Stream, below_limit, chance_limit
 from .sealing import KeyDirectory, SealedPayload, SealingError, seal
 
 
@@ -185,7 +186,7 @@ def csv_bytes(header: str, rows) -> bytes:
     buf = io.StringIO()
     buf.write(header + "\n")
     for row in rows:
-        buf.write(",".join(str(v) for v in row) + "\n")
+        buf.write(",".join(map(str, row)) + "\n")
     return buf.getvalue().encode()
 
 
@@ -350,6 +351,9 @@ _KIND_NAMES = {
     _SNAPSHOT: "snapshot",
 }
 
+# one client transaction's workload draws: chain, sensitivity and fee u64s, then the payload
+_TX_DRAWS = struct.Struct(">QQQ24s")
+
 
 class _Node:
     """Simulator-side wrapper: raft instance plus ledger height, view, and buffers."""
@@ -512,6 +516,9 @@ class Simulation:
         extra = start - 1 + gap() if frac else cfg.run_duration  # next tick with one more
         nonce = 0
         keys = [self.directory.get(k) for k in range(cfg.num_seal_keys)]
+        num_chains, tx_size = cfg.num_chains, _TX_DRAWS.size
+        chain_limit, fee_limit = below_limit(num_chains), below_limit(1000)
+        sensitive_limit = chance_limit(cfg.sensitive_fraction)
         t = start if whole else extra
         while t < cfg.run_duration:
             k = whole
@@ -520,10 +527,16 @@ class Simulation:
                 extra += gap()
             arrivals = []
             for _ in range(k):
-                chain = wl.next_below(cfg.num_chains)
-                sensitive = wl.chance(cfg.sensitive_fraction)
-                fee = wl.next_below(1000)
-                payload = wl.next_bytes(24)
+                # one read; the sequential draws only where one of them would reject
+                c, s, f, payload = wl.peek(_TX_DRAWS)
+                if c < chain_limit and f < fee_limit:
+                    wl.skip(tx_size)
+                    chain, sensitive, fee = c % num_chains, s < sensitive_limit, f % 1000
+                else:
+                    chain = wl.next_below(num_chains)
+                    sensitive = wl.chance(cfg.sensitive_fraction)
+                    fee = wl.next_below(1000)
+                    payload = wl.next_bytes(24)
                 if sensitive:
                     key = keys[wl.next_below(len(keys))]
                     ad = nonce.to_bytes(8, "big") + fee.to_bytes(8, "big")

@@ -36,6 +36,11 @@ class OracleStream:
         out, self.buf = self.buf[:n], self.buf[n:]
         return out
 
+    def peek(self, n):
+        out = self.read(n)
+        self.buf = out + self.buf
+        return out
+
     def u64(self):
         return int.from_bytes(self.read(8), "big")
 

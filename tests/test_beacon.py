@@ -26,7 +26,6 @@ from shadowraft.beacon import (
     repeat_probability,
     run_beacon_epoch,
     select_seed,
-    select_winner,
     verify_certificate,
 )
 from shadowraft.rng import Stream
@@ -132,19 +131,20 @@ def certs(pairs, epoch=1):
 
 
 def test_select_winner_lowest_rnd():
-    picked = select_winner(certs([(0, 5), (1, 3), (2, 9)]))
-    assert picked.rnd == 3 and picked.node_id == 1
+    # node 1 holds the one certificate with rnd 3
+    assert select_seed(certs([(0, 5), (1, 3), (2, 9)]), 1) == 3
 
 
-def test_select_winner_ties_break_on_node_id():
-    picked = select_winner(certs([(4, 3), (2, 3), (7, 3)]))
-    assert picked.node_id == 2
+def test_select_seed_ties_give_one_seed():
+    assert select_seed(certs([(4, 3), (2, 3), (7, 3)]), 1) == 3
 
 
 def test_select_winner_rejects_mixed_epochs():
     mixed = certs([(0, 5)], epoch=1) + certs([(1, 3)], epoch=2)
     with pytest.raises(MixedEpochs):
-        select_winner(mixed)
+        select_seed(mixed, 1)
+    with pytest.raises(MixedEpochs):
+        select_seed(mixed, 2)
 
 
 def test_select_seed_examples():

@@ -16,8 +16,6 @@ from shadowraft.ordering import (
     IncompleteView,
     OrderingError,
     UnknownChain,
-    confirm_bar,
-    expected_next_rank,
     propose_rank_fields,
     reference_total_order,
     total_order,
@@ -69,6 +67,18 @@ def genesis_view(num_chains):
     return ViewBuilder(num_chains).view()
 
 
+def confirm_bar(view):
+    """The ConfirmBar total_order cuts at; total_order rejects a view missing a chain."""
+    order = total_order(view)
+    assert all(ref.rank < view.bar for ref in order)
+    return view.bar
+
+
+def expected_next_rank(view, chain_id):
+    """The chain's y_i: the rank propose_rank_fields gives its next block."""
+    return propose_rank_fields(view, chain_id)[0]
+
+
 def test_expected_next_rank_reads_tail():
     b = ViewBuilder(2)
     assert expected_next_rank(b.view(), 0) == 1  # genesis
@@ -81,6 +91,8 @@ def test_expected_next_rank_reads_tail():
     assert expected_next_rank(view, 0) == 7
     with pytest.raises(UnknownChain):
         expected_next_rank(view, 5)
+    with pytest.raises(UnknownChain):
+        expected_next_rank(build_view(2, {0: [make_genesis(0).header]}), 1)
 
 
 def test_propose_rank_fields_from_genesis():

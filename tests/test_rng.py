@@ -6,6 +6,8 @@ Fisher-Yates) straight from hashlib so the production code and the tests
 cannot share a bug.
 """
 
+import struct
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -179,9 +181,12 @@ def test_shuffle_empty_and_singleton():
 
 
 # One draw each: (method name, arguments). Byte counts up to 70 cross one or
-# two block edges from any offset; the Stream's offset after each op is the
-# running byte count mod 32, so reads that straddle an edge, end on one or
-# start on one all occur.
+# two block edges from any offset. A Stream refills 8 blocks (256 bytes) at a
+# time, more when one read needs them, so its buffer edge moves with the mix
+# of draws; peeks and skips of up to 300 bytes cross it from any offset, and
+# the explicit examples put a read across it at known places.
+_PEEK_FORMATS = [">QQQ24s", ">QQ", ">Q", ">5s", ">0s", ">300s"]
+
 _DRAWS = st.one_of(
     st.tuples(st.just("next_bytes"), st.tuples(st.integers(0, 70))),
     st.tuples(st.just("next_u64"), st.just(())),
@@ -189,6 +194,8 @@ _DRAWS = st.one_of(
     st.tuples(st.just("uniform_int"), st.tuples(st.integers(-5, 5), st.integers(5, 300))),
     st.tuples(st.just("chance"), st.tuples(st.floats(-0.5, 1.5))),
     st.tuples(st.just("shuffle"), st.tuples(st.integers(0, 9))),
+    st.tuples(st.just("peek"), st.tuples(st.sampled_from(_PEEK_FORMATS))),
+    st.tuples(st.just("skip"), st.tuples(st.integers(0, 300))),
 )
 
 
@@ -204,6 +211,12 @@ def _oracle_draw(o, name, args):
     if name == "chance":
         value = o.u64()
         return args[0] > 0 and value < min(1 << 64, int(args[0] * (1 << 64)))
+    if name == "peek":
+        st = struct.Struct(args[0])
+        return st.unpack(o.peek(st.size))
+    if name == "skip":
+        o.read(args[0])
+        return None
     items = list(range(args[0]))
     o.shuffle(items)
     return items
@@ -213,6 +226,13 @@ def _oracle_draw(o, name, args):
 @example(label=0, draws=[("next_bytes", (8,)), ("next_bytes", (56,)), ("next_u64", ())])
 @example(label=1, draws=[("next_bytes", (3,)), ("next_u64", ()), ("next_bytes", (29,))])
 @example(label=2, draws=[("next_bytes", (70,)), ("next_bytes", (26,)), ("next_u64", ())])
+# the first refill ends at byte 256: reads that end on it, straddle it, or outgrow a refill
+@example(label=3, draws=[("skip", (250,)), ("peek", (">QQQ24s",)), ("skip", (48,)), ("next_u64", ())])
+@example(label=4, draws=[("skip", (256,)), ("peek", (">QQ",)), ("next_below", (1000,))])
+@example(label=8, draws=[("skip", (249,)), ("peek", (">Q",)), ("skip", (7,)), ("next_u64", ())])
+@example(label=5, draws=[("next_bytes", (60,)), ("skip", (190,)), ("skip", (40,)), ("next_u64", ())])
+@example(label=6, draws=[("next_u64", ()), ("peek", (">300s",)), ("next_bytes", (70,)), ("skip", (240,))])
+@example(label=7, draws=[("skip", (252,)), ("next_u64", ()), ("peek", (">0s",)), ("skip", (0,))])
 def test_any_draw_interleaving_reads_the_oracle_bytes(label, draws):
     s = Stream.from_labels("interleave", label)
     o = OracleStream(oracle_key("interleave", label))
@@ -220,8 +240,21 @@ def test_any_draw_interleaving_reads_the_oracle_bytes(label, draws):
         if name == "shuffle":
             got = list(range(args[0]))
             s.shuffle(got)
+        elif name == "peek":
+            got = s.peek(struct.Struct(args[0]))
         else:
             got = getattr(s, name)(*args)
         assert got == _oracle_draw(o, name, args), (name, args)
     # the next bytes agree only if both consumed exactly the same prefix
     assert s.next_bytes(40) == o.read(40)
+
+
+def test_skip_rejects_negative_counts_without_moving():
+    key = oracle_key("negative-skip")
+    s = Stream(key)
+    s.skip(5)
+    with pytest.raises(ValueError):
+        s.skip(-1)
+    with pytest.raises(ValueError):
+        s.skip(-300)
+    assert s.next_bytes(30) == OracleStream(key).read(35)[5:]

@@ -71,6 +71,13 @@ def test_wire_layout():
     assert SealedPayload.decode(raw) == sealed
 
 
+def test_sealed_payload_is_immutable():
+    sealed = seal(fresh_key(), b"abcdef", b"")
+    with pytest.raises(AttributeError):
+        sealed.key_id = 1
+    assert sealed.key_id == 0
+
+
 def test_decode_rejects_malformed():
     raw = seal(fresh_key(), b"abcdef", b"").encode()
     with pytest.raises(DecodeError):

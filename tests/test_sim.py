@@ -7,6 +7,7 @@ pinned numbers, since traces are deterministic but config-sensitive.
 from dataclasses import replace
 
 import pytest
+from oracles import OracleStream, oracle_key
 
 import shadowraft.ledger as ledger_module
 import shadowraft.sealing as sealing_module
@@ -564,15 +565,7 @@ def test_arrivals_per_tick_are_whole_plus_bernoulli(tx_rate):
 
 
 @pytest.mark.parametrize("tx_rate", [0, 1e-17, 0.999999, 2.0, 3.5])
-def test_arrival_sampler_edge_rates(tx_rate, monkeypatch):
-    draws = []
-    real_u64 = sim_module.Stream.next_u64
-
-    def counting(self):
-        draws.append(self)
-        return real_u64(self)
-
-    monkeypatch.setattr(sim_module.Stream, "next_u64", counting)
+def test_arrival_sampler_edge_rates(tx_rate):
     cfg = small_cfg(tx_rate=tx_rate, sensitive_fraction=0, run_duration=500)
     sim, counts = drawn_workload(cfg)
     whole = int(tx_rate)
@@ -581,11 +574,60 @@ def test_arrival_sampler_edge_rates(tx_rate, monkeypatch):
     assert min(counts) >= whole and max(counts) <= whole + 1
     if frac < 1e-16:
         assert counts == [whole] * cfg.run_duration
-    # three u64 draws per transaction (chain, sensitivity, fee), plus one gap
-    # draw per extra arrival and one for the gap that ends past the run
+    # each transaction reads three u64s (chain, sensitivity, fee) and a 24-byte
+    # payload; each gap is one u64: one per extra arrival and one for the gap
+    # that ends past the run. The stream's next bytes lie exactly that far on.
     txs = sum(counts)
     gap_draws = txs - whole * cfg.run_duration + 1 if frac else 0
-    assert sum(1 for s in draws if s is sim._workload) == 3 * txs + gap_draws
+    consumed = 8 * (3 * txs + gap_draws) + 24 * txs
+    oracle = OracleStream(oracle_key("workload", cfg.seed))
+    assert sim._workload.next_bytes(32) == oracle.read(consumed + 32)[consumed:]
+
+
+def crafted_stream(prefix):
+    """A stream whose next bytes are prefix, then its own blocks from block 0."""
+    s = sim_module.Stream.from_labels("crafted-workload")
+    s._buf, s._end = prefix, len(prefix)
+    return s
+
+
+def test_rejected_workload_draws_fall_back_to_sequential_draws():
+    cfg = small_cfg(num_nodes=6, num_chains=3, tx_rate=1, sensitive_fraction=0.5, run_duration=40)
+
+    def u64(v):
+        return v.to_bytes(8, "big")
+
+    rejected = u64(2**64 - 1)  # at or above the rejection limit of next_below(3) and (1000)
+    prefix = (
+        # a rejected chain draw, then chain 1, sensitive, fee 5, payload, seal key 2
+        rejected + u64(1) + u64(0) + u64(5) + b"a" * 24 + u64(2)
+        # chain 2, not sensitive, a rejected fee draw, then fee 999, payload
+        + u64(2) + rejected + rejected + u64(1999) + b"b" * 24
+    )
+    sim = Simulation(cfg)
+    sim._workload = crafted_stream(prefix)
+    sim._generate_workload(0)
+    got = []
+    for _, _, _, _, arrivals in sorted(sim.queue):
+        for chain, tx in arrivals:
+            if tx.sensitive:
+                sealed = sealing_module.SealedPayload.decode(tx.payload)
+                got.append((chain, True, tx.fee, sim.plaintexts[tx.nonce], sealed.key_id))
+            else:
+                got.append((chain, False, tx.fee, tx.payload, None))
+
+    ref = crafted_stream(prefix)
+    expect = []
+    for _ in range(cfg.run_duration):
+        chain = ref.next_below(cfg.num_chains)
+        sensitive = ref.chance(cfg.sensitive_fraction)
+        fee = ref.next_below(1000)
+        payload = ref.next_bytes(24)
+        key_id = ref.next_below(cfg.num_seal_keys) if sensitive else None
+        expect.append((chain, sensitive, fee, payload, key_id))
+    assert expect[:2] == [(1, True, 5, b"a" * 24, 2), (2, False, 999, b"b" * 24, None)]
+    assert got == expect
+    assert sim._workload.next_bytes(32) == ref.next_bytes(32)
 
 
 def test_scaling_baseline_matches_plain_run():
