@@ -430,3 +430,118 @@ def test_argparse_usage_errors(capsys):
         main(["frobnicate"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+def _snapshot_header(cells):
+    from shadowraft.ledger import BlockHeader
+
+    chain_id, height, rank, next_rank, term = (int(c) for c in cells[2:7])
+    return BlockHeader(chain_id, height, bytes.fromhex(cells[7]), rank, next_rank,
+                       bytes.fromhex(cells[8]), term)
+
+
+def _reference_verdict(rows):
+    """verify-order's exit code for well-formed rows whose stored hashes match,
+    by brute force: at every (time, node) group the node's whole view is
+    relinked, must cover every chain, and its order must agree with every
+    earlier group's order up to the shorter of the two."""
+    from shadowraft.ledger import LedgerError, check_link, hash_header
+
+    rows = sorted(rows, key=lambda c: (int(c[0]), int(c[1]), int(c[2]), int(c[3])))
+    num_chains = len({c[2] for c in rows})
+    held = {}
+    orders = []
+    for i, cells in enumerate(rows):
+        chains = held.setdefault(cells[1], [[] for _ in range(num_chains)])
+        header = _snapshot_header(cells)
+        chain = chains[header.chain_id]
+        parent = chain[-1] if chain else None
+        try:
+            check_link(header, parent, parent and hash_header(parent))
+        except LedgerError:
+            return 1
+        chain.append(header)
+        if i + 1 < len(rows) and rows[i + 1][:2] == cells[:2]:
+            continue
+        if not all(chains):
+            return 1
+        bar = min(chain[-1].next_rank for chain in chains)
+        order = sorted(
+            (h.rank, h.chain_id, h.height, hash_header(h))
+            for chain in chains for h in chain if h.rank < bar
+        )
+        if any(o[: len(order)] != order[: len(o)] for o in orders):
+            return 1
+        orders.append(order)
+    return 0
+
+
+def test_verify_order_exit_codes_under_snapshot_mutations(tmp_path, capsys):
+    # one mutation at a time of a 6-node, 3-chain run's snapshots.csv; each
+    # exit code must equal the brute-force verdict of the mutated file
+    from shadowraft.ledger import hash_header
+
+    cfg = write_cfg(tmp_path, num_nodes="6", num_chains="3", run_duration="500",
+                    snapshot_interval="40")
+    out = tmp_path / "trace"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    snap = out / "snapshots.csv"
+    head, *lines = snap.read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    group_times = {}  # node -> its snapshot times, ascending
+    for cells in rows:
+        times = group_times.setdefault(cells[1], [])
+        if cells[0] not in times:
+            times.append(cells[0])
+
+    def edited(cells, column, value):
+        cells = cells[:column] + [value] + cells[column + 1 :]
+        if column > 1:  # a header field: store the edited header's own hash
+            cells[9] = hash_header(_snapshot_header(cells)).hex()
+        return cells
+
+    def later(cells):
+        times = group_times[cells[1]]
+        at = times.index(cells[0])
+        return edited(cells, 0, times[at + 1]) if at + 1 < len(times) else None
+
+    mutants = []
+    for i, cells in enumerate(rows):
+        mutants.append(rows[:i] + rows[i + 1 :])
+        mutants.append(rows[: i + 1] + rows[i:])
+        moved = later(cells)
+        if moved:
+            mutants.append(rows[:i] + [moved] + rows[i + 1 :])
+        mutants.append(rows[:i] + [edited(cells, 4, str(int(cells[4]) + 1))] + rows[i + 1 :])
+        mutants.append(rows[:i] + [edited(cells, 5, str(int(cells[5]) + 1))] + rows[i + 1 :])
+        flipped = format(int(cells[7], 16) ^ 1, "064x")
+        mutants.append(rows[:i] + [edited(cells, 7, flipped)] + rows[i + 1 :])
+        # the next row of another node at the same time takes this row's node, and back
+        j = next((j for j in range(i + 1, len(rows))
+                  if rows[j][0] == cells[0] and rows[j][1] != cells[1]), None)
+        if j is not None:
+            swapped = rows[:]
+            swapped[i] = edited(cells, 1, rows[j][1])
+            swapped[j] = edited(rows[j], 1, cells[1])
+            mutants.append(swapped)
+    nodes = sorted(group_times)
+    mutants.append([edited(c, 1, {nodes[0]: nodes[1], nodes[1]: nodes[0]}.get(c[1], c[1]))
+                    for c in rows])
+
+    # a chain whose genesis is the only row of its chain in a node's first group,
+    # moved to the node's next group: the first group's view misses that chain
+    first = rows.index(next(
+        c for c in rows if c[3] == "0" and c[0] == group_times[c[1]][0]
+        and not any(o[:3] == c[:3] and o[3] != "0" for o in rows)
+    ))
+    genesis_moved = rows[:first] + [later(rows[first])] + rows[first + 1 :]
+    assert _reference_verdict(genesis_moved) == 1
+    mutants.append(genesis_moved)
+
+    verdicts = []
+    for mutant in mutants:
+        snap.write_text("\n".join([head] + [",".join(c) for c in mutant]) + "\n")
+        verdicts.append(_reference_verdict(mutant))
+        assert main(["verify-order", str(out), "--out", str(tmp_path / "v")]) == verdicts[-1]
+    assert "view covers" in capsys.readouterr().err.splitlines()[-1]
+    assert verdicts.count(0) > 10 and verdicts.count(1) > 10, verdicts
