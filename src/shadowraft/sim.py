@@ -227,7 +227,6 @@ class SimTrace:
     snapshot_rows: list[tuple[int, int, BlockHeader, bytes]]  # time, node, header, hash
     final_order: list[tuple[int, int, int, str, int]]
     sealed_verified: int
-    rank_checked: int
     events_processed: int
     event_rows: list[tuple] | None = None
 
@@ -413,7 +412,7 @@ class Simulation:
         )
         self.plaintexts: list[bytes | None] = []  # by nonce; None if not sealed
         self.submit_times: list[int] = []  # by nonce
-        self.sampled = bytearray()  # by nonce: 1 once its latency is sampled
+        self.sampled = [0] * config.num_chains  # by chain: top height whose txs are sampled
         self.latency_rows: list[tuple[int, int, int, int]] = []
         self.bar_rows: list[tuple[int, int, int]] = []
         self.snapshot_rows: list[tuple[int, int, BlockHeader, bytes]] = []
@@ -552,7 +551,6 @@ class Simulation:
             self._seq += k
             t = t + 1 if whole else extra
         self.submit_times = [0] * nonce
-        self.sampled = bytearray(nonce)
 
     # -- raft interaction --------------------------------------------------
 
@@ -713,10 +711,11 @@ class Simulation:
                 break
             if header.height > node.height:
                 break  # body not applied locally yet; a peer will sample it
-            block = self.canonical[node.chain_id].blocks[header.height]
-            for tx in block.transactions:
-                if not self.sampled[tx.nonce]:
-                    self.sampled[tx.nonce] = 1
+            # heights are confirmed in order, so the sampled ones form a prefix
+            if header.height > self.sampled[node.chain_id]:
+                self.sampled[node.chain_id] = header.height
+                block = self.canonical[node.chain_id].blocks[header.height]
+                for tx in block.transactions:
                     submit = self.submit_times[tx.nonce]
                     self.latency_rows.append((tx.nonce, submit, now, now - submit))
             node.confirmed_ptr += 1
@@ -913,7 +912,6 @@ class Simulation:
             snapshot_rows=self.snapshot_rows,
             final_order=self.final_order,
             sealed_verified=self.sealed_verified,
-            rank_checked=self.rank_checked,
             events_processed=self.events_processed,
             event_rows=self.event_rows,
         )
@@ -959,9 +957,6 @@ class Simulation:
                         self._flag(
                             f"log-matching chain={chain} nodes={a.node_id},{b.node_id}"
                         )
-
-        # append_block, the ledgers' only writer, checked each block's link
-        self.rank_checked = sum(len(ledger.blocks) for ledger in self.canonical.values())
 
         self.sealed_verified = 0
         for ledger in self.canonical.values():

@@ -432,6 +432,28 @@ def test_argparse_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_verify_order_runs_each_oracle_once_per_node(tmp_path, monkeypatch, capsys):
+    # orders only grow by appending, so the whole-view oracles check each
+    # node's last view; every (time, node) group still gets the prefix check
+    import shadowraft.cli as cli
+
+    out = run_and_verify_dirs(tmp_path)
+    calls = {"validate_view": 0, "reference_total_order": 0}
+    for name in calls:
+        def counted(view, real=getattr(cli, name), name=name):
+            calls[name] += 1
+            return real(view)
+
+        monkeypatch.setattr(cli, name, counted)
+    assert main(["verify-order", str(out), "--out", str(tmp_path / "v")]) == 0
+    rows = [line.split(",") for line in (out / "snapshots.csv").read_text().splitlines()[1:]]
+    nodes = {cells[1] for cells in rows}
+    groups = {(cells[0], cells[1]) for cells in rows}
+    assert f"{len(groups)} snapshot orders consistent" in capsys.readouterr().out
+    assert len(groups) > len(nodes)
+    assert calls == {"validate_view": len(nodes), "reference_total_order": len(nodes)}
+
+
 def _snapshot_header(cells):
     from shadowraft.ledger import BlockHeader
 
