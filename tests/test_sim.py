@@ -116,6 +116,33 @@ def test_forged_beacon_certificates_are_dropped_and_flagged(monkeypatch):
     assert [row[:4] for row in forged.beacon_rows] == [row[:4] for row in clean.beacon_rows]
 
 
+def test_beacon_phase_skips_nodes_crashed_by_epoch_start(monkeypatch):
+    # node 1 is down from the start, node 2 crashes exactly as epoch 2 opens,
+    # node 3 mid-way through epoch 3
+    crashes = ((0, 1), (20, 2), (35, 3))
+    cfg = small_cfg(seed=9, num_nodes=7, num_chains=1, lottery_bits=5,
+                    run_duration=400, crash_schedule=crashes)
+    calls = []
+
+    def recording(enclave, epoch):
+        calls.append((enclave.node_id, epoch))
+        return real_invoke(enclave, epoch)
+
+    real_invoke = sim_module.invoke_beacon
+    monkeypatch.setattr(sim_module, "invoke_beacon", recording)
+    trace = run_simulation(cfg)
+    epochs = len(trace.beacon_rows)
+    assert epochs >= 4 and cfg.delta == 10
+    crash_at = {nid: when for when, nid in crashes}
+    for epoch in range(epochs):
+        t0 = epoch * cfg.delta
+        live = [n for n in range(cfg.num_nodes) if crash_at.get(n, t0 + 1) > t0]
+        assert [n for n, e in calls if e == epoch] == live
+    assert {e for n, e in calls if n == 1} == set()
+    assert {e for n, e in calls if n == 2} == {0, 1}
+    assert {e for n, e in calls if n == 3} == {0, 1, 2, 3}
+
+
 def test_assignment_partitions_nodes_into_committees():
     trace = run_simulation(small_cfg(num_nodes=9, num_chains=3, run_duration=800))
     flat = sorted(n for committee in trace.assignment for n in committee)
