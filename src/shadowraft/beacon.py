@@ -36,10 +36,6 @@ class EpochReplay(BeaconError):
     """Enclave already consumed its invocation for this epoch (or a later one)."""
 
 
-class InvalidCertificate(BeaconError):
-    pass
-
-
 class UnknownNode(BeaconError):
     pass
 
@@ -60,7 +56,6 @@ class Repeat(Exception):
         self.next_epoch = next_epoch
 
 
-_CERT = struct.Struct(">QQI32s")
 _DRAWS = struct.Struct(">QQ")  # an invocation's q and rnd draws
 
 
@@ -72,16 +67,6 @@ class Certificate:
     rnd: int
     node_id: int
     tag: bytes
-
-    def encode(self) -> bytes:
-        return _CERT.pack(self.epoch, self.rnd, self.node_id, self.tag)
-
-    @classmethod
-    def decode(cls, raw: bytes) -> "Certificate":
-        if len(raw) != _CERT.size:
-            raise InvalidCertificate(f"certificate must be {_CERT.size} bytes")
-        epoch, rnd, node_id, tag = _CERT.unpack(raw)
-        return cls(epoch, rnd, node_id, tag)
 
 
 def _cert_tag(secret: bytes, epoch: int, rnd: int, node_id: int) -> bytes:
@@ -177,36 +162,6 @@ def repeat_probability(num_nodes: int, lottery_bits: int) -> float:
 def expected_messages(num_nodes: int, lottery_bits: int) -> float:
     """Mean certificate broadcasts per epoch: 2^-l * N * (N - 1)."""
     return 2.0 ** -lottery_bits * num_nodes * (num_nodes - 1)
-
-
-@dataclass(frozen=True)
-class BeaconEpochResult:
-    epoch: int
-    seed: int
-    num_certificates: int
-    messages_sent: int
-
-
-def run_beacon_epoch(nodes: list[BeaconNode], epoch: int) -> BeaconEpochResult:
-    """Drive every enclave once and settle the epoch.
-
-    Every certificate is broadcast to the other N-1 nodes, so the message
-    count is num_certificates * (N - 1). Timing of that broadcast phase is
-    the caller's concern (the simulator charges one synchronous round per
-    epoch). Raises Repeat when nobody wins.
-    """
-    certs = []
-    for node in nodes:
-        cert = invoke_beacon(node, epoch)
-        if cert is not None:
-            certs.append(cert)
-    seed = select_seed(certs, epoch)  # raises Repeat if empty
-    return BeaconEpochResult(
-        epoch=epoch,
-        seed=seed,
-        num_certificates=len(certs),
-        messages_sent=len(certs) * (len(nodes) - 1),
-    )
 
 
 def make_beacon_nodes(num_nodes: int, lottery_bits: int, seed: int) -> list[BeaconNode]:

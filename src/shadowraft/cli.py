@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from . import beacon as beacon_mod
-from .beacon import invoke_beacon, make_beacon_nodes, select_seed
+from .beacon import invoke_beacon, make_beacon_nodes  # noqa: F401 (perfbench/tracer.py wraps invoke_beacon here)
 from .ledger import HASH_LEN, BlockHeader, hash_header
 from .ordering import (
     GlobalView,
@@ -51,6 +51,7 @@ from .sim import (
     measure_scaling,
     order_csv,
     run_simulation,
+    settle_epoch,
 )
 
 _BOOL_WORDS = {
@@ -187,20 +188,15 @@ def cmd_beacon_stats(args) -> int:
               "0 <= seed < 2**64", file=sys.stderr)
         return 2
     enclaves = make_beacon_nodes(n, bits, args.seed)
-    rows = []
-    succeeded = 0
-    total_certs = 0
-    total_msgs = 0
+    keys = {e.node_id: e.secret for e in enclaves}
+    rows, forged = [], []
     for epoch in range(epochs):
-        certs = [c for c in (invoke_beacon(e, epoch) for e in enclaves) if c]
-        msgs = len(certs) * (n - 1)
-        total_certs += len(certs)
-        total_msgs += msgs
-        if certs:
-            succeeded += 1
-            rows.append((epoch, 1, len(certs), select_seed(certs, epoch), msgs))
-        else:
-            rows.append((epoch, 0, 0, None, 0))
+        row, bad = settle_epoch(enclaves, epoch, keys)
+        rows.append(row)
+        forged += bad
+    succeeded = sum(row[1] for row in rows)
+    total_certs = sum(row[2] for row in rows)
+    total_msgs = sum(row[4] for row in rows)
     repeat_rate = 1 - succeeded / epochs
     closed = beacon_mod.repeat_probability(n, bits)
     mean_certs = total_certs / epochs
@@ -221,6 +217,11 @@ def cmd_beacon_stats(args) -> int:
     )
     (out / "beacon_summary.txt").write_text(summary)
     print(summary, end="")
+    if forged:
+        first = forged[0]
+        print(f"beacon-stats: {len(forged)} certificate(s) failed verification, "
+              f"first epoch={first.epoch} node={first.node_id}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -198,6 +198,31 @@ def beacon_csv(rows) -> bytes:
     )
 
 
+def settle_epoch(enclaves, epoch: int, keys: dict[int, bytes]):
+    """Invoke each enclave once for the epoch and lock its seed if one can be.
+
+    Every certificate, valid or not, is broadcast to the other len(keys) - 1
+    nodes. The seed is the lowest rnd among the certificates whose epoch,
+    node and tag verify against keys. Returns the beacon.csv row (epoch,
+    succeeded, valid certificates, seed or None, messages) and the
+    certificates that failed verification.
+    """
+    certs = [cert for cert in (invoke_beacon(e, epoch) for e in enclaves) if cert]
+    valid, forged = [], []
+    for cert in certs:
+        ok = cert.epoch == epoch and cert.node_id in keys
+        if ok and beacon_mod.verify_certificate(cert, keys):
+            valid.append(cert)
+        else:
+            forged.append(cert)
+    messages = len(certs) * (len(keys) - 1)
+    try:
+        seed = select_seed(valid, epoch)
+    except Repeat:
+        return (epoch, 0, 0, None, messages), forged
+    return (epoch, 1, len(valid), seed, messages), forged
+
+
 def order_csv(rows) -> bytes:
     """order.csv from (rank, chain, height, block hash hex, tx count), numbered."""
     return csv_bytes(
@@ -472,33 +497,16 @@ class Simulation:
         keys = {enclave.node_id: enclave.secret for enclave in enclaves}
         for epoch in range(cfg.max_beacon_epochs):
             t0 = epoch * cfg.delta
-            certs = []
-            for enclave in enclaves:
-                if self.crash_at.get(enclave.node_id, t0 + 1) <= t0:
-                    continue
-                cert = invoke_beacon(enclave, epoch)
-                if cert is not None:
-                    certs.append(cert)
-            messages = len(certs) * (cfg.num_nodes - 1)
-            self._count("BeaconCertificate", messages)
-            certs = [cert for cert in certs if self._verified(cert, keys, epoch)]
-            try:
-                seed = select_seed(certs, epoch)
-            except Repeat:
-                self.beacon_rows.append((epoch, 0, 0, None, messages))
-                continue
-            self.beacon_rows.append((epoch, 1, len(certs), seed, messages))
-            self.locked_seed = seed
-            return (epoch + 1) * cfg.delta
+            live = [e for e in enclaves if self.crash_at.get(e.node_id, t0 + 1) > t0]
+            row, forged = settle_epoch(live, epoch, keys)
+            self._count("BeaconCertificate", row[4])
+            for cert in forged:
+                self._flag(f"beacon-certificate epoch={epoch} node={cert.node_id}")
+            self.beacon_rows.append(row)
+            if row[1]:
+                self.locked_seed = row[3]
+                return (epoch + 1) * cfg.delta
         raise SimError(f"beacon failed to lock a seed in {cfg.max_beacon_epochs} epochs")
-
-    def _verified(self, cert, keys: dict[int, bytes], epoch: int) -> bool:
-        """Check a broadcast certificate's epoch and tag; flag it if either fails."""
-        if cert.epoch == epoch and cert.node_id in keys:
-            if beacon_mod.verify_certificate(cert, keys):
-                return True
-        self._flag(f"beacon-certificate epoch={epoch} node={cert.node_id}")
-        return False
 
     # -- workload ----------------------------------------------------------
 

@@ -14,7 +14,6 @@ from shadowraft.beacon import (
     BeaconNode,
     Certificate,
     EpochReplay,
-    InvalidCertificate,
     InvalidShape,
     MixedEpochs,
     Repeat,
@@ -24,11 +23,11 @@ from shadowraft.beacon import (
     invoke_beacon,
     make_beacon_nodes,
     repeat_probability,
-    run_beacon_epoch,
     select_seed,
     verify_certificate,
 )
 from shadowraft.rng import Stream
+from shadowraft.sim import settle_epoch
 
 
 def directory_for(nodes):
@@ -111,21 +110,6 @@ def test_certificate_verifies_and_binds_fields():
         verify_certificate(cert, {})
 
 
-def test_certificate_wire_layout():
-    cert = Certificate(epoch=7, rnd=1 << 40, node_id=3, tag=bytes(range(32)))
-    raw = cert.encode()
-    assert len(raw) == 52
-    assert raw == (
-        (7).to_bytes(8, "big")
-        + (1 << 40).to_bytes(8, "big")
-        + (3).to_bytes(4, "big")
-        + bytes(range(32))
-    )
-    assert Certificate.decode(raw) == cert
-    with pytest.raises(InvalidCertificate):
-        Certificate.decode(raw[:-1])
-
-
 def certs(pairs, epoch=1):
     return [Certificate(epoch, rnd, nid, bytes(32)) for nid, rnd in pairs]
 
@@ -162,24 +146,26 @@ def test_select_seed_order_independent():
     assert select_seed(batch, 1) == select_seed(list(reversed(batch)), 1) == 2
 
 
-def test_run_beacon_epoch_agrees_with_manual_invocation():
+def test_settle_epoch_agrees_with_manual_invocation():
     nodes_a = make_beacon_nodes(8, 3, seed=21)
     nodes_b = make_beacon_nodes(8, 3, seed=21)
+    keys = directory_for(nodes_a)
     saw_single_winner = False
     for epoch in range(30):
         manual = [c for c in (invoke_beacon(n, epoch) for n in nodes_b) if c]
-        try:
-            result = run_beacon_epoch(nodes_a, epoch)
-        except Repeat as rep:
-            assert manual == []
-            assert rep.next_epoch == epoch + 1
+        row, forged = settle_epoch(nodes_a, epoch, keys)
+        _, succeeded, num_certificates, seed, messages_sent = row
+        assert row[0] == epoch and forged == []
+        assert messages_sent == len(manual) * 7
+        if not manual:
+            assert (succeeded, num_certificates, seed) == (0, 0, None)
             continue
-        assert result.seed == select_seed(manual, epoch)
-        assert result.num_certificates == len(manual)
-        assert result.messages_sent == len(manual) * 7
-        if result.num_certificates == 1:
+        assert succeeded == 1
+        assert seed == select_seed(manual, epoch)
+        assert num_certificates == len(manual)
+        if num_certificates == 1:
             saw_single_winner = True
-            assert result.seed == manual[0].rnd
+            assert seed == manual[0].rnd
     assert saw_single_winner
 
 
@@ -201,12 +187,8 @@ def test_expected_messages():
 def test_empirical_repeat_rate_tracks_closed_form():
     num_nodes, bits, trials = 16, 4, 3000
     nodes = make_beacon_nodes(num_nodes, bits, seed=31)
-    repeats = 0
-    for epoch in range(trials):
-        try:
-            run_beacon_epoch(nodes, epoch)
-        except Repeat:
-            repeats += 1
+    keys = directory_for(nodes)
+    repeats = sum(1 for epoch in range(trials) if not settle_epoch(nodes, epoch, keys)[0][1])
     p = repeat_probability(num_nodes, bits)
     sigma = math.sqrt(p * (1 - p) / trials)
     assert abs(repeats / trials - p) < 5 * sigma

@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import pytest
 
+import shadowraft.sim as sim_module
+from shadowraft.beacon import Certificate
 from shadowraft.cli import build_config, main, read_config_file
 from shadowraft.sim import ConfigError, SimConfig, run_simulation
 
@@ -246,6 +248,33 @@ def test_beacon_stats_writes_comparison(tmp_path, capsys):
     assert rows[0] == "epoch,succeeded,num_certificates,seed,messages_sent"
     assert len(rows) == 401
     assert (out / "beacon_summary.txt").is_file()
+
+
+def test_beacon_stats_rejects_a_forged_certificate(tmp_path, capsys, monkeypatch):
+    argv = ["beacon-stats", "--nodes", "16", "--bits", "3", "--epochs", "50", "--seed", "7"]
+    assert main(argv + ["--out", str(tmp_path / "clean")]) == 0
+    forgers = []
+
+    def forging(enclave, epoch):
+        cert = real_invoke(enclave, epoch)
+        if cert is not None or epoch != 0 or forgers:
+            return cert
+        forgers.append(enclave.node_id)
+        return Certificate(epoch, 0, enclave.node_id, bytes(32))  # lowest rnd, bad tag
+
+    real_invoke = sim_module.invoke_beacon
+    monkeypatch.setattr(sim_module, "invoke_beacon", forging)
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "forged")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("beacon-stats: ")
+    assert f"node={forgers[0]}" in err
+    clean = (tmp_path / "clean" / "beacon.csv").read_text().splitlines()
+    forged = (tmp_path / "forged" / "beacon.csv").read_text().splitlines()
+    # the forged certificate is broadcast to 15 nodes but never counted or locked
+    epoch, succeeded, certs, seed, messages = clean[1].split(",")
+    assert forged[1] == ",".join([epoch, succeeded, certs, seed, str(int(messages) + 15)])
+    assert forged[2:] == clean[2:]
 
 
 def test_scale_rejects_bad_chain_lists(tmp_path, capsys):
