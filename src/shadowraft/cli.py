@@ -31,7 +31,8 @@ from pathlib import Path
 from typing import get_type_hints
 
 from . import beacon as beacon_mod
-from .beacon import invoke_beacon, make_beacon_nodes  # noqa: F401 (perfbench/tracer.py wraps invoke_beacon here)
+# unused here, but perfbench/tracer.py wraps shadowraft.cli.invoke_beacon by name
+from .beacon import invoke_beacon, make_beacon_nodes
 from .ledger import HASH_LEN, BlockHeader, hash_header
 from .ordering import (
     GlobalView,
@@ -194,13 +195,10 @@ def cmd_beacon_stats(args) -> int:
         row, bad = settle_epoch(enclaves, epoch, keys)
         rows.append(row)
         forged += bad
-    succeeded = sum(row[1] for row in rows)
-    total_certs = sum(row[2] for row in rows)
-    total_msgs = sum(row[4] for row in rows)
-    repeat_rate = 1 - succeeded / epochs
+    repeat_rate = 1 - sum(row[1] for row in rows) / epochs
     closed = beacon_mod.repeat_probability(n, bits)
-    mean_certs = total_certs / epochs
-    mean_msgs = total_msgs / epochs
+    mean_certs = sum(row[2] for row in rows) / epochs
+    mean_msgs = sum(row[4] for row in rows) / epochs
     expect_certs = n * 2.0**-bits
     expect_msgs = beacon_mod.expected_messages(n, bits)
 

@@ -154,8 +154,8 @@ def test_settle_epoch_agrees_with_manual_invocation():
     for epoch in range(30):
         manual = [c for c in (invoke_beacon(n, epoch) for n in nodes_b) if c]
         row, forged = settle_epoch(nodes_a, epoch, keys)
-        _, succeeded, num_certificates, seed, messages_sent = row
-        assert row[0] == epoch and forged == []
+        row_epoch, succeeded, num_certificates, seed, messages_sent = row
+        assert row_epoch == epoch and forged == []
         assert messages_sent == len(manual) * 7
         if not manual:
             assert (succeeded, num_certificates, seed) == (0, 0, None)
