@@ -49,6 +49,37 @@ def test_invoke_draw_order_matches_oracle():
                 assert cert is None
 
 
+def test_invoke_draws_match_oracle_across_read_ahead():
+    # 1,300 invocations read 20,800 bytes, past the 4 KiB read cap several
+    # times; the epochs skip values and each skip is preceded by rejected
+    # replays, which must consume no draw
+    bits, seed, count = 1, 13, 1300
+    node = make_beacon_nodes(1, bits, seed)[0]
+    wins = 0
+    for i, (q_src, rnd) in enumerate(oracle_beacon_draws(seed, 0, count)):
+        epoch = 3 * i + i % 2
+        if i:
+            for replay in (node.last_invoked_epoch // 2, node.last_invoked_epoch):
+                with pytest.raises(EpochReplay):
+                    invoke_beacon(node, replay)
+        cert = invoke_beacon(node, epoch)
+        if q_src % (1 << bits):
+            assert cert is None, i
+        else:
+            assert (cert.epoch, cert.rnd) == (epoch, rnd), i
+            wins += 1
+    assert 500 < wins < 800
+
+
+def test_sixteen_invocations_hash_eight_blocks():
+    # a simulation locks its seed within a few epochs, so an enclave's first
+    # reads must hash no more than the 16 draws it uses
+    node = make_beacon_nodes(1, 6, seed=17)[0]
+    for epoch in range(16):
+        invoke_beacon(node, epoch)
+    assert node.rng._counter == 8
+
+
 def test_invoke_wins_at_rate_two_to_minus_l():
     node = make_beacon_nodes(1, 3, seed=2)[0]
     wins = sum(1 for e in range(4000) if invoke_beacon(node, e) is not None)
