@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import hmac
 import hashlib
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 import struct
 
 from .rng import Stream, stream_key
@@ -40,23 +41,22 @@ class UnknownNode(BeaconError):
     pass
 
 
-class MixedEpochs(BeaconError):
-    pass
-
-
 class InvalidShape(BeaconError):
     pass
 
 
-class Repeat(Exception):
-    """No certificate this epoch; carries the epoch to retry as."""
-
-    def __init__(self, next_epoch: int):
-        super().__init__(f"epoch repeats, retry as epoch {next_epoch}")
-        self.next_epoch = next_epoch
-
-
 _DRAWS = struct.Struct(">QQ")  # an invocation's q and rnd draws
+# an enclave's first read is the 8 blocks a Stream refill hashes; each later
+# read doubles, up to the cap, so a short-lived enclave hashes no extra block
+_FIRST_READ, _MAX_READ = 256, 4096
+
+
+def _draws(rng: Stream) -> Iterator[tuple[int, int]]:
+    """The stream's successive (q, rnd) pairs, read in growing batches."""
+    n = _FIRST_READ
+    while True:
+        yield from _DRAWS.iter_unpack(rng.next_bytes(n))
+        n = min(2 * n, _MAX_READ)
 
 
 @dataclass(frozen=True)
@@ -76,29 +76,36 @@ def _cert_tag(secret: bytes, epoch: int, rnd: int, node_id: int) -> bytes:
 
 @dataclass
 class BeaconNode:
-    """One verifier's enclave: signing secret, private rng, and the epoch gate."""
+    """One verifier's enclave: signing secret, private rng, and the epoch gate.
+
+    The rng is read only through draws, the iterator of its (q, rnd) pairs
+    that __post_init__ derives from it.
+    """
 
     node_id: int
     secret: bytes
     lottery_bits: int
     rng: Stream
     last_invoked_epoch: int | None = None
+    draws: Iterator[tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.lottery_bits <= 32:
             raise ValueError("lottery_bits out of range")
         if len(self.secret) != 32:
             raise ValueError("secret must be 32 bytes")
+        self.draws = _draws(self.rng)
 
 
 def invoke_beacon(node: BeaconNode, epoch: int) -> Certificate | None:
     """Run the enclave once for the given epoch.
 
-    Draws q uniform on [0, 2^lottery_bits) and then a 64-bit rnd, in that
-    order, from the node's private stream. Returns a certificate iff q == 0.
-    The epoch gate advances on every call, win or lose, and a call with
-    epoch <= last_invoked_epoch raises EpochReplay; that is what makes
-    discarding a losing draw unprofitable.
+    Takes the next pair of node.draws: q uniform on [0, 2^lottery_bits),
+    then a 64-bit rnd, the next 16 bytes of the node's private stream.
+    Returns a certificate iff q == 0. The epoch gate advances on every call,
+    win or lose, and a call with epoch <= last_invoked_epoch raises
+    EpochReplay before any draw; that is what makes discarding a losing
+    draw unprofitable.
     """
     if node.last_invoked_epoch is not None and epoch <= node.last_invoked_epoch:
         raise EpochReplay(
@@ -106,8 +113,7 @@ def invoke_beacon(node: BeaconNode, epoch: int) -> Certificate | None:
         )
     node.last_invoked_epoch = epoch
     # next_below(2^l) is the first u64 mod 2^l: a power of two rejects no draw
-    q, rnd = node.rng.peek(_DRAWS)
-    node.rng.skip(_DRAWS.size)
+    q, rnd = next(node.draws)
     if q % (1 << node.lottery_bits):
         return None
     tag = _cert_tag(node.secret, epoch, rnd, node.node_id)
@@ -122,14 +128,9 @@ def verify_certificate(cert: Certificate, directory: dict[int, bytes]) -> bool:
     return hmac.compare_digest(expect, cert.tag)
 
 
-def select_seed(certs: list[Certificate], epoch: int) -> int:
-    """Lowest rnd of the epoch's certificates; Repeat(epoch+1) if none, MixedEpochs if any is off-epoch."""
-    if not certs:
-        raise Repeat(epoch + 1)
-    epochs = {c.epoch for c in certs}
-    if epochs != {epoch}:
-        raise MixedEpochs(f"expected epoch {epoch}, certificates span {sorted(epochs)}")
-    return min(c.rnd for c in certs)
+def select_seed(certs: list[Certificate]) -> int | None:
+    """Lowest rnd of the certificates, or None (the epoch repeats) if there are none."""
+    return min((c.rnd for c in certs), default=None)
 
 
 def assign_chains(seed: int, num_nodes: int, num_chains: int) -> list[list[int]]:

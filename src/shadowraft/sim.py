@@ -53,7 +53,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 from . import beacon as beacon_mod
-from .beacon import Repeat, assign_chains, invoke_beacon, make_beacon_nodes, select_seed
+from .beacon import assign_chains, invoke_beacon, make_beacon_nodes, select_seed
 from .ledger import (
     BlockHeader,
     ChainLedger,
@@ -207,7 +207,7 @@ def settle_epoch(enclaves, epoch: int, keys: dict[int, bytes]):
     succeeded, valid certificates, seed or None, messages) and the
     certificates that failed verification.
     """
-    certs = [cert for cert in (invoke_beacon(e, epoch) for e in enclaves) if cert]
+    certs = [cert for e in enclaves if (cert := invoke_beacon(e, epoch))]
     valid, forged = [], []
     for cert in certs:
         ok = cert.epoch == epoch and cert.node_id in keys
@@ -215,12 +215,9 @@ def settle_epoch(enclaves, epoch: int, keys: dict[int, bytes]):
             valid.append(cert)
         else:
             forged.append(cert)
+    seed = select_seed(valid)
     messages = len(certs) * (len(keys) - 1)
-    try:
-        seed = select_seed(valid, epoch)
-    except Repeat:
-        return (epoch, 0, 0, None, messages), forged
-    return (epoch, 1, len(valid), seed, messages), forged
+    return (epoch, int(seed is not None), len(valid), seed, messages), forged
 
 
 def order_csv(rows) -> bytes:

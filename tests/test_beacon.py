@@ -15,8 +15,6 @@ from shadowraft.beacon import (
     Certificate,
     EpochReplay,
     InvalidShape,
-    MixedEpochs,
-    Repeat,
     UnknownNode,
     assign_chains,
     expected_messages,
@@ -26,6 +24,7 @@ from shadowraft.beacon import (
     select_seed,
     verify_certificate,
 )
+import shadowraft.sim as sim_module
 from shadowraft.rng import Stream
 from shadowraft.sim import settle_epoch
 
@@ -147,34 +146,50 @@ def certs(pairs, epoch=1):
 
 def test_select_winner_lowest_rnd():
     # node 1 holds the one certificate with rnd 3
-    assert select_seed(certs([(0, 5), (1, 3), (2, 9)]), 1) == 3
+    assert select_seed(certs([(0, 5), (1, 3), (2, 9)])) == 3
 
 
 def test_select_seed_ties_give_one_seed():
-    assert select_seed(certs([(4, 3), (2, 3), (7, 3)]), 1) == 3
-
-
-def test_select_winner_rejects_mixed_epochs():
-    mixed = certs([(0, 5)], epoch=1) + certs([(1, 3)], epoch=2)
-    with pytest.raises(MixedEpochs):
-        select_seed(mixed, 1)
-    with pytest.raises(MixedEpochs):
-        select_seed(mixed, 2)
+    assert select_seed(certs([(4, 3), (2, 3), (7, 3)])) == 3
 
 
 def test_select_seed_examples():
-    assert select_seed(certs([(0, 5), (1, 3), (2, 9)]), 1) == 3
-    assert select_seed(certs([(0, 7)]), 1) == 7
-    with pytest.raises(Repeat) as info:
-        select_seed([], 4)
-    assert info.value.next_epoch == 5
-    with pytest.raises(MixedEpochs):
-        select_seed(certs([(0, 5)], epoch=2), 1)
+    assert select_seed(certs([(0, 5), (1, 3), (2, 9)])) == 3
+    assert select_seed(certs([(0, 7)])) == 7
+    assert select_seed([]) is None  # the epoch repeats
 
 
 def test_select_seed_order_independent():
     batch = certs([(0, 8), (1, 2), (2, 6), (3, 2)])
-    assert select_seed(batch, 1) == select_seed(list(reversed(batch)), 1) == 2
+    assert select_seed(batch) == select_seed(list(reversed(batch))) == 2
+
+
+def test_settle_epoch_drops_certificates_for_other_epochs(monkeypatch):
+    # node 0 answers every epoch with a correctly tagged certificate that
+    # it won at another epoch: broadcast, counted as forged, never the seed
+    stale, _ = first_certificate(bits=2, seed=2)  # won at epoch 8
+    nodes = make_beacon_nodes(4, 2, seed=2)
+    twins = make_beacon_nodes(4, 2, seed=2)
+    keys = directory_for(nodes)
+    assert verify_certificate(stale, keys)
+
+    def replaying(node, epoch):
+        cert = invoke_beacon(node, epoch)  # node 0 still burns its draw
+        return stale if node.node_id == 0 else cert
+
+    monkeypatch.setattr(sim_module, "invoke_beacon", replaying)
+    outcomes = set()
+    for epoch in range(stale.epoch + 12):
+        honest = [c for c in (invoke_beacon(n, epoch) for n in twins[1:]) if c]
+        row, forged = settle_epoch(nodes, epoch, keys)
+        if epoch == stale.epoch:
+            assert forged == [] and row[2] == len(honest) + 1
+            continue
+        assert forged == [stale]
+        assert row == (epoch, int(bool(honest)), len(honest),
+                       select_seed(honest), (len(honest) + 1) * 3)
+        outcomes.add((epoch < stale.epoch, bool(honest)))
+    assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
 
 
 def test_settle_epoch_agrees_with_manual_invocation():
@@ -192,7 +207,7 @@ def test_settle_epoch_agrees_with_manual_invocation():
             assert (succeeded, num_certificates, seed) == (0, 0, None)
             continue
         assert succeeded == 1
-        assert seed == select_seed(manual, epoch)
+        assert seed == select_seed(manual)
         assert num_certificates == len(manual)
         if num_certificates == 1:
             saw_single_winner = True
