@@ -15,6 +15,8 @@ its hash.
 
 All values here are immutable except ``ChainLedger``, which grows only by
 ``append_block`` checking a block against its tip and appending it.
+``Transaction`` is a named tuple whose constructor range-checks fee and nonce;
+``decode_block`` skips that by ``tuple.__new__``, since ``>Q`` unpacks fit u64.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 HASH_LEN = 32
 ZERO_HASH = b"\x00" * HASH_LEN
@@ -52,18 +54,22 @@ class DecodeError(LedgerError):
     """Bytes do not parse as a canonical encoding."""
 
 
-@dataclass(frozen=True, slots=True)
-class Transaction:
+class _TransactionFields(NamedTuple):
     payload: bytes
     sensitive: bool
     fee: int
     nonce: int
 
-    def __post_init__(self):
-        if not 0 <= self.fee < 1 << 64:
+
+class Transaction(_TransactionFields):
+    __slots__ = ()
+
+    def __new__(cls, payload: bytes, sensitive: bool, fee: int, nonce: int):
+        if not 0 <= fee < 1 << 64:
             raise ValueError("fee out of u64 range")
-        if not 0 <= self.nonce < 1 << 64:
+        if not 0 <= nonce < 1 << 64:
             raise ValueError("nonce out of range")
+        return tuple.__new__(cls, (payload, sensitive, fee, nonce))
 
 
 @dataclass(frozen=True)
@@ -102,20 +108,6 @@ class ChainLedger:
 def encode_transaction(tx: Transaction) -> bytes:
     tail = _TX_TAIL.pack(tx.sensitive, tx.fee, tx.nonce)
     return _U64.pack(len(tx.payload)) + tx.payload + tail
-
-
-def _decode_transaction(buf: bytes, pos: int) -> tuple[Transaction, int]:
-    if pos + 8 > len(buf):
-        raise DecodeError("truncated transaction length")
-    (plen,) = _U64.unpack_from(buf, pos)
-    start = pos + 8
-    pos = start + plen
-    if pos + _TX_TAIL.size > len(buf):
-        raise DecodeError("truncated transaction body")
-    flag, fee, nonce = _TX_TAIL.unpack_from(buf, pos)
-    if flag > 1:
-        raise DecodeError("invalid sensitivity flag")
-    return Transaction(buf[start:pos], flag == 1, fee, nonce), pos + _TX_TAIL.size
 
 
 def encode_transactions(txs: Iterable[Transaction]) -> bytes:
@@ -174,18 +166,28 @@ def encode_block(block: Block) -> bytes:
 
 def decode_block(data: bytes) -> Block:
     """Parse an encoded block; its body is a view of data, not a copy."""
-    if len(data) < _HEADER.size + 8:
+    end = len(data)
+    if end < _HEADER.size + 8:
         raise DecodeError("truncated block header")
-    fields = _HEADER.unpack_from(data, 0)
-    header = BlockHeader(*fields)
-    pos = _HEADER.size
-    (count,) = _U64.unpack_from(data, pos)
-    pos += 8
+    header = BlockHeader(*_HEADER.unpack_from(data, 0))
+    (count,) = _U64.unpack_from(data, _HEADER.size)
+    pos = _HEADER.size + 8
+    u64, tail, new = _U64.unpack_from, _TX_TAIL.unpack_from, tuple.__new__
+    tail_size = _TX_TAIL.size
     txs = []
     for _ in range(count):
-        tx, pos = _decode_transaction(data, pos)
-        txs.append(tx)
-    if pos != len(data):
+        if pos + 8 > end:
+            raise DecodeError("truncated transaction length")
+        start = pos + 8
+        pos = start + u64(data, pos)[0]
+        if pos + tail_size > end:
+            raise DecodeError("truncated transaction body")
+        flag, fee, nonce = tail(data, pos)
+        if flag > 1:
+            raise DecodeError("invalid sensitivity flag")
+        txs.append(new(Transaction, (data[start:pos], flag == 1, fee, nonce)))
+        pos += tail_size
+    if pos != end:
         raise DecodeError("trailing bytes after block")
     return Block(header, tuple(txs), memoryview(data)[_HEADER.size :])
 

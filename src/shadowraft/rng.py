@@ -15,12 +15,13 @@ by hand or by another implementation:
 where an integer label contributes its 8-byte big-endian encoding and a
 string label its UTF-8 bytes. The stream is the concatenation of the blocks,
 consumed left to right; ``next_u64`` reads the next 8 bytes big-endian.
-A refill hashes the next 8 blocks (more if one read needs them) onto the
-unread bytes of the buffer, and each draw is one slice or unpack of that
-buffer, which reads exactly the stream defined above. ``peek(st)`` unpacks
-the next ``st.size`` bytes by a ``struct.Struct`` without consuming them,
-and ``skip(n)`` consumes n bytes, so a caller can read several draws at once
-and take them only when none of them would be rejected.
+A stream keys one SHA-256 context with ``key`` when built and hashes each
+block from a copy of it. A refill hashes the next 8 blocks (more if one read
+needs them) onto the unread bytes of the buffer, and each draw is one slice
+or unpack of that buffer, which reads exactly the stream defined above.
+``peek(st)`` unpacks the next ``st.size`` bytes by a ``struct.Struct``
+without consuming them, and ``skip(n)`` consumes n bytes, so a caller can
+read several draws at once and take them only when none would be rejected.
 
 ``next_below(n)`` is unbiased: it draws 64-bit values and rejects any draw
 at or above the largest multiple of ``n`` that fits in 64 bits. ``shuffle``
@@ -65,12 +66,12 @@ def stream_key(*labels: int | str) -> bytes:
 class Stream:
     """One deterministic byte stream, identified by its key, read through a multi-block buffer."""
 
-    __slots__ = ("key", "_counter", "_buf", "_pos", "_end")
+    __slots__ = ("_ctx", "_counter", "_buf", "_pos", "_end")
 
     def __init__(self, key: bytes):
         if len(key) != 32:
             raise ValueError("stream key must be 32 bytes")
-        self.key = key
+        self._ctx = hashlib.sha256(key)  # block(i) hashes a copy of it, then BE64(i)
         self._counter = 0  # next block to hash
         self._buf = b""
         self._pos = self._end = 0  # unread bytes are _buf[_pos:_end]
@@ -81,9 +82,13 @@ class Stream:
 
     def _fill(self, n: int) -> None:
         """Keep the unread bytes and append blocks until n or more are unread."""
-        c, key = self._counter, self.key
+        c, copy = self._counter, self._ctx.copy
         self._counter = end = c + max(_BLOCKS, (n - self._end + self._pos + 31) // 32)
-        blocks = [hashlib.sha256(key + i.to_bytes(8, "big")).digest() for i in range(c, end)]
+        blocks = []
+        for i in range(c, end):
+            h = copy()
+            h.update(i.to_bytes(8, "big"))
+            blocks.append(h.digest())
         self._buf = self._buf[self._pos :] + b"".join(blocks)
         self._pos, self._end = 0, len(self._buf)
 

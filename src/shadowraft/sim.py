@@ -47,7 +47,6 @@ import hashlib
 import heapq
 import io
 import math
-import statistics
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, replace
@@ -182,11 +181,12 @@ def _gap_table(frac: float, ticks: int) -> list[int]:
 
 
 def csv_bytes(header: str, rows) -> bytes:
-    """One CSV file: the header line, then each row's cells joined by commas."""
+    """One CSV file: the header, then each row (a tuple of its width) by one "%s,...,%s" line."""
+    line = ",".join(["%s"] * (header.count(",") + 1)) + "\n"
     buf = io.StringIO()
     buf.write(header + "\n")
     for row in rows:
-        buf.write(",".join(map(str, row)) + "\n")
+        buf.write(line % row)
     return buf.getvalue().encode()
 
 
@@ -268,7 +268,7 @@ class SimTrace:
             return 0.0, 0.0
         ordered = sorted(samples)
         p95 = ordered[int(0.95 * (len(ordered) - 1))]
-        return statistics.fmean(samples), float(p95)
+        return math.fsum(samples) / len(samples), float(p95)
 
     def beacon_repeat_rate(self) -> float:
         if not self.beacon_rows:

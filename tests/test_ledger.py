@@ -162,6 +162,28 @@ def test_decode_rejects_malformed_bytes():
         decode_block(bytes(bad))
 
 
+def test_decode_block_reaches_each_error_with_its_message():
+    txs = [Transaction(b"ab", True, 5, 7), Transaction(b"", False, 0, (1 << 64) - 1)]
+    raw = encode_block(new_block(0, 0, ZERO_HASH, 0, 1, txs, 0))
+    decoded = decode_block(raw).transactions
+    assert all(type(tx) is Transaction for tx in decoded)
+    assert decoded == tuple(txs)
+    with pytest.raises(AttributeError):
+        decoded[0].fee = 6
+    flag_pos = 100 + 8 + 8 + 2
+    bad_flag = raw[:flag_pos] + b"\x02" + raw[flag_pos + 1 :]
+    cases = [
+        (raw[:107], "truncated block header"),
+        (raw[:100] + be(3, 8) + raw[108:], "truncated transaction length"),
+        (raw[:-1], "truncated transaction body"),
+        (bad_flag, "invalid sensitivity flag"),
+        (raw + b"\x00", "trailing bytes after block"),
+    ]
+    for data, message in cases:
+        with pytest.raises(DecodeError, match=message):
+            decode_block(data)
+
+
 def test_new_block_computes_tx_root():
     txs = [sample_tx(11)]
     blk = new_block(2, 1, bytes(32), 1, 2, txs, 1)

@@ -21,6 +21,7 @@ from shadowraft.sim import (
     SimConfig,
     SimError,
     Simulation,
+    csv_bytes,
     measure_scaling,
     run_simulation,
 )
@@ -451,6 +452,84 @@ def test_replicas_that_disagree_on_a_committed_entry_are_flagged():
         f"ledger-divergence chain=0 node={b.node_id} index={index} "
         f"height={height + 1} expected={height}"
     ]
+
+
+def test_command_that_does_not_decode_is_flagged(monkeypatch):
+    cfg = small_cfg(num_nodes=5, run_duration=600)
+    assert run_simulation(cfg).safety_flags == []
+    broken = []
+
+    def trailing_byte_at_height_three(block):
+        raw = real_encode_block(block)
+        if block.header.height == 3 and not broken:
+            raw += b"\x00"
+            broken.append(raw)
+        return raw
+
+    real_encode_block = sim_module.encode_block
+    monkeypatch.setattr(sim_module, "encode_block", trailing_byte_at_height_three)
+    sim = Simulation(cfg)
+    trace = sim.run()
+    appliers = [
+        n for n in sim.nodes if any(e.command == broken[0] for e in n.raft.log[: n.applied])
+    ]
+    assert len(appliers) >= 3  # a quorum committed and applied it
+    assert trace.safety_flags == [
+        "command-decode chain=0: trailing bytes after block"
+    ] * len(appliers)
+
+
+def sealed_cfg():
+    return small_cfg(num_nodes=4, sensitive_fraction=1.0, tx_rate=0.5, run_duration=1000)
+
+
+def test_sealed_payload_that_fails_authentication_is_flagged(monkeypatch):
+    assert run_simulation(sealed_cfg()).safety_flags == []
+    flipped = []
+
+    def flip_first_ciphertext_byte(key, plaintext, ad):
+        sealed = real_seal(key, plaintext, ad)
+        if flipped:
+            return sealed
+        flipped.append(int.from_bytes(ad[:8], "big"))
+        ciphertext = bytes([sealed.ciphertext[0] ^ 1]) + sealed.ciphertext[1:]
+        return sealed._replace(ciphertext=ciphertext)
+
+    real_seal = sim_module.seal
+    monkeypatch.setattr(sim_module, "seal", flip_first_ciphertext_byte)
+    trace = run_simulation(sealed_cfg())
+    assert trace.safety_flags == [f"sealed-roundtrip nonce={flipped[0]}: authentication failed"]
+    assert trace.sealed_verified == trace.total_committed_txs() - 1
+
+
+def test_sealed_payload_that_opens_to_the_wrong_plaintext_is_flagged(monkeypatch):
+    assert run_simulation(sealed_cfg()).safety_flags == []
+
+    def wrong_first_plaintext(self, start):
+        real_generate(self, start)
+        self.plaintexts[0] = bytes(len(self.plaintexts[0]))
+
+    real_generate = Simulation._generate_workload
+    monkeypatch.setattr(Simulation, "_generate_workload", wrong_first_plaintext)
+    trace = run_simulation(sealed_cfg())
+    assert trace.safety_flags == ["sealed-roundtrip nonce=0: wrong plaintext"]
+    assert trace.sealed_verified == trace.total_committed_txs() - 1
+
+
+def test_csv_bytes_matches_comma_joined_str_cells():
+    header = "a,b,c"
+    rows = [
+        (1, 22, -3),
+        ("nodes=1,2", "two words", ""),
+        ("0.500000", f"{1 / 3:.6f}", "50%"),
+    ]
+    joined = "".join(",".join(map(str, row)) + "\n" for row in rows)
+    assert csv_bytes(header, rows) == f"{header}\n{joined}".encode()
+    assert csv_bytes(header, []) == b"a,b,c\n"
+    assert csv_bytes("flag", [("x,y",)]) == b"flag\nx,y\n"
+    for row in [(1, 2), (1, 2, 3, 4)]:
+        with pytest.raises(TypeError):
+            csv_bytes(header, [row])
 
 
 def test_order_that_is_not_a_prefix_of_the_longest_is_flagged():
