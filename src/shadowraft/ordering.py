@@ -52,7 +52,9 @@ class GlobalView:
     the one the view links the next header against. tails[c] is the
     expected next rank of chain c (its tail's next_rank, 0 while the chain
     is empty), and bar is the minimum of tails. order lists the refs ranked
-    below bar, sorted, and confirmed[c] counts the refs of chain c in it.
+    below bar, sorted. confirmed[c] counts the refs of chain c in it, which are
+    its heights 0 .. confirmed[c] - 1 since ranks rise with height: the
+    simulator samples latency from this count alone.
     """
 
     __slots__ = ("num_chains", "chains", "refs", "tails", "bar", "order", "confirmed")

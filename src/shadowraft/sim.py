@@ -26,15 +26,17 @@ receives nothing, fires nothing, sends nothing, and never recovers.
 
 The simulator is also the property-test vehicle: beacon certificates,
 election safety, one vote per term, log matching, state-machine safety,
-commit quorum, rank discipline, ConfirmBar monotonicity, prefix stability
-and cross-node prefix consistency of total orders, and sealed round-trip
-integrity are all checked during the run and recorded as safety flags,
-which must stay empty. A node's order is checked when its ConfirmBar rises.
+commit quorum, rank discipline, prefix stability and cross-node prefix
+consistency of total orders, and sealed round-trip integrity are all checked
+during the run and recorded as safety flags, which must stay empty. A node's
+order is checked when its ConfirmBar rises; that the bar never falls is an
+invariant of GlobalView.add, not a flag.
 
 Each chain has one ledger. The first replica to apply a committed entry
 decodes it, appends it and gossips its header to every other live node, so
 each header is sent at most N-1 times; every other replica checks that its
-own command has the same digest and keeps only its height in that ledger.
+own command has the same bytes and keeps only its height in that ledger. Latency
+and transaction counts are read from the views and ledgers, never kept twice.
 
 A snapshot writes, for each live node, only the headers that entered its
 view since its previous snapshot; the view of node n at time t is the union
@@ -43,7 +45,6 @@ of n's snapshot rows up to t.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import io
 import math
@@ -255,11 +256,13 @@ class SimTrace:
     def total_committed_txs(self) -> int:
         return sum(self.committed_txs.values())
 
+    @property
+    def window(self) -> int:
+        """The proposal window: ticks from workload start to run_duration, at least 1."""
+        return max(1, self.config.run_duration - self.workload_start)
+
     def throughput(self) -> float:
-        window = self.config.run_duration - self.workload_start
-        if window <= 0:
-            return 0.0
-        return self.total_committed_txs() / window
+        return self.total_committed_txs() / self.window
 
     def latency_stats(self) -> tuple[float, float]:
         """(mean, 95th percentile) of confirmation latency, 0 if no samples."""
@@ -281,7 +284,7 @@ class SimTrace:
     def csv_outputs(self) -> dict[str, bytes]:
         """All output files as name -> bytes; the determinism unit."""
         out: dict[str, bytes] = {}
-        window = max(1, self.config.run_duration - self.workload_start)
+        window = self.window
         out["throughput.csv"] = csv_bytes(
             "chain_id,committed_blocks,committed_txs,window,txs_per_tick",
             [
@@ -388,7 +391,6 @@ class _Node:
         "led_term",
         "view",
         "buffer",
-        "confirmed_ptr",
         "written",
         "timer_at",
         "timer_seq",
@@ -406,7 +408,6 @@ class _Node:
         for ledger in ledgers.values():
             self.view.add(ledger.blocks[0].header, ledger.hashes[0])
         self.buffer: dict[int, dict[int, BlockHeader]] = {c: {} for c in ledgers}
-        self.confirmed_ptr = 1  # genesis is already below the initial bar
         self.written = [0] * len(ledgers)  # headers per chain in snapshots
         self.timer_at, self.timer_seq = None, 0  # the timer fires at (deadline, seq)
         self.queued: tuple[int, int] | None = None  # the timer heap entry it keeps
@@ -442,9 +443,8 @@ class Simulation:
         self.pending: dict[int, list[Transaction]] = {
             c: [] for c in range(config.num_chains)
         }
-        self.submitted = 0
         self.canonical: dict[int, ChainLedger] = {}
-        # (chain, index) -> (digest, block or DecodeError, height or None if skipped)
+        # (chain, index) -> (command, block or DecodeError, height or None if skipped)
         self.committed_cmds: dict[tuple[int, int], tuple] = {}
         self.skipped = 0
         self.election_winners: dict[tuple[int, int], int] = {}
@@ -595,14 +595,13 @@ class Simulation:
             if not entry.command:
                 continue
             key = (node.chain_id, entry.index)
-            digest = hashlib.sha256(entry.command).digest()
             seen = self.committed_cmds.get(key)
             appender = seen is None
             if appender:
                 seen = self.committed_cmds[key] = self._append_committed(
-                    node.chain_id, entry.command, digest
+                    node.chain_id, entry.command
                 )
-            if seen[0] != digest:
+            if seen[0] != entry.command:  # replicas share one object: an identity check
                 self._flag(
                     f"state-machine-safety chain={node.chain_id} index={entry.index}"
                 )
@@ -624,18 +623,18 @@ class Simulation:
             if appender:
                 self._gossip_block(node, block.header, now)
 
-    def _append_committed(self, chain: int, command: bytes, digest: bytes):
+    def _append_committed(self, chain: int, command: bytes):
         """Decode a committed command and append it to the chain's ledger."""
         try:
             block = decode_block(command)
         except DecodeError as exc:
-            return digest, exc, None
+            return command, exc, None
         try:
             append_block(self.canonical[chain], block)
         except LedgerError:
             self.skipped += 1  # a stale proposal from a superseded leader
-            return digest, block, None
-        return digest, block, block.header.height
+            return command, block, None
+        return command, block, block.header.height
 
     def _record_vote(self, node: _Node, term: int, candidate: int) -> None:
         key = (node.chain_id, term, node.node_id)
@@ -663,7 +662,7 @@ class Simulation:
             return
         buf = node.buffer[chain]
         buf.setdefault(header.height, header)
-        bar, tail, confirmed = view.bar, len(headers), len(view.order)
+        bar, tail, ordered = view.bar, len(headers), len(view.order)
         ledger = self.canonical[chain]
         while len(headers) in buf:
             nxt = buf.pop(len(headers))
@@ -682,7 +681,13 @@ class Simulation:
                 )
                 break
         if len(headers) > tail:
-            self._bar_advance(node, bar, confirmed, now)
+            # add never lowers the bar; when it rises, check the order's new suffix
+            if view.bar > bar:
+                self.bar_rows.append((now, node.node_id, view.bar))
+                if not self.longest.check(view.order, node.node_id, ordered):
+                    holder = self.longest.holder
+                    self._flag(f"prefix-consistency nodes={holder},{node.node_id} t={now}")
+            self._sample_latency(node, now)
 
     def _gossip_block(self, node: _Node, header: BlockHeader, now: int) -> None:
         for dst in range(self.cfg.num_nodes):
@@ -694,36 +699,16 @@ class Simulation:
             self._count("Gossip")
             self._push(now + delay, _GOSSIP, dst, header)
 
-    def _bar_advance(self, node: _Node, old_bar: int, confirmed: int, now: int) -> None:
-        """Record a rise of the node's bar; check its order past position confirmed."""
-        view = node.view
-        if view.bar < old_bar:
-            self._flag(f"confirmbar-regression node={node.node_id} t={now}")
-            return
-        if view.bar > old_bar:
-            self.bar_rows.append((now, node.node_id, view.bar))
-            if not self.longest.check(view.order, node.node_id, confirmed):
-                holder = self.longest.holder
-                self._flag(f"prefix-consistency nodes={holder},{node.node_id} t={now}")
-        self._sample_latency(node, now)
-
     def _sample_latency(self, node: _Node, now: int) -> None:
-        bar = node.view.bar
-        headers = node.view.chains[node.chain_id]
-        while node.confirmed_ptr < len(headers):
-            header = headers[node.confirmed_ptr]
-            if header.rank >= bar:
-                break
-            if header.height > node.height:
-                break  # body not applied locally yet; a peer will sample it
-            # heights are confirmed in order, so the sampled ones form a prefix
-            if header.height > self.sampled[node.chain_id]:
-                self.sampled[node.chain_id] = header.height
-                block = self.canonical[node.chain_id].blocks[header.height]
-                for tx in block.transactions:
-                    submit = self.submit_times[tx.nonce]
-                    self.latency_rows.append((tx.nonce, submit, now, now - submit))
-            node.confirmed_ptr += 1
+        """Sample txs of the heights the node applied that view.confirmed puts below its bar."""
+        chain = node.chain_id
+        top = min(node.view.confirmed[chain], node.height + 1)
+        blocks, submit_times = self.canonical[chain].blocks, self.submit_times
+        for height in range(self.sampled[chain] + 1, top):
+            for tx in blocks[height].transactions:
+                submit = submit_times[tx.nonce]
+                self.latency_rows.append((tx.nonce, submit, now, now - submit))
+            self.sampled[chain] = height
 
     # -- event handlers --------------------------------------------------------
 
@@ -771,7 +756,6 @@ class Simulation:
         for chain, tx in arrivals:
             self.pending[chain].append(tx)
             self.submit_times[tx.nonce] = now
-        self.submitted += len(arrivals)
 
     def _on_snapshot(self, now: int) -> None:
         live = [node for node in self.nodes if node.node_id not in self.crashed]
@@ -908,7 +892,7 @@ class Simulation:
             committed_txs=committed_txs,
             committed_blocks=committed_blocks,
             skipped_blocks=self.skipped,
-            submitted_txs=self.submitted,
+            submitted_txs=len(self.submit_times),  # every arrival is processed
             latency_rows=self.latency_rows,
             bar_rows=self.bar_rows,
             message_counts=self.counts,
@@ -941,12 +925,10 @@ class Simulation:
                     break
             if first.view.order != reference_total_order(first.view):
                 self._flag(f"prefix-stability node={first.node_id} t=final")
-            hash_to_block = {}
-            for ledger in self.canonical.values():
-                hash_to_block.update(zip(ledger.hashes, ledger.blocks))
             for rank, chain, height, bh in first.view.order:
-                body = hash_to_block.get(bh)
-                tx_count = len(body.transactions) if body is not None else 0
+                ledger = self.canonical[chain]
+                held = ledger.hashes[height] == bh
+                tx_count = len(ledger.blocks[height].transactions) if held else 0
                 self.final_order.append((rank, chain, height, bh.hex(), tx_count))
 
         # log matching: deepest shared (index, term) implies identical prefixes
@@ -1017,14 +999,13 @@ def measure_scaling(
             tx_rate=per_chain_rate * c,
         )
         trace = run_simulation(cfg)
-        window = max(1, cfg.run_duration - trace.workload_start)
         points.append(
             ScalingPoint(
                 chains=c,
                 nodes=cfg.num_nodes,
                 committed_txs=trace.total_committed_txs(),
-                window=window,
-                throughput=trace.total_committed_txs() / window,
+                window=trace.window,
+                throughput=trace.throughput(),
             )
         )
     return points

@@ -149,3 +149,19 @@ def test_beacon_stats_digests_are_pinned(tmp_path, capsys):
         for path in sorted(tmp_path.iterdir())
     }
     assert digests == BEACON_STATS
+
+
+SCALE = {
+    "scaling.csv": "71cda6d7199c12700b2640671fac3510a8fc4616962f9acc91731b24c62b739e",
+    "scaling_summary.txt": "1c62388b9481fe505cd2f78e0beeabab9ac61b2f32707530b5b73987b317acad",
+}
+
+
+def test_scale_digests_are_pinned(tmp_path, capsys):
+    assert main(["scale", "--chains", "1,2", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.iterdir())
+    }
+    assert digests == SCALE

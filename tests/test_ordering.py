@@ -244,6 +244,9 @@ def test_prefix_stability_as_views_grow():
                 order = total_order(view)
                 assert order == reference_total_order(view)
                 assert order[: len(earlier)] == earlier
+                for chain, headers in enumerate(view.chains):
+                    below = sum(h.rank < view.bar for h in headers)
+                    assert view.confirmed[chain] == below
                 earlier = order
 
 

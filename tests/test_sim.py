@@ -15,7 +15,7 @@ import shadowraft.sim as sim_module
 from shadowraft.beacon import Certificate
 from shadowraft.ledger import encode_block, hash_header, make_genesis, new_block
 from shadowraft.ordering import GlobalView, propose_rank_fields
-from shadowraft.raft import LogEntry, RaftNode, VoteReply
+from shadowraft.raft import LogEntry, RaftNode, Role, VoteReply
 from shadowraft.sim import (
     ConfigError,
     SimConfig,
@@ -263,6 +263,45 @@ def test_latency_rows_are_well_formed():
     assert 0 < mean <= p95
 
 
+@pytest.mark.parametrize("seed,chains", [(11, 2), (5, 3), (27, 4)])
+def test_latency_samples_each_confirmed_applied_transaction_once(seed, chains):
+    # computed from the headers each member holds, not from view.confirmed
+    cfg = small_cfg(seed=seed, num_nodes=3 * chains, num_chains=chains, tx_rate=0.6)
+    sim = Simulation(cfg)
+    trace = sim.run()
+    assert not trace.safety_flags
+    nonces = [row[0] for row in trace.latency_rows]
+    assert len(nonces) == len(set(nonces))
+    expected = set()
+    for chain, members in enumerate(sim.assignment):
+        top = -1
+        for n in members:
+            node = sim.nodes[n]
+            held = [
+                h for h in node.view.chains[chain]
+                if h.rank < node.view.bar and h.height <= node.height
+            ]
+            top = max(top, len(held) - 1)
+        assert top > 0, chain
+        for block in sim.canonical[chain].blocks[1 : top + 1]:
+            expected.update(tx.nonce for tx in block.transactions)
+    assert expected and set(nonces) == expected
+
+
+def test_latency_waits_for_the_node_to_apply_the_block():
+    sim = Simulation(small_cfg(num_nodes=5, run_duration=600))
+    sim.run()
+    node = sim.nodes[sim.assignment[0][0]]
+    blocks = sim.canonical[0].blocks
+    assert node.height == len(blocks) - 1 > 3 and blocks[3].header.rank < node.view.bar
+    assert all(block.transactions for block in blocks[1:4])
+    node.height = 2  # as if the node had applied heights 1 and 2 only
+    sim.sampled[0], sim.latency_rows = 0, []
+    sim._sample_latency(node, sim.now)
+    nonces = [tx.nonce for block in blocks[1:3] for tx in block.transactions]
+    assert [row[0] for row in sim.latency_rows] == nonces
+
+
 def test_final_order_shape():
     trace = run_simulation(small_cfg(num_nodes=6, num_chains=2, run_duration=1200))
     order = trace.final_order
@@ -356,6 +395,81 @@ def test_second_vote_in_a_term_is_flagged():
     assert sim.flags == [
         f"vote-safety chain={voter.chain_id} term={term} voter=0 candidates={a},{b}"
     ]
+
+
+def test_second_leader_in_a_won_term_is_flagged():
+    sim = Simulation(small_cfg(num_nodes=5, run_duration=400))
+    sim.run()
+    assert not sim.flags
+    term = max(t for c, t in sim.election_winners if c == 0)
+    winner = sim.election_winners[(0, term)]
+    other = sim.nodes[next(n for n in sim.assignment[0] if n != winner)]
+    r = other.raft
+    r.current_term, r.role, r.votes = term, Role.CANDIDATE, set(r.cluster)
+    sim._after_raft(other, sim.now, r._maybe_win(sim.now))
+    assert sim.flags == [
+        f"election-safety chain=0 term={term} leaders={winner},{other.node_id}"
+    ]
+
+
+def test_commit_past_the_leaders_acks_is_flagged():
+    sim = Simulation(small_cfg(num_nodes=5, run_duration=400))
+    sim.run()
+    assert not sim.flags
+    leader = next(n for n in sim.nodes if n.raft.role is Role.LEADER)
+    r = leader.raft
+    index = r.last_log_index() + 1
+    r.log.append(LogEntry(r.current_term, index, b""))  # a no-op no peer holds
+    r.commit_index = index
+    sim._after_raft(leader, sim.now, [])
+    assert sim.flags == [
+        f"commit-quorum chain={leader.chain_id} index={index} acks=1 quorum={r.quorum}"
+    ]
+    assert leader.applied == index
+
+
+def test_entries_that_differ_below_a_shared_index_and_term_are_flagged():
+    sim = Simulation(small_cfg(num_nodes=5, run_duration=400))
+    sim.run()
+    assert not sim.flags
+    first, *others = sim.assignment[0]
+    log = sim.nodes[first].raft.log
+    assert all(sim.nodes[n].raft.log == log for n in others)
+    log[0] = log[0]._replace(command=log[0].command + b"\x00")  # same index and term
+    sim._final_checks()
+    assert sim.flags == [f"log-matching chain=0 nodes={first},{n}" for n in others]
+
+
+def test_node_whose_final_order_differs_is_flagged(monkeypatch):
+    cfg = small_cfg(seed=27, num_nodes=9, num_chains=3, run_duration=1200)
+    assert run_simulation(cfg).safety_flags == []
+    skip = 4
+    real_gossip = Simulation._gossip_block
+
+    def skipping(self, node, header, now):
+        # node `skip` hears of no header it does not apply itself
+        self.crashed.add(skip)
+        try:
+            real_gossip(self, node, header, now)
+        finally:
+            self.crashed.discard(skip)
+
+    monkeypatch.setattr(Simulation, "_gossip_block", skipping)
+    sim = Simulation(cfg)
+    trace = sim.run()
+    assert len(sim.nodes[skip].view.order) < len(sim.nodes[0].view.order)
+    assert trace.safety_flags == [f"final-order-divergence nodes=0,{skip}"]
+
+
+def test_final_order_that_is_not_the_reference_order_is_flagged():
+    sim = Simulation(small_cfg(num_nodes=5, run_duration=400))
+    sim.run()
+    assert not sim.flags
+    order = sim.nodes[0].view.order
+    order[1], order[2] = order[2], order[1]
+    sim._final_checks()
+    # the swap also parts node 0's order from the next node's
+    assert sim.flags == ["final-order-divergence nodes=0,1", "prefix-stability node=0 t=final"]
 
 
 def counted(calls, name, fn):
@@ -743,6 +857,18 @@ def test_scaling_baseline_matches_plain_run():
     assert point.committed_txs == plain.total_committed_txs()
     assert point.throughput == pytest.approx(plain.throughput())
     assert point.nodes == 5
+
+
+def test_run_whose_beacon_outlasts_the_workload_commits_nothing():
+    base = small_cfg(num_nodes=5, delta=10, run_duration=5)
+    trace = run_simulation(base)
+    assert trace.workload_start > base.run_duration
+    assert trace.submitted_txs == trace.total_committed_txs() == 0
+    assert trace.window == 1 and trace.throughput() == 0.0
+    header, row = trace.csv_outputs()["throughput.csv"].decode().splitlines()
+    assert row.split(",")[3:] == ["1", "0.000000"]
+    [point] = measure_scaling(base, [1])
+    assert (point.window, point.throughput) == (1, 0.0)
 
 
 def test_scaling_grows_with_chain_count():
