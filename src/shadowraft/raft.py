@@ -14,7 +14,8 @@ behind catch up through the leader's next_index backtracking (decrement by
 one per rejection) and through entry batches attached at submit time.
 
 Log entries and messages are immutable named tuples: cheap to build, since a
-run builds one per send, and still dispatched by ``isinstance``.
+run builds one per send. ``handle_message`` dispatches on the exact type
+through one table, so a subclass of a message type is not a message.
 """
 
 from __future__ import annotations
@@ -22,13 +23,17 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple, Sequence, Union
 
-from .rng import Stream
+from .rng import Stream, below_limit
 
 
 class Role(Enum):
     FOLLOWER = "follower"
     CANDIDATE = "candidate"
     LEADER = "leader"
+
+
+# bound once: EnumType.__getattr__ makes each Role.X lookup several times a global's cost
+FOLLOWER, CANDIDATE, LEADER = Role.FOLLOWER, Role.CANDIDATE, Role.LEADER
 
 
 class NotLeader(Exception):
@@ -111,7 +116,7 @@ class RaftNode:
         self.voted_for: int | None = None
         self.log: list[LogEntry] = []
         self.commit_index = 0
-        self.role = Role.FOLLOWER
+        self.role = FOLLOWER
         self.leader_id: int | None = None
         self.votes: set[int] = set()
         self.next_index: dict[int, int] = {}
@@ -120,22 +125,27 @@ class RaftNode:
         self.election_timeout = election_timeout
         self.heartbeat_interval = heartbeat_interval
         self._timeouts = timeout_stream
+        self._timeout_limit = below_limit(election_timeout)
         self.election_deadline = now + self._draw_timeout()
         self.heartbeat_deadline = 0
 
     # -- timing ---------------------------------------------------------
 
     def _draw_timeout(self) -> int:
-        # uniform in [T, 2T)
-        return self.election_timeout + self._timeouts.next_below(self.election_timeout)
+        """T + next_below(T), uniform in [T, 2T), by next_below's loop inlined."""
+        next_u64, limit = self._timeouts.next_u64, self._timeout_limit
+        v = next_u64()
+        while v >= limit:
+            v = next_u64()
+        return self.election_timeout + v % self.election_timeout
 
     def next_deadline(self) -> int:
-        if self.role is Role.LEADER:
+        if self.role is LEADER:
             return self.heartbeat_deadline
         return self.election_deadline
 
     def tick(self, now: int) -> Outgoing:
-        if self.role is Role.LEADER:
+        if self.role is LEADER:
             if now >= self.heartbeat_deadline:
                 self.heartbeat_deadline = now + self.heartbeat_interval
                 return [(p, self._make_append(p, heartbeat=True)) for p in self.peers]
@@ -152,25 +162,22 @@ class RaftNode:
     def last_log_term(self) -> int:
         return self.log[-1].term if self.log else 0
 
-    def _term_at(self, index: int) -> int:
-        return self.log[index - 1].term if index >= 1 else 0
-
     def _step_down(self, term: int) -> None:
         # a vote binds for the whole term: only a newer term may clear it
         if term > self.current_term:
             self.current_term = term
             self.voted_for = None
-        self.role = Role.FOLLOWER
+        self.role = FOLLOWER
         self.votes = set()
         self.leader_id = None
 
     # -- elections --------------------------------------------------------
 
     def handle_election_timeout(self, now: int) -> Outgoing:
-        if self.role is Role.LEADER:
+        if self.role is LEADER:
             return []
         self.current_term += 1
-        self.role = Role.CANDIDATE
+        self.role = CANDIDATE
         self.voted_for = self.node_id
         self.votes = {self.node_id}
         self.leader_id = None
@@ -205,7 +212,7 @@ class RaftNode:
         if msg.term > self.current_term:
             self._step_down(msg.term)
             return []
-        if self.role is not Role.CANDIDATE or msg.term < self.current_term:
+        if self.role is not CANDIDATE or msg.term < self.current_term:
             return []
         if msg.granted:
             self.votes.add(src)
@@ -213,8 +220,8 @@ class RaftNode:
         return []
 
     def _maybe_win(self, now: int) -> Outgoing:
-        if self.role is Role.CANDIDATE and len(self.votes) >= self.quorum:
-            self.role = Role.LEADER
+        if self.role is CANDIDATE and len(self.votes) >= self.quorum:
+            self.role = LEADER
             self.leader_id = self.node_id
             self.next_index = {p: self.last_log_index() + 1 for p in self.peers}
             self.match_index = {p: 0 for p in self.peers}
@@ -226,7 +233,7 @@ class RaftNode:
     # -- replication --------------------------------------------------------
 
     def client_submit(self, command: bytes, now: int) -> Outgoing:
-        if self.role is not Role.LEADER:
+        if self.role is not LEADER:
             raise NotLeader(f"node {self.node_id} is {self.role.value}")
         entry = LogEntry(self.current_term, self.last_log_index() + 1, command)
         self.log.append(entry)
@@ -237,40 +244,38 @@ class RaftNode:
 
     def _make_append(self, peer: int, heartbeat: bool = False) -> AppendEntries:
         prev = self.next_index[peer] - 1
-        entries = () if heartbeat else tuple(self.log[prev:])
+        log = self.log
         return AppendEntries(
-            term=self.current_term,
-            leader_id=self.node_id,
-            prev_log_index=prev,
-            prev_log_term=self._term_at(prev),
-            entries=entries,
-            leader_commit=self.commit_index,
+            self.current_term,
+            self.node_id,
+            prev,
+            log[prev - 1].term if prev > 0 else 0,
+            () if heartbeat else tuple(log[prev:]),
+            self.commit_index,
         )
 
     def handle_append_entries(self, src: int, msg: AppendEntries, now: int) -> Outgoing:
         if msg.term < self.current_term:
             return [(src, AppendReply(self.current_term, False, 0))]
-        if msg.term > self.current_term or self.role is not Role.FOLLOWER:
+        if msg.term > self.current_term or self.role is not FOLLOWER:
             self._step_down(msg.term)
         self.leader_id = msg.leader_id
         self.election_deadline = now + self._draw_timeout()
 
-        if msg.prev_log_index > 0 and (
-            msg.prev_log_index > self.last_log_index()
-            or self._term_at(msg.prev_log_index) != msg.prev_log_term
-        ):
+        log, prev, entries = self.log, msg.prev_log_index, msg.entries
+        if prev > 0 and (prev > len(log) or log[prev - 1].term != msg.prev_log_term):
             return [(src, AppendReply(self.current_term, False, 0))]
 
-        index = msg.prev_log_index
-        for entry in msg.entries:
+        index = prev
+        for entry in entries:
             index += 1
-            if index <= self.last_log_index():
-                if self.log[index - 1].term != entry.term:
-                    del self.log[index - 1 :]
-                    self.log.append(entry)
+            if index <= len(log):
+                if log[index - 1].term != entry.term:
+                    del log[index - 1 :]
+                    log.append(entry)
             else:
-                self.log.append(entry)
-        last_new = msg.prev_log_index + len(msg.entries)
+                log.append(entry)
+        last_new = prev + len(entries)
         if msg.leader_commit > self.commit_index:
             self.commit_index = max(self.commit_index, min(msg.leader_commit, last_new))
         return [(src, AppendReply(self.current_term, True, last_new))]
@@ -279,7 +284,7 @@ class RaftNode:
         if msg.term > self.current_term:
             self._step_down(msg.term)
             return []
-        if self.role is not Role.LEADER or msg.term < self.current_term:
+        if self.role is not LEADER or msg.term < self.current_term:
             return []
         if msg.success:
             if msg.match_index > self.match_index[src]:
@@ -291,10 +296,11 @@ class RaftNode:
         return [(src, self._make_append(src))]
 
     def _advance_commit(self) -> None:
-        for index in range(self.last_log_index(), self.commit_index, -1):
-            if self._term_at(index) != self.current_term:
+        log, match = self.log, self.match_index
+        for index in range(len(log), self.commit_index, -1):
+            if log[index - 1].term != self.current_term:
                 break
-            acks = 1 + sum(1 for p in self.peers if self.match_index[p] >= index)
+            acks = 1 + sum(1 for p in self.peers if match[p] >= index)
             if acks >= self.quorum:
                 self.commit_index = index
                 break
@@ -302,12 +308,16 @@ class RaftNode:
     # -- dispatch -------------------------------------------------------------
 
     def handle_message(self, src: int, msg: RaftMessage, now: int) -> Outgoing:
-        if isinstance(msg, VoteRequest):
-            return self.handle_vote_request(src, msg, now)
-        if isinstance(msg, VoteReply):
-            return self.handle_vote_reply(src, msg, now)
-        if isinstance(msg, AppendEntries):
-            return self.handle_append_entries(src, msg, now)
-        if isinstance(msg, AppendReply):
-            return self.handle_append_reply(src, msg, now)
-        raise TypeError(f"not a raft message: {msg!r}")
+        handler = _HANDLERS.get(type(msg))
+        if handler is None:
+            raise TypeError(f"not a raft message: {msg!r}")
+        return handler(self, src, msg, now)
+
+
+# handle_message's dispatch, keyed by exact message type
+_HANDLERS = {
+    VoteRequest: RaftNode.handle_vote_request,
+    VoteReply: RaftNode.handle_vote_reply,
+    AppendEntries: RaftNode.handle_append_entries,
+    AppendReply: RaftNode.handle_append_reply,
+}

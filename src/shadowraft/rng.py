@@ -24,9 +24,19 @@ without consuming them, and ``skip(n)`` consumes n bytes, so a caller can
 read several draws at once and take them only when none would be rejected.
 
 ``next_below(n)`` is unbiased: it draws 64-bit values and rejects any draw
-at or above the largest multiple of ``n`` that fits in 64 bits. ``shuffle``
-is the in-place Fisher-Yates shuffle walking indices from high to low and
-drawing each swap partner via ``next_below``.
+at or above ``below_limit(n)``, the largest multiple of ``n`` that fits in
+64 bits, and returns the first kept draw modulo ``n``. A hot caller with a
+fixed ``n`` reads the same draws by computing the limit once and running the
+same loop on ``next_u64``, with no call between it and the stream::
+
+    v = next_u64()
+    while v >= limit:
+        v = next_u64()
+    ... v % n ...
+
+The simulator's Raft and gossip delays and each node's election timeout are
+drawn this way. ``shuffle`` is the in-place Fisher-Yates shuffle walking
+indices from high to low and drawing each swap partner via ``next_below``.
 """
 
 from __future__ import annotations
@@ -129,10 +139,10 @@ class Stream:
         if n > _U64:
             raise ValueError("n exceeds 64-bit range")
         limit = below_limit(n)
-        while True:
+        v = self.next_u64()
+        while v >= limit:
             v = self.next_u64()
-            if v < limit:
-                return v % n
+        return v % n
 
     def uniform_int(self, lo: int, hi: int) -> int:
         """Uniform draw from the inclusive range [lo, hi]."""

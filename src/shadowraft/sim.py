@@ -20,7 +20,9 @@ gaps, one draw each. A node's superseded Raft deadline is not an event.
 Two delay regimes: the beacon phase is synchronous with bound delta, the
 Raft/gossip phase draws per-message delays uniformly from
 [raft_delay_min, raft_delay_max]. Raft messages and gossip draw them from
-separate streams, so a change to gossip moves no Raft delay. Crashes are
+separate streams, so a change to gossip moves no Raft delay. Each delay is
+raft_delay_min + next_below(span), read by next_below's loop inlined on the
+stream's next_u64 with a limit computed once per run (see rng). Crashes are
 crash-stop, at most one per node: from the scheduled tick onward the node
 receives nothing, fires nothing, sends nothing, and never recovers.
 
@@ -75,7 +77,7 @@ from .ordering import (
     reference_total_order,
     validate_view,
 )
-from .raft import RaftNode, Role, VoteReply, quorum_threshold
+from .raft import LEADER, RaftNode, VoteReply, quorum_threshold
 from .rng import Stream, below_limit, chance_limit
 from .sealing import KeyDirectory, SealedPayload, SealingError, seal
 
@@ -429,6 +431,9 @@ class Simulation:
 
         self._delay = Stream.from_labels("delays", config.seed)
         self._gossip = Stream.from_labels("gossip", config.seed)
+        # a delay is raft_delay_min + next_below(_delay_span): see rng.below_limit
+        self._delay_span = config.raft_delay_max - config.raft_delay_min + 1
+        self._delay_limit = below_limit(self._delay_span)
         self._workload = Stream.from_labels("workload", config.seed)
         self.directory = KeyDirectory.generate(
             config.num_seal_keys, Stream.from_labels("seal", config.seed)
@@ -462,11 +467,6 @@ class Simulation:
 
     def _flag(self, text: str) -> None:
         self.flags.append(text)
-
-    def _send(self, src: int, dst: int, msg, now: int) -> None:
-        delay = self._delay.uniform_int(self.cfg.raft_delay_min, self.cfg.raft_delay_max)
-        self._count(type(msg).__name__)
-        self._push(now + delay, _MSG, dst, (src, msg))
 
     def _arm_timer(self, node: _Node, now: int) -> None:
         """Move the node's timer to its deadline; it fires at the seq reserved here.
@@ -560,9 +560,9 @@ class Simulation:
     # -- raft interaction --------------------------------------------------
 
     def _after_raft(self, node: _Node, now: int, outgoing) -> None:
-        pending = list(outgoing)
+        """Send what a Raft handler returned, then apply new commits and re-arm the timer."""
         r = node.raft
-        if r.role is Role.LEADER and r.current_term != node.led_term:
+        if r.role is LEADER and r.current_term != node.led_term:
             node.led_term = r.current_term
             key = (node.chain_id, r.current_term)
             holder = self.election_winners.setdefault(key, node.node_id)
@@ -572,19 +572,32 @@ class Simulation:
                     f"leaders={holder},{node.node_id}"
                 )
             # a no-op entry lets the new leader commit inherited entries
-            pending.extend(r.client_submit(b"", now))
-        for dst, msg in pending:
-            if type(msg) is VoteReply and msg.granted:
+            outgoing = outgoing + r.client_submit(b"", now)
+        # each send: its delay draw, its count and its heap entry
+        next_u64, limit = self._delay.next_u64, self._delay_limit
+        lo, span = self.cfg.raft_delay_min, self._delay_span
+        src, counts, queue, seq = node.node_id, self.counts, self.queue, self._seq
+        for dst, msg in outgoing:
+            kind = type(msg)
+            if kind is VoteReply and msg.granted:
                 self._record_vote(node, msg.term, dst)
-            self._send(node.node_id, dst, msg, now)
-        if r.commit_index > node.applied and r.role is Role.LEADER:
-            acks = 1 + sum(1 for p in r.peers if r.match_index[p] >= r.commit_index)
-            if acks < r.quorum:
-                self._flag(
-                    f"commit-quorum chain={node.chain_id} "
-                    f"index={r.commit_index} acks={acks} quorum={r.quorum}"
-                )
-        self._apply_committed(node, now)
+            v = next_u64()
+            while v >= limit:
+                v = next_u64()
+            name = kind.__name__
+            counts[name] = counts.get(name, 0) + 1
+            seq += 1
+            heapq.heappush(queue, (now + lo + v % span, seq, _MSG, dst, (src, msg)))
+        self._seq = seq
+        if r.commit_index > node.applied:
+            if r.role is LEADER:
+                acks = 1 + sum(1 for p in r.peers if r.match_index[p] >= r.commit_index)
+                if acks < r.quorum:
+                    self._flag(
+                        f"commit-quorum chain={node.chain_id} "
+                        f"index={r.commit_index} acks={acks} quorum={r.quorum}"
+                    )
+            self._apply_committed(node, now)
         self._arm_timer(node, now)
 
     def _apply_committed(self, node: _Node, now: int) -> None:
@@ -690,14 +703,20 @@ class Simulation:
             self._sample_latency(node, now)
 
     def _gossip_block(self, node: _Node, header: BlockHeader, now: int) -> None:
+        next_u64, limit = self._gossip.next_u64, self._delay_limit
+        lo, span = self.cfg.raft_delay_min, self._delay_span
+        src, crashed, queue, seq = node.node_id, self.crashed, self.queue, self._seq
         for dst in range(self.cfg.num_nodes):
-            if dst == node.node_id or dst in self.crashed:
+            if dst == src or dst in crashed:
                 continue
-            delay = self._gossip.uniform_int(
-                self.cfg.raft_delay_min, self.cfg.raft_delay_max
-            )
-            self._count("Gossip")
-            self._push(now + delay, _GOSSIP, dst, header)
+            v = next_u64()
+            while v >= limit:
+                v = next_u64()
+            seq += 1
+            heapq.heappush(queue, (now + lo + v % span, seq, _GOSSIP, dst, header))
+        if seq > self._seq:
+            self._count("Gossip", seq - self._seq)
+            self._seq = seq
 
     def _sample_latency(self, node: _Node, now: int) -> None:
         """Sample txs of the heights the node applied that view.confirmed puts below its bar."""
@@ -717,7 +736,7 @@ class Simulation:
         leaders = [
             self.nodes[n]
             for n in committee
-            if n not in self.crashed and self.nodes[n].raft.role is Role.LEADER
+            if n not in self.crashed and self.nodes[n].raft.role is LEADER
         ]
         if not leaders:
             return

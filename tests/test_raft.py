@@ -5,6 +5,7 @@ random.Random, no simulator imports) so the safety properties are not
 checked with the machinery under test.
 """
 
+import copy
 import heapq
 import random
 
@@ -30,6 +31,11 @@ def build_cluster(n, seed=0, timeout=100, heartbeat=20):
         i: RaftNode(i, ids, timeout, heartbeat, Stream.from_labels("raft-test", seed, i))
         for i in ids
     }
+
+
+def state(node):
+    """A copy of a node's fields but its timeout stream, which compares by identity."""
+    return copy.deepcopy({k: v for k, v in vars(node).items() if k != "_timeouts"})
 
 
 def elect(nodes, candidate, now=0):
@@ -352,6 +358,32 @@ def test_dispatch_rejects_unknown_message():
     # a message's fields as a bare tuple are not a message
     with pytest.raises(TypeError):
         node.handle_message(1, (1, True), 0)
+
+
+@pytest.mark.parametrize(
+    "msg, handler",
+    [
+        (VoteRequest(1, 1, 0, 0), "handle_vote_request"),
+        (VoteReply(1, True), "handle_vote_reply"),
+        (AppendEntries(1, 1, 0, 0, (LogEntry(1, 1, b"x"),), 1), "handle_append_entries"),
+        (AppendReply(1, True, 1), "handle_append_reply"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+)
+def test_dispatch_is_by_exact_message_type(msg, handler):
+    a, b = build_cluster(3)[0], build_cluster(3)[0]
+    for node in (a, b):
+        node.handle_election_timeout(0)  # a candidate in term 1
+    assert a.handle_message(1, msg, 5) == getattr(b, handler)(1, msg, 5)
+    assert state(a) == state(b)
+
+    # a subclass of a message type is not a message: rejected before any state change
+    subclass = type("Sub" + type(msg).__name__, (type(msg),), {})
+    before = state(a)
+    with pytest.raises(TypeError, match="not a raft message"):
+        a.handle_message(1, subclass(*msg), 6)
+    assert state(a) == before
+    assert a._timeouts.next_u64() == b._timeouts.next_u64()  # the same timeouts drawn
 
 
 @pytest.mark.parametrize(

@@ -7,13 +7,16 @@ cannot share a bug.
 """
 
 import struct
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from oracles import OracleStream, oracle_key
 
+from shadowraft.raft import AppendEntries, AppendReply, RaftNode
 from shadowraft.rng import Stream, stream_key
+from shadowraft.sim import SimConfig, Simulation
 
 
 def test_key_matches_oracle():
@@ -258,3 +261,73 @@ def test_skip_rejects_negative_counts_without_moving():
     with pytest.raises(ValueError):
         s.skip(-300)
     assert s.next_bytes(30) == OracleStream(key).read(35)[5:]
+
+
+# -- next_below's loop inlined on next_u64 (see rng.below_limit) -----------------
+#
+# The simulator's Raft and gossip delays and each node's election timeout read
+# next_below(n) by the same rejection loop, written at the call site. Spans 1 and
+# 5 reject (almost) never; at 2**63 + 1, below_limit is 2**63 + 1 itself, so
+# about half of all draws reject and the loop's rejection branch runs.
+_SPANS = [1, 5, 1000, 2**63 + 1]
+
+
+def _oracle_below(key, n, count):
+    """count next_below(n) draws read by the oracle, and how many u64s it rejected."""
+    o = OracleStream(key)
+    limit = (1 << 64) - (1 << 64) % n
+    draws, rejected = [], 0
+    while len(draws) < count:
+        v = o.u64()
+        if v < limit:
+            draws.append(v % n)
+        else:
+            rejected += 1
+    return draws, rejected
+
+
+@pytest.mark.parametrize("span", _SPANS)
+def test_simulator_delays_match_uniform_int_on_twin_streams(span):
+    lo, hi, seed, now = 3, 3 + span - 1, 11, 7
+    sim = Simulation(SimConfig(seed=seed, num_nodes=6, raft_delay_min=lo, raft_delay_max=hi))
+    sim.end_time = -1  # arm no timer: only the sends reach the queue
+    raft = RaftNode(0, range(6), 100, 20, Stream.from_labels("unused"))
+    node = SimpleNamespace(node_id=0, chain_id=0, raft=raft, led_term=0, applied=0)
+    for _ in range(8):
+        sim._after_raft(node, now, [(dst, AppendReply(0, True, 0)) for dst in range(1, 6)])
+        sim._gossip_block(node, "header", now)
+    entries = sorted(sim.queue, key=lambda e: e[1])
+    sent = {
+        "delays": [e[0] - now for e in entries if e[4] != "header"],
+        "gossip": [e[0] - now for e in entries if e[4] == "header"],
+    }
+    assert [len(v) for v in sent.values()] == [40, 40]
+    assert sim.counts == {"AppendReply": 40, "Gossip": 40}
+    for label, stream in (("delays", sim._delay), ("gossip", sim._gossip)):
+        twin = Stream.from_labels(label, seed)
+        assert sent[label] == [twin.uniform_int(lo, hi) for _ in range(40)], label
+        draws, rejected = _oracle_below(oracle_key(label, seed), span, 40)
+        assert sent[label] == [lo + d for d in draws], label
+        assert stream.next_u64() == twin.next_u64()  # the same bytes consumed
+        if span == 2**63 + 1:
+            assert rejected > 5
+
+
+@pytest.mark.parametrize("timeout", _SPANS)
+def test_raft_timeouts_match_next_below_on_a_twin_stream(timeout):
+    labels = ("timeout", 5, 0)
+    stream, twin = Stream.from_labels(*labels), Stream.from_labels(*labels)
+    node = RaftNode(0, [0, 1, 2], timeout, 1, stream, now=0)
+    got = [node.election_deadline]
+    for now in range(1, 40):
+        if now % 3:
+            node.handle_election_timeout(now)
+        else:  # a leader's heartbeat: the candidate steps down and redraws
+            node.handle_message(1, AppendEntries(node.current_term, 1, 0, 0, (), 0), now)
+        got.append(node.election_deadline - now)
+    assert got == [timeout + twin.next_below(timeout) for _ in got]
+    draws, rejected = _oracle_below(oracle_key(*labels), timeout, len(got))
+    assert got == [timeout + d for d in draws]
+    assert stream.next_u64() == twin.next_u64()
+    if timeout == 2**63 + 1:
+        assert rejected > 5
