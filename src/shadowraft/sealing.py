@@ -7,16 +7,18 @@ tag), fixed project-wide. Each key builds its cipher context once. Nonces
 come from a per-key counter so uniqueness is provable under deterministic
 simulation seeds.
 
-Wire layout of a sealed payload:
+A sealed payload is its wire bytes, with no decoded form:
 
     key_id u32 || nonce 12B || ciphertext_len u64 || ciphertext || auth_tag 16B
+
+AES-GCM returns ciphertext || auth_tag, so ``seal`` appends it to the packed
+head, and ``unseal`` checks the head and decrypts everything after it.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -68,50 +70,44 @@ class SealKey:
         self.aead = AESGCM(self.key_bytes)
 
 
-class SealedPayload(NamedTuple):
-    key_id: int
-    nonce: bytes
-    ciphertext: bytes
-    auth_tag: bytes
-
-    def encode(self) -> bytes:
-        head = _HEAD.pack(self.key_id, self.nonce, len(self.ciphertext))
-        return head + self.ciphertext + self.auth_tag
-
-    @classmethod
-    def decode(cls, data: bytes) -> "SealedPayload":
-        if len(data) < _HEAD.size + TAG_LEN:
-            raise DecodeError("sealed payload too short")
-        key_id, nonce, clen = _HEAD.unpack_from(data, 0)
-        end = _HEAD.size + clen
-        if len(data) != end + TAG_LEN:
-            raise DecodeError("sealed payload length mismatch")
-        return cls(key_id, nonce, data[_HEAD.size : end], data[end:])
-
-
 def generate_key(key_id: int, stream: Stream) -> SealKey:
     """Draw a fresh 32-byte key from a deterministic stream."""
     return SealKey(key_id, stream.next_bytes(KEY_LEN))
 
 
-def seal(key: SealKey, plaintext: bytes, associated_data: bytes) -> SealedPayload:
+def seal(key: SealKey, plaintext: bytes, associated_data: bytes) -> bytes:
+    """The wire bytes of plaintext sealed under key, with the key's next nonce."""
     if key.nonce_counter >= NONCE_LIMIT:
         raise NonceExhausted(f"key {key.key_id} has no nonces left")
     nonce = key.nonce_counter.to_bytes(NONCE_LEN, "big")
     key.nonce_counter += 1
-    ct_tag = key.aead.encrypt(nonce, plaintext, associated_data)
-    return SealedPayload(key.key_id, nonce, ct_tag[:-TAG_LEN], ct_tag[-TAG_LEN:])
+    head = _HEAD.pack(key.key_id, nonce, len(plaintext))
+    return head + key.aead.encrypt(nonce, plaintext, associated_data)
 
 
-def unseal(key: SealKey, sealed: SealedPayload, associated_data: bytes) -> bytes:
-    if sealed.key_id != key.key_id:
-        raise UnknownKey(f"sealed with key {sealed.key_id}, not {key.key_id}")
+def _parse(data: bytes) -> tuple[int, bytes]:
+    """The key id and nonce of sealed wire bytes, once their length checks out."""
+    if len(data) < _HEAD.size + TAG_LEN:
+        raise DecodeError("sealed payload too short")
+    key_id, nonce, clen = _HEAD.unpack_from(data, 0)
+    if len(data) != _HEAD.size + clen + TAG_LEN:
+        raise DecodeError("sealed payload length mismatch")
+    return key_id, nonce
+
+
+def _open(key: SealKey, nonce: bytes, data: bytes, associated_data: bytes) -> bytes:
     try:
-        return key.aead.decrypt(
-            sealed.nonce, sealed.ciphertext + sealed.auth_tag, associated_data
-        )
+        return key.aead.decrypt(nonce, data[_HEAD.size :], associated_data)
     except InvalidTag as exc:
         raise AuthFailure("authentication failed") from exc
+
+
+def unseal(key: SealKey, data: bytes, associated_data: bytes) -> bytes:
+    """The plaintext of sealed wire bytes, which must name key."""
+    key_id, nonce = _parse(data)
+    if key_id != key.key_id:
+        raise UnknownKey(f"sealed with key {key_id}, not {key.key_id}")
+    return _open(key, nonce, data, associated_data)
 
 
 class KeyDirectory:
@@ -141,5 +137,7 @@ class KeyDirectory:
         except KeyError:
             raise UnknownKey(f"no key with id {key_id}") from None
 
-    def unseal(self, sealed: SealedPayload, associated_data: bytes) -> bytes:
-        return unseal(self.get(sealed.key_id), sealed, associated_data)
+    def unseal(self, data: bytes, associated_data: bytes) -> bytes:
+        """The plaintext of sealed wire bytes, under the key they name."""
+        key_id, nonce = _parse(data)
+        return _open(self.get(key_id), nonce, data, associated_data)

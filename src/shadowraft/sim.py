@@ -15,7 +15,11 @@ workload is drawn before the run starts, as one heap entry per tick with
 arrivals: it holds that tick's transactions in nonce order and reserves one
 sequence number for each, and each transaction counts as one event. The
 ticks that get one arrival more than int(tx_rate) are drawn as geometric
-gaps, one draw each. A node's superseded Raft deadline is not an event.
+gaps, one draw each. Submit times are fixed at generation: every tick with
+arrivals is before run_duration <= end_time, and only the flush after
+end_time drops events, so each entry is processed at its own tick.
+SimConfig.validate bounds (int(tx_rate) + 1) * run_duration by 2**64, so
+every nonce fits in a u64. A node's superseded Raft deadline is not an event.
 
 Two delay regimes: the beacon phase is synchronous with bound delta, the
 Raft/gossip phase draws per-message delays uniformly from
@@ -79,7 +83,7 @@ from .ordering import (
 )
 from .raft import LEADER, RaftNode, VoteReply, quorum_threshold
 from .rng import Stream, below_limit, chance_limit
-from .sealing import KeyDirectory, SealedPayload, SealingError, seal
+from .sealing import KeyDirectory, SealingError, seal
 
 
 class SimError(Exception):
@@ -144,6 +148,8 @@ class SimConfig:
             bad("sensitive_fraction", "must be in [0, 1]")
         if self.run_duration < 1:
             bad("run_duration", "must be >= 1")
+        if (int(self.tx_rate) + 1) * self.run_duration > 2**64:
+            bad("tx_rate", "too high: need (int(tx_rate) + 1) * run_duration <= 2**64")
         if self.drain_window < 0:
             bad("drain_window", "must be >= 0")
         if self.max_batch < 1:
@@ -377,8 +383,10 @@ _KIND_NAMES = {
     _SNAPSHOT: "snapshot",
 }
 
-# one client transaction's workload draws: chain, sensitivity and fee u64s, then the payload
-_TX_DRAWS = struct.Struct(">QQQ24s")
+# one client transaction's workload draws: chain, sensitivity and fee u64s, the
+# payload, then the seal-key u64, which only a sealed transaction consumes
+_TX_DRAWS = struct.Struct(">QQQ24sQ")
+_AD = struct.Struct(">QQ").pack  # a sealed payload's associated data: nonce, fee
 
 
 class _Node:
@@ -510,52 +518,53 @@ class Simulation:
     def _generate_workload(self, start: int) -> None:
         cfg = self.cfg
         wl = self._workload
+        peek, skip, next_u64 = wl.peek, wl.skip, wl.next_u64
         whole = int(cfg.tx_rate)
         frac = cfg.tx_rate - whole
         gaps = _gap_table(frac, cfg.run_duration - start) if frac else []
-
-        def gap() -> int:
-            return 1 + bisect_right(gaps, wl.next_u64())
-
-        extra = start - 1 + gap() if frac else cfg.run_duration  # next tick with one more
-        nonce = 0
-        keys = [self.directory.get(k) for k in range(cfg.num_seal_keys)]
-        num_chains, tx_size = cfg.num_chains, _TX_DRAWS.size
+        # the next tick with one arrival more; each gap is 1 + bisect_right(gaps, draw)
+        extra = start + bisect_right(gaps, next_u64()) if frac else cfg.run_duration
+        num_chains, num_keys = cfg.num_chains, cfg.num_seal_keys
+        keys = [self.directory.get(k) for k in range(num_keys)]
         chain_limit, fee_limit = below_limit(num_chains), below_limit(1000)
+        key_limit = below_limit(num_keys)
         sensitive_limit = chance_limit(cfg.sensitive_fraction)
+        plaintexts, submit_times, new = self.plaintexts, self.submit_times, tuple.__new__
+        sealed_size = _TX_DRAWS.size
+        nonce = 0
         t = start if whole else extra
         while t < cfg.run_duration:
             k = whole
             if t == extra:
                 k += 1
-                extra += gap()
+                extra += 1 + bisect_right(gaps, next_u64())
             arrivals = []
             for _ in range(k):
-                # one read; the sequential draws only where one of them would reject
-                c, s, f, payload = wl.peek(_TX_DRAWS)
-                if c < chain_limit and f < fee_limit:
-                    wl.skip(tx_size)
-                    chain, sensitive, fee = c % num_chains, s < sensitive_limit, f % 1000
+                # one read; the sequential draws only where a draw it uses would reject
+                c, s, f, payload, key_draw = peek(_TX_DRAWS)
+                sensitive = s < sensitive_limit
+                if c < chain_limit and f < fee_limit and (not sensitive or key_draw < key_limit):
+                    skip(sealed_size if sensitive else sealed_size - 8)
+                    chain, fee, key_id = c % num_chains, f % 1000, key_draw % num_keys
                 else:
                     chain = wl.next_below(num_chains)
                     sensitive = wl.chance(cfg.sensitive_fraction)
                     fee = wl.next_below(1000)
                     payload = wl.next_bytes(24)
+                    key_id = wl.next_below(num_keys) if sensitive else 0
                 if sensitive:
-                    key = keys[wl.next_below(len(keys))]
-                    ad = nonce.to_bytes(8, "big") + fee.to_bytes(8, "big")
-                    payload_bytes = seal(key, payload, ad).encode()
-                    self.plaintexts.append(payload)
+                    plaintexts.append(payload)
+                    payload = seal(keys[key_id], payload, _AD(nonce, fee))
                 else:
-                    payload_bytes = payload
-                    self.plaintexts.append(None)
-                arrivals.append((chain, Transaction(payload_bytes, sensitive, fee, nonce)))
+                    plaintexts.append(None)
+                # fee < 1000, and SimConfig.validate keeps every nonce below 2**64
+                arrivals.append((chain, new(Transaction, (payload, sensitive, fee, nonce))))
                 nonce += 1
             # one entry per tick: its transactions take seqs seq .. seq + k - 1
             heapq.heappush(self.queue, (t, self._seq + 1, _CLIENT, -1, arrivals))
             self._seq += k
+            submit_times += [t] * k  # the entry is processed at t < run_duration <= end_time
             t = t + 1 if whole else extra
-        self.submit_times = [0] * nonce
 
     # -- raft interaction --------------------------------------------------
 
@@ -772,9 +781,9 @@ class Simulation:
             self.event_rows.extend(
                 (now, seq + i, name, chain, name) for i, (chain, _) in enumerate(arrivals)
             )
+        pending = self.pending
         for chain, tx in arrivals:
-            self.pending[chain].append(tx)
-            self.submit_times[tx.nonce] = now
+            pending[chain].append(tx)
 
     def _on_snapshot(self, now: int) -> None:
         live = [node for node in self.nodes if node.node_id not in self.crashed]
@@ -970,10 +979,8 @@ class Simulation:
                 for tx in block.transactions:
                     if not tx.sensitive:
                         continue
-                    ad = tx.nonce.to_bytes(8, "big") + tx.fee.to_bytes(8, "big")
                     try:
-                        sealed = SealedPayload.decode(tx.payload)
-                        plain = self.directory.unseal(sealed, ad)
+                        plain = self.directory.unseal(tx.payload, _AD(tx.nonce, tx.fee))
                     except SealingError as exc:
                         self._flag(f"sealed-roundtrip nonce={tx.nonce}: {exc}")
                         continue

@@ -29,7 +29,7 @@ from shadowraft.ordering import (
     total_order,
 )
 from shadowraft.rng import Stream
-from shadowraft.sealing import AuthFailure, SealedPayload, generate_key, seal, unseal
+from shadowraft.sealing import AuthFailure, generate_key, seal, unseal
 from shadowraft.sim import SimConfig, measure_scaling, run_simulation
 
 EPOCHS = 20_000
@@ -282,21 +282,18 @@ def test_criterion_7_sealing_round_trips_and_tampering():
         sealed = seal(key, plaintext, ad)
         if unseal(key, sealed, ad) == plaintext:
             round_trips += 1
+        # wire bytes: key_id 4B, nonce 12B, length 8B, ciphertext, auth_tag 16B
+        ciphertext = sealed[24:-16]
         for i in range(len(plaintext) - 7):
-            if plaintext[i : i + 8] in sealed.ciphertext:
+            if plaintext[i : i + 8] in ciphertext:
                 plaintext_windows += 1
 
-        field = rand.choice(("nonce", "ciphertext", "auth_tag"))
-        buf = bytearray(getattr(sealed, field))
-        buf[rand.randrange(len(buf))] ^= 1 << rand.randrange(8)
-        forged = SealedPayload(
-            sealed.key_id,
-            bytes(buf) if field == "nonce" else sealed.nonce,
-            bytes(buf) if field == "ciphertext" else sealed.ciphertext,
-            bytes(buf) if field == "auth_tag" else sealed.auth_tag,
-        )
+        tag = len(sealed) - 16
+        start, end = rand.choice(((4, 16), (24, tag), (tag, len(sealed))))
+        forged = bytearray(sealed)  # one bit flipped in the nonce, ciphertext or auth_tag
+        forged[rand.randrange(start, end)] ^= 1 << rand.randrange(8)
         try:
-            unseal(key, forged, ad)
+            unseal(key, bytes(forged), ad)
         except AuthFailure:
             auth_failures += 1
 

@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import pytest
 
+import shadowraft.cli as cli_module
 import shadowraft.sim as sim_module
 from shadowraft.beacon import Certificate
 from shadowraft.cli import build_config, main, read_config_file
@@ -192,6 +193,18 @@ def test_failed_runs_end_in_one_line_diagnostics(tmp_path, capsys):
     for argv, err in cases:
         assert main([*argv, "--out", str(tmp_path / "o")]) == 2, argv
         assert capsys.readouterr().err == err
+
+
+def test_run_rejects_a_tx_rate_whose_nonces_pass_u64(tmp_path, capsys, monkeypatch):
+    def no_run(config):
+        raise AssertionError("validation let the run start")
+
+    monkeypatch.setattr(cli_module, "run_simulation", no_run)
+    cfg = write_cfg(tmp_path, tx_rate="1e20")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: tx_rate: too high: need (int(tx_rate) + 1) * run_duration <= 2**64\n"
+    )
 
 
 def test_run_seed_override_changes_outputs(tmp_path):

@@ -3,15 +3,16 @@
 import random
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from shadowraft.rng import Stream
 from shadowraft.sealing import (
+    _HEAD,
     NONCE_LIMIT,
     AuthFailure,
     DecodeError,
     KeyDirectory,
     NonceExhausted,
-    SealedPayload,
     SealKey,
     UnknownKey,
     generate_key,
@@ -22,6 +23,14 @@ from shadowraft.sealing import (
 
 def fresh_key(key_id=0, seed=1):
     return generate_key(key_id, Stream.from_labels("seal-test", seed, key_id))
+
+
+def nonce_of(sealed):
+    return sealed[4:16]
+
+
+def ciphertext_of(sealed):
+    return sealed[_HEAD.size : -16]
 
 
 def test_roundtrip():
@@ -40,10 +49,10 @@ def test_associated_data_is_authenticated():
 
 def test_nonces_count_up_per_key():
     key = fresh_key()
-    nonces = [seal(key, b"p", b"").nonce for _ in range(3)]
+    nonces = [nonce_of(seal(key, b"p", b"")) for _ in range(3)]
     assert nonces == [(0).to_bytes(12, "big"), (1).to_bytes(12, "big"), (2).to_bytes(12, "big")]
     other = fresh_key(key_id=1)
-    assert seal(other, b"p", b"").nonce == (0).to_bytes(12, "big")
+    assert nonce_of(seal(other, b"p", b"")) == (0).to_bytes(12, "big")
 
 
 def test_nonce_exhaustion():
@@ -54,56 +63,53 @@ def test_nonce_exhaustion():
 
 
 def test_wire_layout():
-    key = fresh_key()
-    sealed = seal(key, b"abcdef", b"ad")
-    raw = sealed.encode()
-    expect = (
-        key.key_id.to_bytes(4, "big")
-        + sealed.nonce
-        + len(sealed.ciphertext).to_bytes(8, "big")
-        + sealed.ciphertext
-        + sealed.auth_tag
-    )
-    assert raw == expect
-    assert len(sealed.nonce) == 12
-    assert len(sealed.auth_tag) == 16
-    assert len(sealed.ciphertext) == 6
-    assert SealedPayload.decode(raw) == sealed
-
-
-def test_sealed_payload_is_immutable():
-    sealed = seal(fresh_key(), b"abcdef", b"")
-    with pytest.raises(AttributeError):
-        sealed.key_id = 1
-    assert sealed.key_id == 0
+    key = fresh_key(key_id=7)
+    seal(key, b"first", b"")
+    raw = seal(key, b"abcdef", b"ad")
+    nonce = (1).to_bytes(12, "big")
+    ct_tag = AESGCM(key.key_bytes).encrypt(nonce, b"abcdef", b"ad")
+    assert len(ct_tag) == 6 + 16
+    assert raw == (7).to_bytes(4, "big") + nonce + (6).to_bytes(8, "big") + ct_tag
+    assert _HEAD.size == 4 + 12 + 8
 
 
 def test_decode_rejects_malformed():
-    raw = seal(fresh_key(), b"abcdef", b"").encode()
-    with pytest.raises(DecodeError):
-        SealedPayload.decode(raw[:-1])
-    with pytest.raises(DecodeError):
-        SealedPayload.decode(raw + b"\x00")
-    with pytest.raises(DecodeError):
-        SealedPayload.decode(b"short")
+    key = fresh_key()
+    directory = KeyDirectory()
+    directory.add(key)
+    raw = seal(key, b"abcdef", b"")
+    longer = raw[:16] + (7).to_bytes(8, "big") + raw[24:]
+    for bad in (raw[:-1], raw + b"\x00", b"short", raw[: _HEAD.size + 15], longer):
+        with pytest.raises(DecodeError):
+            unseal(key, bad, b"")
+        with pytest.raises(DecodeError):
+            directory.unseal(bad, b"")
+    assert unseal(key, raw, b"") == directory.unseal(raw, b"") == b"abcdef"
 
 
 def test_tampering_any_field_fails_auth():
     key = fresh_key()
+    directory = KeyDirectory()
+    directory.add(key)
     sealed = seal(key, b"the quick brown fox", b"ad")
     rng = random.Random(5)
-    for field in ("nonce", "ciphertext", "auth_tag"):
-        original = getattr(sealed, field)
-        buf = bytearray(original)
-        buf[rng.randrange(len(buf))] ^= 1 << rng.randrange(8)
-        forged = SealedPayload(
-            sealed.key_id,
-            bytes(buf) if field == "nonce" else sealed.nonce,
-            bytes(buf) if field == "ciphertext" else sealed.ciphertext,
-            bytes(buf) if field == "auth_tag" else sealed.auth_tag,
-        )
-        with pytest.raises(AuthFailure):
-            unseal(key, forged, b"ad")
+    # each region of the wire bytes -> (start, end, the error a flipped bit raises)
+    regions = {
+        "key_id": (0, 4, UnknownKey),
+        "nonce": (4, 16, AuthFailure),
+        "ciphertext_len": (16, 24, DecodeError),
+        "ciphertext": (24, len(sealed) - 16, AuthFailure),
+        "auth_tag": (len(sealed) - 16, len(sealed), AuthFailure),
+    }
+    for start, end, error in regions.values():
+        for i in range(start, end):
+            forged = bytearray(sealed)
+            forged[i] ^= 1 << rng.randrange(8)
+            with pytest.raises(error):
+                unseal(key, bytes(forged), b"ad")
+            with pytest.raises(error):
+                directory.unseal(bytes(forged), b"ad")
+    assert directory.unseal(sealed, b"ad") == b"the quick brown fox"
 
 
 def test_wrong_key_object_rejected():
@@ -117,10 +123,11 @@ def test_ciphertext_hides_plaintext():
     key = fresh_key()
     pt = b"A" * 64
     sealed = seal(key, pt, b"")
-    assert sealed.ciphertext != pt
+    assert ciphertext_of(sealed) != pt
+    assert len(ciphertext_of(sealed)) == len(pt)
     # no 8-byte plaintext window survives in the ciphertext
     for i in range(len(pt) - 7):
-        assert pt[i : i + 8] not in sealed.ciphertext
+        assert pt[i : i + 8] not in ciphertext_of(sealed)
 
 
 def test_key_validation():

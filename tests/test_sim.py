@@ -228,11 +228,15 @@ def test_config_validation_names_the_offending_key():
         (dict(tx_rate=-1.0), "tx_rate"),
         (dict(tx_rate=float("nan")), "tx_rate"),
         (dict(tx_rate=float("inf")), "tx_rate"),
+        # the run could hand out (int(tx_rate) + 1) * run_duration nonces, past 2**64
+        (dict(tx_rate=float(2**32), run_duration=2**32), "tx_rate"),
+        (dict(tx_rate=1e20, run_duration=1), "tx_rate"),
     ]
     for kwargs, key in bad:
         with pytest.raises(ConfigError) as info:
-            run_simulation(SimConfig(**kwargs))
-        assert key in str(info.value)
+            Simulation(SimConfig(**kwargs))  # validates; only run() draws the workload
+        assert str(info.value).startswith(f"{key}: ")
+    SimConfig(tx_rate=float(2**32 - 1), run_duration=2**32).validate()  # exactly 2**64 nonces
 
 
 def test_no_blocks_without_transactions_when_empty_blocks_off():
@@ -606,8 +610,8 @@ def test_sealed_payload_that_fails_authentication_is_flagged(monkeypatch):
         if flipped:
             return sealed
         flipped.append(int.from_bytes(ad[:8], "big"))
-        ciphertext = bytes([sealed.ciphertext[0] ^ 1]) + sealed.ciphertext[1:]
-        return sealed._replace(ciphertext=ciphertext)
+        at = sealing_module._HEAD.size  # the ciphertext follows the head
+        return sealed[:at] + bytes([sealed[at] ^ 1]) + sealed[at + 1 :]
 
     real_seal = sim_module.seal
     monkeypatch.setattr(sim_module, "seal", flip_first_ciphertext_byte)
@@ -804,6 +808,19 @@ def test_arrival_sampler_edge_rates(tx_rate):
     assert sim._workload.next_bytes(32) == oracle.read(consumed + 32)[consumed:]
 
 
+def test_workload_stream_position_with_sealing():
+    cfg = small_cfg(tx_rate=2.5, sensitive_fraction=0.5, num_seal_keys=3, run_duration=500)
+    sim, counts = drawn_workload(cfg)
+    txs = sum(counts)
+    sealed = sum(p is not None for p in sim.plaintexts)
+    assert 0 < sealed < txs
+    # as above, plus one u64 seal-key draw for each sealed transaction only
+    gap_draws = txs - 2 * cfg.run_duration + 1
+    consumed = 8 * (3 * txs + gap_draws + sealed) + 24 * txs
+    oracle = OracleStream(oracle_key("workload", cfg.seed))
+    assert sim._workload.next_bytes(32) == oracle.read(consumed + 32)[consumed:]
+
+
 def crafted_stream(prefix):
     """A stream whose next bytes are prefix, then its own blocks from block 0."""
     s = sim_module.Stream.from_labels("crafted-workload")
@@ -812,7 +829,10 @@ def crafted_stream(prefix):
 
 
 def test_rejected_workload_draws_fall_back_to_sequential_draws():
-    cfg = small_cfg(num_nodes=6, num_chains=3, tx_rate=1, sensitive_fraction=0.5, run_duration=40)
+    cfg = small_cfg(
+        num_nodes=6, num_chains=3, tx_rate=1, sensitive_fraction=0.5, num_seal_keys=3,
+        run_duration=40,
+    )
 
     def u64(v):
         return v.to_bytes(8, "big")
@@ -823,6 +843,12 @@ def test_rejected_workload_draws_fall_back_to_sequential_draws():
         rejected + u64(1) + u64(0) + u64(5) + b"a" * 24 + u64(2)
         # chain 2, not sensitive, a rejected fee draw, then fee 999, payload
         + u64(2) + rejected + rejected + u64(1999) + b"b" * 24
+        # chain 0, sensitive, fee 7, payload, a rejected seal-key draw, then key 4 % 3
+        + u64(0) + u64(0) + u64(7) + b"c" * 24 + rejected + u64(4)
+        # chain 1, not sensitive, fee 8, payload: the next 8 bytes would reject as its
+        # key draw, but a plain transaction has none, and they are the next chain draw
+        + u64(1) + rejected + u64(8) + b"d" * 24
+        + rejected + u64(2) + rejected + u64(9) + b"e" * 24
     )
     sim = Simulation(cfg)
     sim._workload = crafted_stream(prefix)
@@ -831,8 +857,8 @@ def test_rejected_workload_draws_fall_back_to_sequential_draws():
     for _, _, _, _, arrivals in sorted(sim.queue):
         for chain, tx in arrivals:
             if tx.sensitive:
-                sealed = sealing_module.SealedPayload.decode(tx.payload)
-                got.append((chain, True, tx.fee, sim.plaintexts[tx.nonce], sealed.key_id))
+                key_id = int.from_bytes(tx.payload[:4], "big")  # the wire bytes' first field
+                got.append((chain, True, tx.fee, sim.plaintexts[tx.nonce], key_id))
             else:
                 got.append((chain, False, tx.fee, tx.payload, None))
 
@@ -845,7 +871,13 @@ def test_rejected_workload_draws_fall_back_to_sequential_draws():
         payload = ref.next_bytes(24)
         key_id = ref.next_below(cfg.num_seal_keys) if sensitive else None
         expect.append((chain, sensitive, fee, payload, key_id))
-    assert expect[:2] == [(1, True, 5, b"a" * 24, 2), (2, False, 999, b"b" * 24, None)]
+    assert expect[:5] == [
+        (1, True, 5, b"a" * 24, 2),
+        (2, False, 999, b"b" * 24, None),
+        (0, True, 7, b"c" * 24, 1),
+        (1, False, 8, b"d" * 24, None),
+        (2, False, 9, b"e" * 24, None),
+    ]
     assert got == expect
     assert sim._workload.next_bytes(32) == ref.next_bytes(32)
 
