@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import hmac
 import hashlib
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import struct
 
 from .rng import Stream, stream_key
@@ -49,14 +48,9 @@ _DRAWS = struct.Struct(">QQ")  # an invocation's q and rnd draws
 # an enclave's first read is the 8 blocks a Stream refill hashes; each later
 # read doubles, up to the cap, so a short-lived enclave hashes no extra block
 _FIRST_READ, _MAX_READ = 256, 4096
-
-
-def _draws(rng: Stream) -> Iterator[tuple[int, int]]:
-    """The stream's successive (q, rnd) pairs, read in growing batches."""
-    n = _FIRST_READ
-    while True:
-        yield from _DRAWS.iter_unpack(rng.next_bytes(n))
-        n = min(2 * n, _MAX_READ)
+# _CANDIDATE[k] maps a byte to 0 iff its low k bits are all zero, else to 1:
+# the pattern 0, 1, ..., 1 of length 2^k, repeated over the 256 byte values
+_CANDIDATE = [(b"\0" + b"\1" * ((1 << k) - 1)) * (256 >> k) for k in range(9)]
 
 
 @dataclass(frozen=True)
@@ -78,8 +72,11 @@ def _cert_tag(secret: bytes, epoch: int, rnd: int, node_id: int) -> bytes:
 class BeaconNode:
     """One verifier's enclave: signing secret, private rng, and the epoch gate.
 
-    The rng is read only through draws, the iterator of its (q, rnd) pairs
-    that __post_init__ derives from it.
+    The rng is read only in batches of 16-byte (q, rnd) records, 256 bytes
+    first and each later read twice the last, up to 4 KiB. When a batch
+    arrives its winning records are found by a byte scan: the low byte of
+    each q through _CANDIDATE, and for l > 8 a check of the whole q. _at is
+    the next record and _stop the next winning record or the batch's end.
     """
 
     node_id: int
@@ -87,21 +84,32 @@ class BeaconNode:
     lottery_bits: int
     rng: Stream
     last_invoked_epoch: int | None = None
-    draws: Iterator[tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.lottery_bits <= 32:
             raise ValueError("lottery_bits out of range")
         if len(self.secret) != 32:
             raise ValueError("secret must be 32 bytes")
-        self.draws = _draws(self.rng)
+        self._read = _FIRST_READ  # bytes in the next read
+        # the last read, and its records' low q bytes mapped by _CANDIDATE
+        self._batch = self._flags = b""
+        self._at = self._stop = 0
+
+    def _next_win(self, i: int) -> int:
+        """The first winning record at or after i, else the batch's record count."""
+        flags, mask = self._flags, (1 << self.lottery_bits) - 1
+        while (i := flags.find(0, i)) >= 0:
+            if not _DRAWS.unpack_from(self._batch, 16 * i)[0] & mask:
+                return i
+            i += 1
+        return len(flags)
 
 
 def invoke_beacon(node: BeaconNode, epoch: int) -> Certificate | None:
     """Run the enclave once for the given epoch.
 
-    Takes the next pair of node.draws: q uniform on [0, 2^lottery_bits),
-    then a 64-bit rnd, the next 16 bytes of the node's private stream.
+    Takes the node's next (q, rnd) record, the next 16 bytes of its private
+    stream: q is the first u64 mod 2^lottery_bits, rnd the second u64.
     Returns a certificate iff q == 0. The epoch gate advances on every call,
     win or lose, and a call with epoch <= last_invoked_epoch raises
     EpochReplay before any draw; that is what makes discarding a losing
@@ -112,10 +120,22 @@ def invoke_beacon(node: BeaconNode, epoch: int) -> Certificate | None:
             f"node {node.node_id} already invoked epoch {node.last_invoked_epoch}"
         )
     node.last_invoked_epoch = epoch
-    # next_below(2^l) is the first u64 mod 2^l: a power of two rejects no draw
-    q, rnd = next(node.draws)
-    if q % (1 << node.lottery_bits):
+    i = node._at
+    if i != node._stop:  # a losing record, the common case
+        node._at = i + 1
         return None
+    if i == len(node._flags):  # the batch is used up: read the next one
+        node._batch = batch = node.rng.next_bytes(node._read)
+        node._read = min(2 * node._read, _MAX_READ)
+        # next_below(2^l) is the first u64 mod 2^l: a power of two rejects no draw
+        node._flags = batch[7::16].translate(_CANDIDATE[min(node.lottery_bits, 8)])
+        i, node._stop = 0, node._next_win(0)
+        if node._stop:
+            node._at = 1
+            return None
+    node._at = i + 1
+    node._stop = node._next_win(i + 1)
+    rnd = _DRAWS.unpack_from(node._batch, 16 * i)[1]
     tag = _cert_tag(node.secret, epoch, rnd, node.node_id)
     return Certificate(epoch=epoch, rnd=rnd, node_id=node.node_id, tag=tag)
 

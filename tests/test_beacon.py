@@ -70,6 +70,41 @@ def test_invoke_draws_match_oracle_across_read_ahead():
     assert 500 < wins < 800
 
 
+@pytest.mark.parametrize("bits, count", [(8, 1300), (9, 4000), (16, 4000), (32, 1300)])
+def test_invoke_matches_oracle_where_the_byte_scan_is_not_enough(bits, count):
+    # the scan flags a record when the low min(l, 8) bits of its q are zero;
+    # above l = 8 a flagged record wins only if all l low bits of q are zero
+    seed = 13
+    node = make_beacon_nodes(1, bits, seed)[0]
+    seen = set()  # (q's low byte is zero, the record wins)
+    for epoch, (q_src, rnd) in enumerate(oracle_beacon_draws(seed, 0, count)):
+        cert = invoke_beacon(node, epoch)
+        wins = q_src % (1 << bits) == 0
+        if wins:
+            assert (cert.epoch, cert.rnd, cert.node_id) == (epoch, rnd, 0), epoch
+        else:
+            assert cert is None, epoch
+        seen.add((q_src % 256 == 0, wins))
+    # the range holds a flagged record that wins (l <= 8) or loses (l > 8),
+    # and at l = 9 also a flagged record that wins
+    assert (True, bits <= 8) in seen
+    if bits == 9:
+        assert (True, True) in seen
+
+
+def test_read_schedule_doubles_up_to_four_kib():
+    # reads of 256, 512, 1024 and 2048 bytes, then 4096 each, are 16, 32,
+    # 64, 128 and then 256 records; a read is made when the first record
+    # past the last read is needed, and each 32-byte block is hashed once
+    node = make_beacon_nodes(1, 6, seed=17)[0]
+    invoked = 0
+    for count, blocks in [(1, 8), (16, 8), (17, 24), (100, 56), (1300, 760)]:
+        while invoked < count:
+            invoke_beacon(node, invoked)
+            invoked += 1
+        assert node.rng._counter == blocks, count
+
+
 def test_sixteen_invocations_hash_eight_blocks():
     # a simulation locks its seed within a few epochs, so an enclave's first
     # reads must hash no more than the 16 draws it uses
