@@ -27,8 +27,11 @@ Raft/gossip phase draws per-message delays uniformly from
 separate streams, so a change to gossip moves no Raft delay. Each delay is
 raft_delay_min + next_below(span), read by next_below's loop inlined on the
 stream's next_u64 with a limit computed once per run (see rng). Crashes are
-crash-stop, at most one per node: from the scheduled tick onward the node
-receives nothing, fires nothing, sends nothing, and never recovers.
+crash-stop, at most one per node, and liveness is one rule: node n is down at
+tick t iff Simulation.crash_time[n] <= t, and from then on it receives nothing,
+fires nothing, sends nothing, and never recovers. A crash's heap entry is an
+event only, pushed before all others, so it pops first at its tick. Past
+end_time liveness is read at end_time: a crash scheduled later never happens.
 
 The simulator is also the property-test vehicle: beacon certificates,
 election safety, one vote per term, log matching, state-machine safety,
@@ -370,7 +373,7 @@ class SimTrace:
         return "\n".join(lines) + "\n"
 
 
-# event kinds, dispatched by integer for heap-compare speed
+# event kinds, dispatched by integer for heap-compare speed; the deliveries first
 _MSG, _GOSSIP, _TIMER, _PROPOSE, _CLIENT, _CRASH, _SNAPSHOT = range(7)
 
 _KIND_NAMES = {
@@ -430,8 +433,9 @@ class Simulation:
         self.now = 0
         self._seq = 0
         self.queue: list[tuple] = []
-        self.crashed: set[int] = set()
-        self.crash_at = {nid: when for when, nid in config.crash_schedule}
+        self.crash_time = [math.inf] * config.num_nodes  # see the module docstring
+        for when, nid in config.crash_schedule:
+            self.crash_time[nid] = when
         self.flags: list[str] = []
         self.counts: dict[str, int] = {}
         self.events_processed = 0
@@ -502,7 +506,7 @@ class Simulation:
         keys = {enclave.node_id: enclave.secret for enclave in enclaves}
         for epoch in range(cfg.max_beacon_epochs):
             t0 = epoch * cfg.delta
-            live = [e for e in enclaves if self.crash_at.get(e.node_id, t0 + 1) > t0]
+            live = [e for e in enclaves if self.crash_time[e.node_id] > t0]
             row, forged = settle_epoch(live, epoch, keys)
             self._count("BeaconCertificate", row[4])
             for cert in forged:
@@ -714,9 +718,10 @@ class Simulation:
     def _gossip_block(self, node: _Node, header: BlockHeader, now: int) -> None:
         next_u64, limit = self._gossip.next_u64, self._delay_limit
         lo, span = self.cfg.raft_delay_min, self._delay_span
-        src, crashed, queue, seq = node.node_id, self.crashed, self.queue, self._seq
+        src, crash_time, queue, seq = node.node_id, self.crash_time, self.queue, self._seq
+        at = min(now, self.end_time)
         for dst in range(self.cfg.num_nodes):
-            if dst == src or dst in crashed:
+            if dst == src or crash_time[dst] <= at:
                 continue
             v = next_u64()
             while v >= limit:
@@ -745,7 +750,7 @@ class Simulation:
         leaders = [
             self.nodes[n]
             for n in committee
-            if n not in self.crashed and self.nodes[n].raft.role is LEADER
+            if self.crash_time[n] > now and self.nodes[n].raft.role is LEADER
         ]
         if not leaders:
             return
@@ -786,7 +791,7 @@ class Simulation:
             pending[chain].append(tx)
 
     def _on_snapshot(self, now: int) -> None:
-        live = [node for node in self.nodes if node.node_id not in self.crashed]
+        live = [node for node in self.nodes if self.crash_time[node.node_id] > now]
         rows = self.snapshot_rows
         for node in live:
             for chain, headers in enumerate(node.view.chains):
@@ -801,10 +806,7 @@ class Simulation:
         cfg = self.cfg
         t_start = self._run_beacon_phase()
         self.assignment = assign_chains(self.locked_seed, cfg.num_nodes, cfg.num_chains)
-        chain_of = {}
-        for chain, members in enumerate(self.assignment):
-            for nid in members:
-                chain_of[nid] = chain
+        chain_of = {nid: c for c, members in enumerate(self.assignment) for nid in members}
 
         for chain in range(cfg.num_chains):
             ledger = self.canonical[chain] = ChainLedger(chain)
@@ -829,13 +831,13 @@ class Simulation:
         self.workload_start = t_start
         self.end_time = cfg.run_duration + cfg.drain_window
 
-        crashed_per_chain = {c: 0 for c in range(cfg.num_chains)}
-        for nid, when in self.crash_at.items():
+        # crashes are events only, pushed first so that each pops first at its tick
+        for when, nid in cfg.crash_schedule:
             self._push(when, _CRASH, nid, None)
-            crashed_per_chain[chain_of[nid]] += 1
+        crash_time, end_time = self.crash_time, self.end_time
         expected_stall = any(
-            crashed_per_chain[c] >= quorum_threshold(len(self.assignment[c]))
-            for c in range(cfg.num_chains)
+            sum(crash_time[n] <= end_time for n in members) >= quorum_threshold(len(members))
+            for members in self.assignment
         )
 
         for node in self.nodes:
@@ -851,15 +853,15 @@ class Simulation:
             t += cfg.snapshot_interval
         self._generate_workload(t_start)
 
-        flush = False
         while self.queue:
             time, seq, kind, nid, payload = heapq.heappop(self.queue)
-            if not flush and time > self.end_time:
-                # horizon reached: stop timers and workload, but keep
+            at = time  # the tick whose liveness this event reads
+            if time > end_time:
+                # horizon reached: stop timers, workload and crashes, but keep
                 # delivering in-flight traffic so views converge
-                flush = True
-            if flush and kind not in (_MSG, _GOSSIP):
-                continue
+                if kind not in (_MSG, _GOSSIP):
+                    continue
+                at = end_time
             self.now = time
             if kind == _CLIENT:
                 self._on_arrivals(time, seq, payload)
@@ -868,9 +870,10 @@ class Simulation:
                 node = self.nodes[nid]
                 if node.queued == (time, seq):
                     node.queued = None
-                if time != node.timer_at:
-                    # an early or superseded entry: no event
-                    if node.queued is None and node.timer_at is not None:
+                up = crash_time[nid] > time
+                if time != node.timer_at or not up:
+                    # an early or superseded entry, or a down node's: no event
+                    if up and node.queued is None and node.timer_at is not None:
                         self._queue_timer(node)
                     continue
             self.events_processed += 1
@@ -882,16 +885,14 @@ class Simulation:
                     detail = f"header c{payload.chain_id}h{payload.height}"
                 self.event_rows.append((time, seq, _KIND_NAMES[kind], nid, detail))
 
+            if kind <= _GOSSIP and crash_time[nid] <= at:
+                continue  # a delivery to a down node: an event that does nothing
             if kind == _MSG:
-                if nid in self.crashed:
-                    continue
                 src, msg = payload
                 node = self.nodes[nid]
                 out = node.raft.handle_message(src, msg, time)
                 self._after_raft(node, time, out)
             elif kind == _GOSSIP:
-                if nid in self.crashed:
-                    continue
                 self._ingest_header(self.nodes[nid], payload, time)
             elif kind == _TIMER:
                 node.timer_at = None
@@ -899,9 +900,6 @@ class Simulation:
                 self._after_raft(node, time, out)
             elif kind == _PROPOSE:
                 self._on_propose(nid, time)
-            elif kind == _CRASH:
-                self.crashed.add(nid)
-                self.nodes[nid].timer_at = None  # its queued entries fire no event
             elif kind == _SNAPSHOT:
                 self._on_snapshot(time)
 
@@ -936,7 +934,7 @@ class Simulation:
     # -- end-of-run verification ------------------------------------------
 
     def _final_checks(self) -> None:
-        honest = [n for n in self.nodes if n.node_id not in self.crashed]
+        honest = [n for n in self.nodes if self.crash_time[n.node_id] > self.end_time]
         for node in honest:
             self._sample_latency(node, self.now)
             try:
@@ -961,7 +959,7 @@ class Simulation:
 
         # log matching: deepest shared (index, term) implies identical prefixes
         for chain, members in enumerate(self.assignment):
-            alive = [self.nodes[n] for n in members if n not in self.crashed]
+            alive = [self.nodes[n] for n in members if self.crash_time[n] > self.end_time]
             for i, a in enumerate(alive):
                 for b in alive[i + 1 :]:
                     la, lb = a.raft.log, b.raft.log

@@ -85,6 +85,37 @@ CASES = {
             "verify/order.csv": "418ee1d11bf3fd8564deafef64c333454dd6ae116af9e5fc27ed6b4e98a4b35b",
         },
     ),
+    # the crash path, traced: chain 0's leader (node 5) crashes mid-run, chain
+    # 1's leader (node 2) on the tick of a proposal and a snapshot, and node 6
+    # one tick after the horizon (t = 565), so it still gets the header that
+    # node 7 gossips at t = 567 and takes it at t = 570
+    "traced-crash": (
+        {
+            "seed": "5",
+            "num_nodes": "8",
+            "num_chains": "2",
+            "lottery_bits": "2",
+            "election_timeout": "60",
+            "heartbeat_interval": "15",
+            "crash_schedule": "300:5,410:2,566:6",
+            "run_duration": "565",
+            "drain_window": "0",
+            "snapshot_interval": "200",
+            "trace_events": "true",
+        },
+        {
+            "beacon.csv": "daf77b3177a6e244b4af04d8ffee1b6348fb653b771776b934f6f4ecd473e930",
+            "confirmbar.csv": "abb9d6644bd46b51bfae5f8000a832e0a15942ded68d16eb65377fbac6aa17a7",
+            "events.csv": "ecdb56656970dca9cb66c67a37f7483a12888e4204e505207238247a7970992a",
+            "latency.csv": "2bf46560b97d21ec819002714e391256fb277153b064d1db6d4acac3a914b277",
+            "order.csv": "87e35f0f6d579ca5a0ec5aa477a9e6bd0e7b8b0993eec472702777b8b27da2b0",
+            "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
+            "snapshots.csv": "19a96a48138735ca8c3cfe9692f08e88921afbd413a122fda6022ed938bda417",
+            "summary.txt": "f38f9f544444803490a5172fcb627d6ccb5bd85b96c1c49ab4435a4d77586f97",
+            "throughput.csv": "d6dd97f83586927a41339a3a7d098d4fab3ed57e76ee56f0baff9920d87ce4db",
+            "verify/order.csv": "f21a4ef33c2a8d824879aa88b2a2591364c720026283bd8b0d2d731d33d96a81",
+        },
+    ),
     # the traced run at a load where ticks take up to four arrivals each, so
     # events.csv pins the seq of every client row within a tick
     "traced-busy": (

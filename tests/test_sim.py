@@ -210,6 +210,25 @@ def test_quorum_loss_stalls_one_chain_and_freezes_the_bar():
     assert max(bars) < trace.committed_blocks[0]
 
 
+def test_stall_note_counts_only_crashes_by_the_horizon():
+    cfg = SimConfig(seed=3, num_nodes=5, run_duration=600)
+    plain = run_simulation(cfg)
+    assert plain.end_time == 1000
+
+    def crash_three(when):
+        return run_simulation(replace(cfg, crash_schedule=((when, 0), (when, 1), (when, 2))))
+
+    # a committee-wide crash after the horizon never happens
+    late = crash_three(10**6)
+    assert not late.expected_stall
+    assert "expected-stall" not in late.summary_text()
+    assert late.csv_outputs() == plain.csv_outputs()
+    # one at the horizon itself takes effect
+    at_horizon = crash_three(plain.end_time)
+    assert at_horizon.expected_stall
+    assert "expected-stall" in at_horizon.summary_text()
+
+
 def test_crashing_twice_is_rejected():
     cfg = small_cfg(num_nodes=5, num_chains=1, crash_schedule=((100, 1), (300, 1)))
     with pytest.raises(ConfigError) as info:
@@ -379,7 +398,7 @@ def test_one_sender_per_header_reaches_every_live_node_despite_crashes():
     trace = sim.run()
     assert not trace.safety_flags and not trace.expected_stall
     for node in sim.nodes:
-        if node.node_id in sim.crashed:
+        if sim.crash_time[node.node_id] <= sim.end_time:
             continue
         for chain, ledger in sim.canonical.items():
             assert len(node.view.chains[chain]) == len(ledger.blocks), (node.node_id, chain)
@@ -451,12 +470,14 @@ def test_node_whose_final_order_differs_is_flagged(monkeypatch):
     real_gossip = Simulation._gossip_block
 
     def skipping(self, node, header, now):
-        # node `skip` hears of no header it does not apply itself
-        self.crashed.add(skip)
+        # node `skip` hears of no header it does not apply itself: the fan-out
+        # reads it as down from tick 0
+        crash_time = self.crash_time[skip]
+        self.crash_time[skip] = 0
         try:
             real_gossip(self, node, header, now)
         finally:
-            self.crashed.discard(skip)
+            self.crash_time[skip] = crash_time
 
     monkeypatch.setattr(Simulation, "_gossip_block", skipping)
     sim = Simulation(cfg)
@@ -734,14 +755,14 @@ def test_gossip_draws_move_no_raft_delay(monkeypatch):
     real_gossip = Simulation._gossip_block
 
     def skipping(self, node, header, now):
-        # node `skip` misses every header: no delay is drawn for it
-        if node.node_id == skip or skip in self.crashed:
-            return real_gossip(self, node, header, now)
-        self.crashed.add(skip)
+        # node `skip` misses every header, read as down from tick 0 by the
+        # fan-out alone: no delay is drawn for it
+        crash_time = self.crash_time[skip]
+        self.crash_time[skip] = 0
         try:
             real_gossip(self, node, header, now)
         finally:
-            self.crashed.discard(skip)
+            self.crash_time[skip] = crash_time
 
     monkeypatch.setattr(Simulation, "_gossip_block", skipping)
     cut = Simulation(cfg)
