@@ -10,16 +10,17 @@ no chain can ever again produce a block ranked under it. Fully confirmed
 blocks sort by (rank, chain_id), which yields the same total order at every
 node and only ever grows by appending.
 
-A GlobalView is one node's live, growing view of every chain. Headers enter
-it only through ``GlobalView.add``, which applies the ledger's linkage rule
-(``ledger.check_link``) and keeps the ConfirmBar and the total order
-current. The simulator holds one view per node; ``verify-order`` rebuilds
-one per node from its snapshot rows. The functions below read a view and
-never change it.
+A GlobalView is a store of headers: they enter only through ``add``, which
+applies the ledger's linkage rule (``ledger.check_link``) and keeps the
+ConfirmBar and the merged total order current. A Frontier is one node's
+prefix of each of a store's chains; its order is a prefix of the store's.
+The simulator keeps one store per run and one frontier per node;
+``verify-order``, whose nodes may fork, rebuilds one GlobalView per node.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import NamedTuple
 
 from .ledger import BlockHeader, LedgerError, check_link, hash_header
@@ -45,28 +46,24 @@ class OrderedBlockRef(NamedTuple):
 
 
 class GlobalView:
-    """One node's view of the committed prefix of every chain.
+    """A store: the committed prefix of every chain.
 
     chains[c] lists chain c's headers from genesis on, and refs[c] holds the
     OrderedBlockRef of each, built once when the header enters: its hash is
-    the one the view links the next header against. tails[c] is the
+    the one the store links the next header against. tails[c] is the
     expected next rank of chain c (its tail's next_rank, 0 while the chain
     is empty), and bar is the minimum of tails. order lists the refs ranked
-    below bar, sorted. confirmed[c] counts the refs of chain c in it, which are
-    its heights 0 .. confirmed[c] - 1 since ranks rise with height: the
-    simulator samples latency from this count alone.
+    below bar, sorted.
     """
 
-    __slots__ = ("num_chains", "chains", "refs", "tails", "bar", "order", "confirmed")
+    __slots__ = ("chains", "refs", "tails", "bar", "order")
 
     def __init__(self, num_chains: int):
-        self.num_chains = num_chains
         self.chains: list[list[BlockHeader]] = [[] for _ in range(num_chains)]
         self.refs: list[list[OrderedBlockRef]] = [[] for _ in range(num_chains)]
         self.tails = [0] * num_chains
         self.bar = 0
         self.order: list[OrderedBlockRef] = []
-        self.confirmed = [0] * num_chains
 
     def add(self, header: BlockHeader, header_hash: bytes) -> None:
         """Check header against its chain's tail (the linkage rule), then append it.
@@ -79,25 +76,54 @@ class GlobalView:
         appended to the order, sorted.
         """
         chain = header.chain_id
-        if not 0 <= chain < self.num_chains:
+        if not 0 <= chain < len(self.chains):
             raise UnknownChain(f"chain {chain} not in view")
         headers, refs = self.chains[chain], self.refs[chain]
         parent, parent_hash = (headers[-1], refs[-1].block_hash) if headers else (None, None)
         _link(header, parent, parent_hash)
         headers.append(header)
         refs.append(OrderedBlockRef(header.rank, chain, header.height, header_hash))
-        old = self.tails[chain]
-        self.tails[chain] = header.next_rank
-        if old == self.bar:
-            self.bar = bar = min(self.tails)
-            new = []
-            for c, chain_refs in enumerate(self.refs):
-                cut = self.confirmed[c]
-                while cut < len(chain_refs) and chain_refs[cut].rank < bar:
-                    new.append(chain_refs[cut])
-                    cut += 1
-                self.confirmed[c] = cut
+        old = self.bar
+        _set_tail(self, chain, header.next_rank)
+        if self.bar > old:
+            new, lo, hi = [], (old,), (self.bar,)
+            for chain_refs in self.refs:  # ranks rise with height
+                new += chain_refs[bisect_left(chain_refs, lo) : bisect_left(chain_refs, hi)]
             self.order += sorted(new)
+
+
+class Frontier:
+    """One node's view: the first heights[c] headers of each chain c of a store."""
+
+    __slots__ = ("store", "heights", "tails", "bar")
+
+    def __init__(self, store: GlobalView):  # at the store's tip
+        self.store = store
+        self.heights = [len(headers) for headers in store.chains]
+        self.tails = list(store.tails)
+        self.bar = store.bar
+
+    def advance(self, chain: int, next_rank: int) -> None:
+        """Take the store's next header of chain, which the caller checked, by its next_rank."""
+        self.heights[chain] += 1
+        _set_tail(self, chain, next_rank)
+
+    @property
+    def chains(self) -> list[list[BlockHeader]]:  # copies
+        return [headers[:n] for headers, n in zip(self.store.chains, self.heights)]
+
+    @property
+    def order(self) -> list[OrderedBlockRef]:
+        # every chain's later headers rank at or above its tail, so at or above bar
+        order = self.store.order
+        return order[: bisect_left(order, (self.bar,))]
+
+
+def _set_tail(view: GlobalView | Frontier, chain: int, next_rank: int) -> None:
+    """The bar rule: bar = min(tails); tails only rise, so only a chain at the bar moves it."""
+    old, view.tails[chain] = view.tails[chain], next_rank
+    if old == view.bar:
+        view.bar = min(view.tails)
 
 
 def _link(header: BlockHeader, parent: BlockHeader | None, parent_hash: bytes | None) -> None:
@@ -110,15 +136,15 @@ def _link(header: BlockHeader, parent: BlockHeader | None, parent_hash: bytes | 
         ) from None
 
 
-def propose_rank_fields(view: GlobalView, chain_id: int) -> tuple[int, int]:
+def propose_rank_fields(view: GlobalView | Frontier, chain_id: int) -> tuple[int, int]:
     """Rank fields for the next block on chain_id given this view.
 
     rank is inherited from the parent's next_rank (y_i, the chain's tail).
     next_rank is max(rank + 1, x) with x the maximum expected next rank
     across the view, the smallest value satisfying both next_rank > rank and
-    next_rank >= x.
+    next_rank >= x. A tail is 0 only while its chain is empty (next_rank > rank >= 0).
     """
-    if not 0 <= chain_id < view.num_chains or not view.chains[chain_id]:
+    if not 0 <= chain_id < len(view.tails) or not view.tails[chain_id]:
         raise UnknownChain(f"chain {chain_id} not in view")
     rank = view.tails[chain_id]
     return rank, max(rank + 1, max(view.tails))
@@ -133,7 +159,7 @@ def total_order(view: GlobalView) -> list[OrderedBlockRef]:
     """
     if not all(view.chains):
         present = [c for c, headers in enumerate(view.chains) if headers]
-        raise IncompleteView(f"view covers {present} of {view.num_chains} chains")
+        raise IncompleteView(f"view covers {present} of {len(view.chains)} chains")
     return list(view.order)
 
 
@@ -162,22 +188,21 @@ class LongestOrder:
         return True
 
 
-def reference_total_order(view: GlobalView) -> list[OrderedBlockRef]:
+def reference_total_order(view: GlobalView | Frontier) -> list[OrderedBlockRef]:
     """Brute-force oracle for total_order, kept deliberately independent.
 
     Computes the bar by direct field reads, hashes every header itself and
     sorts with an explicit comparison key instead of reusing the view's
     bar, refs or the production helpers.
     """
-    tails = []
-    for c in range(view.num_chains):
-        headers = view.chains[c]
+    chains, tails = view.chains, []
+    for c, headers in enumerate(chains):
         if not headers:
             raise IncompleteView(f"chain {c} missing")
         tails.append(headers[-1].next_rank)
     bar = min(tails)
     out = []
-    for headers in view.chains:
+    for headers in chains:
         for h in headers:
             if h.rank < bar:
                 out.append(OrderedBlockRef(h.rank, h.chain_id, h.height, hash_header(h)))
@@ -192,12 +217,9 @@ def validate_view(view: GlobalView) -> None:
     parent hash, rank == parent next_rank, next_rank > rank, genesis rules).
     """
     for chain_id, headers in enumerate(view.chains):
-        parent: BlockHeader | None = None
-        parent_hash = None
+        parent = parent_hash = None
         for h, ref in zip(headers, view.refs[chain_id]):
             if h.chain_id != chain_id:
-                raise OrderingError(
-                    f"chain {chain_id} holds header for chain {h.chain_id}"
-                )
+                raise OrderingError(f"chain {chain_id} holds header for chain {h.chain_id}")
             _link(h, parent, parent_hash)
             parent, parent_hash = h, ref.block_hash

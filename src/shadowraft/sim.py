@@ -1,12 +1,12 @@
 """Deterministic discrete-event simulation of the whole protocol stack.
 
 One run executes: (1) beacon epochs until a seed locks, each costing one
-synchronous round of `delta` ticks; (2) committee assignment from the locked
-seed; (3) per-chain Raft with leaders batching client transactions into
-blocks on a timer, rank fields taken from the proposer's current view;
-(4) committed-header gossip, from the replica that appends it, to every
-other node, which drives each node's ConfirmBar and total order; (5) metric
-and safety collection.
+synchronous round of `delta` ticks, the last ending by end_time or the run
+fails; (2) committee assignment from the locked seed; (3) per-chain Raft with
+leaders batching client transactions into blocks on a timer, rank fields
+taken from the proposer's current view; (4) committed-header gossip, from the
+replica that appends it, to every other node, which drives each node's
+ConfirmBar and total order; (5) metric and safety collection.
 
 Time is an integer tick counter. Events execute in (time, insertion
 sequence) order off a single heap, so a run is a pure function of its
@@ -35,17 +35,17 @@ end_time liveness is read at end_time: a crash scheduled later never happens.
 
 The simulator is also the property-test vehicle: beacon certificates,
 election safety, one vote per term, log matching, state-machine safety,
-commit quorum, rank discipline, prefix stability and cross-node prefix
-consistency of total orders, and sealed round-trip integrity are all checked
-during the run and recorded as safety flags, which must stay empty. A node's
-order is checked when its ConfirmBar rises; that the bar never falls is an
-invariant of GlobalView.add, not a flag.
+commit quorum, rank discipline, prefix stability of the total order, and
+sealed round-trip integrity are all checked during the run and recorded as
+safety flags, which must stay empty.
 
 Each chain has one ledger. The first replica to apply a committed entry
-decodes it, appends it and gossips its header to every other live node, so
-each header is sent at most N-1 times; every other replica checks that its
-own command has the same bytes and keeps only its height in that ledger. Latency
-and transaction counts are read from the views and ledgers, never kept twice.
+decodes it, appends it to the ledger and to the run's one header store, and
+gossips its header to every other live node, so each header is sent at most
+N-1 times; every other replica checks that its own command has the same bytes
+and keeps only its height in that ledger. Each node's view is a Frontier over
+the store, so every order is a prefix of the store's by construction, not a
+flag. Latency and transaction counts are read from frontiers and ledgers.
 
 A snapshot writes, for each live node, only the headers that entered its
 view since its previous snapshot; the view of node n at time t is the union
@@ -58,7 +58,7 @@ import heapq
 import io
 import math
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 from . import beacon as beacon_mod
@@ -77,8 +77,8 @@ from .ledger import (
     new_block,
 )
 from .ordering import (
+    Frontier,
     GlobalView,
-    LongestOrder,
     OrderingError,
     propose_rank_fields,
     reference_total_order,
@@ -393,35 +393,23 @@ _AD = struct.Struct(">QQ").pack  # a sealed payload's associated data: nonce, fe
 
 
 class _Node:
-    """Simulator-side wrapper: raft instance plus ledger height, view, and buffers."""
+    """Simulator-side wrapper: raft instance plus ledger height, frontier, and buffers."""
 
     __slots__ = (
-        "node_id",
-        "chain_id",
-        "raft",
-        "height",
-        "applied",
-        "led_term",
-        "view",
-        "buffer",
-        "written",
-        "timer_at",
-        "timer_seq",
-        "queued",
+        "node_id", "chain_id", "raft", "height", "applied", "led_term",
+        "view", "buffer", "written", "timer_at", "timer_seq", "queued",
     )
 
-    def __init__(self, node_id: int, chain_id: int, raft: RaftNode, ledgers):
+    def __init__(self, node_id: int, chain_id: int, raft: RaftNode, store: GlobalView):
         self.node_id = node_id
         self.chain_id = chain_id
         self.raft = raft
         self.height = 0  # blocks of the chain's ledger this replica has applied
         self.applied = 0
         self.led_term = 0
-        self.view = GlobalView(len(ledgers))
-        for ledger in ledgers.values():
-            self.view.add(ledger.blocks[0].header, ledger.hashes[0])
-        self.buffer: dict[int, dict[int, BlockHeader]] = {c: {} for c in ledgers}
-        self.written = [0] * len(ledgers)  # headers per chain in snapshots
+        self.view = Frontier(store)  # holding every genesis
+        self.buffer: list[dict[int, BlockHeader]] = [{} for _ in store.chains]
+        self.written = [0] * len(store.chains)  # headers per chain in snapshots
         self.timer_at, self.timer_seq = None, 0  # the timer fires at (deadline, seq)
         self.queued: tuple[int, int] | None = None  # the timer heap entry it keeps
 
@@ -431,6 +419,7 @@ class Simulation:
         config.validate()
         self.cfg = config
         self.now = 0
+        self.end_time = config.run_duration + config.drain_window
         self._seq = 0
         self.queue: list[tuple] = []
         self.crash_time = [math.inf] * config.num_nodes  # see the module docstring
@@ -461,12 +450,12 @@ class Simulation:
             c: [] for c in range(config.num_chains)
         }
         self.canonical: dict[int, ChainLedger] = {}
+        self.store = GlobalView(config.num_chains)  # every node's view is a frontier over it
         # (chain, index) -> (command, block or DecodeError, height or None if skipped)
         self.committed_cmds: dict[tuple[int, int], tuple] = {}
         self.skipped = 0
         self.election_winners: dict[tuple[int, int], int] = {}
         self.votes: dict[tuple[int, int, int], int] = {}  # (chain, term, voter) -> candidate
-        self.longest = LongestOrder()  # holder is a node id
 
     # -- plumbing ---------------------------------------------------------
 
@@ -506,6 +495,8 @@ class Simulation:
         keys = {enclave.node_id: enclave.secret for enclave in enclaves}
         for epoch in range(cfg.max_beacon_epochs):
             t0 = epoch * cfg.delta
+            if t0 + cfg.delta > self.end_time:  # no epoch may start past the horizon
+                raise SimError(f"beacon failed to lock a seed by the horizon t={self.end_time}")
             live = [e for e in enclaves if self.crash_time[e.node_id] > t0]
             row, forged = settle_epoch(live, epoch, keys)
             self._count("BeaconCertificate", row[4])
@@ -655,11 +646,13 @@ class Simulation:
             block = decode_block(command)
         except DecodeError as exc:
             return command, exc, None
+        ledger = self.canonical[chain]
         try:
-            append_block(self.canonical[chain], block)
+            append_block(ledger, block)
         except LedgerError:
             self.skipped += 1  # a stale proposal from a superseded leader
             return command, block, None
+        self.store.add(block.header, ledger.hashes[-1])
         return command, block, block.header.height
 
     def _record_vote(self, node: _Node, term: int, candidate: int) -> None:
@@ -675,44 +668,30 @@ class Simulation:
 
     def _ingest_header(self, node: _Node, header: BlockHeader, now: int) -> None:
         view = node.view
-        chain = header.chain_id
-        headers = view.chains[chain]
-        if header.height < len(headers):
-            known = view.refs[chain][header.height].block_hash
+        chain, height = header.chain_id, header.height
+        headers, refs = self.store.chains[chain], self.store.refs[chain]
+        held = view.heights[chain]
+        if height < held:
             # replicas share one decoded header object: only another one needs hashing
-            if header is not headers[header.height] and hash_header(header) != known:
-                self._flag(
-                    f"view-divergence node={node.node_id} chain={chain} "
-                    f"height={header.height}"
-                )
+            if header is not headers[height] and hash_header(header) != refs[height].block_hash:
+                self._flag(f"view-divergence node={node.node_id} chain={chain} height={height}")
             return
         buf = node.buffer[chain]
-        buf.setdefault(header.height, header)
-        bar, tail, ordered = view.bar, len(headers), len(view.order)
-        ledger = self.canonical[chain]
-        while len(headers) in buf:
-            nxt = buf.pop(len(headers))
-            h = nxt.height
-            # the ledger's own header object has its hash stored; hash any other
-            if h < len(ledger.blocks) and ledger.blocks[h].header is nxt:
-                block_hash = ledger.hashes[h]
-            else:
-                block_hash = hash_header(nxt)
-            try:
-                view.add(nxt, block_hash)
-            except OrderingError:
-                self._flag(
-                    f"header-linkage node={node.node_id} chain={chain} "
-                    f"height={nxt.height}"
-                )
+        buf.setdefault(height, header)
+        bar, tip = view.bar, held
+        while tip in buf:
+            nxt = buf.pop(tip)
+            # the store's own header, or a copy; a fork or an orphan is flagged
+            if tip >= len(headers) or (
+                nxt is not headers[tip] and hash_header(nxt) != refs[tip].block_hash
+            ):
+                self._flag(f"header-linkage node={node.node_id} chain={chain} height={tip}")
                 break
-        if len(headers) > tail:
-            # add never lowers the bar; when it rises, check the order's new suffix
+            view.advance(chain, nxt.next_rank)
+            tip += 1
+        if tip > held:
             if view.bar > bar:
                 self.bar_rows.append((now, node.node_id, view.bar))
-                if not self.longest.check(view.order, node.node_id, ordered):
-                    holder = self.longest.holder
-                    self._flag(f"prefix-consistency nodes={holder},{node.node_id} t={now}")
             self._sample_latency(node, now)
 
     def _gossip_block(self, node: _Node, header: BlockHeader, now: int) -> None:
@@ -733,9 +712,9 @@ class Simulation:
             self._seq = seq
 
     def _sample_latency(self, node: _Node, now: int) -> None:
-        """Sample txs of the heights the node applied that view.confirmed puts below its bar."""
+        """Sample txs of the heights the node applied that rank below its bar."""
         chain = node.chain_id
-        top = min(node.view.confirmed[chain], node.height + 1)
+        top = min(bisect_left(self.store.refs[chain], (node.view.bar,)), node.height + 1)
         blocks, submit_times = self.canonical[chain].blocks, self.submit_times
         for height in range(self.sampled[chain] + 1, top):
             for tx in blocks[height].transactions:
@@ -792,11 +771,11 @@ class Simulation:
 
     def _on_snapshot(self, now: int) -> None:
         live = [node for node in self.nodes if self.crash_time[node.node_id] > now]
-        rows = self.snapshot_rows
+        rows, refs = self.snapshot_rows, self.store.refs
         for node in live:
             for chain, headers in enumerate(node.view.chains):
                 start = node.written[chain]
-                for h, ref in zip(headers[start:], node.view.refs[chain][start:]):
+                for h, ref in zip(headers[start:], refs[chain][start:]):
                     rows.append((now, node.node_id, h, ref.block_hash))
                 node.written[chain] = len(headers)
 
@@ -811,6 +790,7 @@ class Simulation:
         for chain in range(cfg.num_chains):
             ledger = self.canonical[chain] = ChainLedger(chain)
             append_block(ledger, make_genesis(chain))
+            self.store.add(ledger.blocks[0].header, ledger.hashes[0])
 
         self.nodes = [
             _Node(
@@ -824,12 +804,11 @@ class Simulation:
                     Stream.from_labels("timeout", cfg.seed, nid),
                     now=t_start,
                 ),
-                self.canonical,
+                self.store,
             )
             for nid in range(cfg.num_nodes)
         ]
         self.workload_start = t_start
-        self.end_time = cfg.run_duration + cfg.drain_window
 
         # crashes are events only, pushed first so that each pops first at its tick
         for when, nid in cfg.crash_schedule:
@@ -937,24 +916,23 @@ class Simulation:
         honest = [n for n in self.nodes if self.crash_time[n.node_id] > self.end_time]
         for node in honest:
             self._sample_latency(node, self.now)
-            try:
-                validate_view(node.view)
-            except OrderingError as exc:
-                self._flag(f"final-view node={node.node_id}: {exc}")
+        try:
+            validate_view(self.store)
+        except OrderingError as exc:
+            self._flag(f"final-view: {exc}")
 
         self.final_order = []
         if honest:
             first = honest[0]
+            order = first.view.order  # every order is a prefix of the store's
             for other in honest[1:]:
-                if other.view.order != first.view.order:
+                if len(other.view.order) != len(order):
                     self._flag(f"final-order-divergence nodes={first.node_id},{other.node_id}")
                     break
-            if first.view.order != reference_total_order(first.view):
+            if order != reference_total_order(first.view):
                 self._flag(f"prefix-stability node={first.node_id} t=final")
-            for rank, chain, height, bh in first.view.order:
-                ledger = self.canonical[chain]
-                held = ledger.hashes[height] == bh
-                tx_count = len(ledger.blocks[height].transactions) if held else 0
+            for rank, chain, height, bh in order:
+                tx_count = len(self.canonical[chain].blocks[height].transactions)
                 self.final_order.append((rank, chain, height, bh.hex(), tx_count))
 
         # log matching: deepest shared (index, term) implies identical prefixes

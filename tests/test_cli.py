@@ -195,6 +195,28 @@ def test_failed_runs_end_in_one_line_diagnostics(tmp_path, capsys):
         assert capsys.readouterr().err == err
 
 
+def test_beacon_that_locks_past_the_horizon_is_an_error(tmp_path, capsys):
+    # 133 epochs of 100 ticks: the seed locks at t = 13300, node 1 down from t = 50
+    keys = dict(
+        seed="1", num_nodes="3", num_chains="1", lottery_bits="9", delta="100",
+        drain_window="0", crash_schedule="50:1",
+    )
+    late, exact = tmp_path / "late", tmp_path / "exact"
+    argv = ["run", "--config", str(write_cfg(tmp_path, "late.cfg", run_duration="1", **keys))]
+    assert main([*argv, "--out", str(late)]) == 2
+    assert capsys.readouterr().err == (
+        "error: beacon failed to lock a seed by the horizon t=1\n"
+    )
+    assert not late.exists()
+    # a seed that locks at the horizon itself still runs
+    argv = ["run", "--config", str(write_cfg(tmp_path, "exact.cfg", run_duration="13300", **keys))]
+    assert main([*argv, "--out", str(exact)]) == 0
+    capsys.readouterr()
+    summary = (exact / "summary.txt").read_text()
+    assert "beacon: 133 epoch(s)" in summary
+    assert "workload start t=13300, horizon t=13300" in summary
+
+
 def test_run_rejects_a_tx_rate_whose_nonces_pass_u64(tmp_path, capsys, monkeypatch):
     def no_run(config):
         raise AssertionError("validation let the run start")

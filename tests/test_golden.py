@@ -145,6 +145,33 @@ CASES = {
             "verify/order.csv": "069d67481dcbe94e3c160a42b8e289106ceb395d7b4cf1a74d74669a0a1a782c",
         },
     ),
+    # gossip delays of 1..20 ticks against a 5-tick block interval: headers of
+    # one chain reach a node out of order (78 of 5,100 arrive above the node's
+    # tip and wait in its buffer) and the 16 ConfirmBars rise 637 times
+    "gossip-reorder": (
+        {
+            "seed": "7",
+            "num_nodes": "16",
+            "num_chains": "8",
+            "lottery_bits": "4",
+            "raft_delay_max": "20",
+            "block_interval": "5",
+            "tx_rate": "1.0",
+            "run_duration": "1200",
+            "snapshot_interval": "200",
+        },
+        {
+            "beacon.csv": "1779ab8ccc758aff4a9faa38dbb7195c51f710155b2c4a67057504b096c9aae4",
+            "confirmbar.csv": "87fe953aeeaaf605f7ab205a6b523de97351c9c1bfaa8d96aba9bbdf5347515c",
+            "latency.csv": "96ca7d6d340384a0f05a351eefd4b9ca41253eea755fb2ff009342986ec3ec6d",
+            "order.csv": "9f094ef3a32c188a248b2b3d66a1828521b5fc691e0f460597d621b4aad3ef3c",
+            "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
+            "snapshots.csv": "3a55e7018fd37c8809bbd3abbf6b4da3c296cd3d30edb5f79b96ab525ad2f0f3",
+            "summary.txt": "f7d3d60e6428456b8ef3db40d95be1df7d86796df85abce11feb52a74656e319",
+            "throughput.csv": "dfdd3e31b3fa6270361b60d545c07057fb72ed3ac6bf85f67763433aaaa80741",
+            "verify/order.csv": "b42d4dce3437b72a236dff1d039e7523eb6d611b1027d9127548d32351cea9da",
+        },
+    ),
 }
 
 

@@ -8,13 +8,15 @@ from dataclasses import replace
 
 import pytest
 from oracles import OracleStream, oracle_key
+from test_golden import CASES
 
 import shadowraft.ledger as ledger_module
 import shadowraft.sealing as sealing_module
 import shadowraft.sim as sim_module
 from shadowraft.beacon import Certificate
 from shadowraft.ledger import encode_block, hash_header, make_genesis, new_block
-from shadowraft.ordering import GlobalView, propose_rank_fields
+from shadowraft.cli import build_config
+from shadowraft.ordering import propose_rank_fields, reference_total_order
 from shadowraft.raft import LogEntry, RaftNode, Role, VoteReply
 from shadowraft.sim import (
     ConfigError,
@@ -490,11 +492,10 @@ def test_final_order_that_is_not_the_reference_order_is_flagged():
     sim = Simulation(small_cfg(num_nodes=5, run_duration=400))
     sim.run()
     assert not sim.flags
-    order = sim.nodes[0].view.order
+    order = sim.store.order  # every node's order is a prefix of it
     order[1], order[2] = order[2], order[1]
     sim._final_checks()
-    # the swap also parts node 0's order from the next node's
-    assert sim.flags == ["final-order-divergence nodes=0,1", "prefix-stability node=0 t=final"]
+    assert sim.flags == ["prefix-stability node=0 t=final"]
 
 
 def counted(calls, name, fn):
@@ -671,20 +672,71 @@ def test_csv_bytes_matches_comma_joined_str_cells():
             csv_bytes(header, [row])
 
 
-def test_order_that_is_not_a_prefix_of_the_longest_is_flagged():
-    sim = Simulation(small_cfg(num_nodes=5, run_duration=400))
-    sim.run()
-    assert not sim.flags
-    # a node that does not hold the longest order forks after genesis with a
-    # block no other node holds, and its order grows when the block arrives
-    holder = sim.longest.holder
-    forked = next(node for node in sim.nodes if node.node_id != holder)
+def test_fork_at_a_height_the_store_holds_is_flagged(monkeypatch):
+    # a block after genesis that links to it as a real one would, but that the
+    # store does not hold: caught at the node's frontier and below it
+    cfg = small_cfg(num_nodes=5, run_duration=400)
+    assert run_simulation(cfg).safety_flags == []
     genesis = make_genesis(0)
     fork = new_block(0, 1, hash_header(genesis.header), 1, 2, (), 99).header
-    forked.view = GlobalView(1)
-    forked.view.add(genesis.header, hash_header(genesis.header))
-    sim._ingest_header(forked, fork, sim.now)
-    assert sim.flags == [f"prefix-consistency nodes={holder},{forked.node_id} t={sim.now}"]
+    victim, swapped = 3, []
+    real_ingest = Simulation._ingest_header
+
+    def forking(self, node, header, now):
+        if node.node_id == victim and header.height == 1 and not swapped:
+            swapped.append(header)  # its first height-1 header: the frontier is at 1
+            header = fork
+        real_ingest(self, node, header, now)
+
+    monkeypatch.setattr(Simulation, "_ingest_header", forking)
+    sim = Simulation(cfg)
+    sim.run()
+    assert sim.store.chains[0][1] != fork
+    # node 3 appended block 1: its own copy was the fork, and it never gets another
+    assert sim.flags == [
+        f"header-linkage node={victim} chain=0 height=1",
+        f"final-order-divergence nodes=0,{victim}",
+    ]
+    sim.flags.clear()
+    node = sim.nodes[0]
+    assert node.view.heights[0] > 1
+    real_ingest(sim, node, fork, sim.now)
+    assert sim.flags == ["view-divergence node=0 chain=0 height=1"]
+
+
+@pytest.mark.parametrize("name", ["multi-chain-crash", "traced-crash"])
+def test_every_frontier_reads_its_order_off_the_store(name, monkeypatch):
+    # after every arrival, each live node's bar is the minimum of the tails its
+    # heights give, and its order is the store's order up to the first ref at
+    # or above that bar; at the end the brute-force oracle agrees
+    config, _ = build_config(CASES[name][0])
+    real_ingest = Simulation._ingest_header
+    calls = []
+
+    def checked(self, node, header, now):
+        real_ingest(self, node, header, now)
+        calls.append(now)
+        store = self.store
+        for other in self.nodes:
+            if self.crash_time[other.node_id] <= min(now, self.end_time):
+                continue
+            view = other.view
+            assert view.tails == [
+                store.chains[c][height - 1].next_rank for c, height in enumerate(view.heights)
+            ]
+            assert view.bar == min(view.tails)
+            order = view.order
+            assert order == store.order[: len(order)]
+            assert all(ref.rank < view.bar for ref in order)
+            assert len(order) == len(store.order) or store.order[len(order)].rank >= view.bar
+
+    monkeypatch.setattr(Simulation, "_ingest_header", checked)
+    sim = Simulation(config)
+    trace = sim.run()
+    assert calls and not trace.safety_flags
+    for node in sim.nodes:
+        if sim.crash_time[node.node_id] > sim.end_time:
+            assert reference_total_order(node.view) == node.view.order
 
 
 def test_gossip_that_conflicts_with_a_view_is_flagged(monkeypatch):
