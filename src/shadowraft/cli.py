@@ -35,9 +35,10 @@ from . import beacon as beacon_mod
 from .beacon import invoke_beacon, make_beacon_nodes
 from .ledger import HASH_LEN, BlockHeader, hash_header
 from .ordering import (
+    Frontier,
     GlobalView,
-    LongestOrder,
     OrderingError,
+    UnknownChain,
     reference_total_order,
     total_order,
     validate_view,
@@ -350,21 +351,6 @@ def _load_tx_counts(path: Path) -> dict[str, int]:
     return tx_counts
 
 
-def _print_divergence(label_a, order_a, label_b, order_b):
-    limit = min(len(order_a), len(order_b))
-    at = next(
-        (i for i in range(limit) if order_a[i] != order_b[i]),
-        limit,
-    )
-    print(f"verify-order: orders diverge at position {at}:", file=sys.stderr)
-    for label, order in ((label_a, order_a), (label_b, order_b)):
-        window = order[max(0, at - 1) : at + 2]
-        shown = [
-            f"(rank={r.rank},chain={r.chain_id},height={r.height})" for r in window
-        ]
-        print(f"  {label}: ... {' '.join(shown)} ...", file=sys.stderr)
-
-
 def cmd_verify_order(args) -> int:
     trace_dir = Path(args.trace_dir)
     if not trace_dir.is_dir():
@@ -379,15 +365,19 @@ def cmd_verify_order(args) -> int:
 
 
 def _verify_order(trace_dir: Path, out: Path) -> int:
-    """Rebuild each node's view cumulatively from its snapshot rows.
+    """Rebuild every node's view from its snapshot rows over one header store.
 
     A snapshot holds only the headers new to the node since its previous
-    one, so a missing, repeated or misplaced row breaks linkage in
-    GlobalView.add. After each (time, node) group the view must cover every
-    chain, and the part its order gained must extend the longest order in
-    the file, which is written out. Orders only grow by appending, so the
-    whole-view oracles (validate_view, the brute-force reference) run once
-    per node, on its last view; the longest order is its holder's last.
+    one, so each row must sit at the node's frontier on its chain, or a row
+    is missing, repeated or misplaced. A header new to the store is linked
+    into it by GlobalView.add; one at a height the store already holds must
+    be the store's header there (GlobalView.holds), so two nodes that hold
+    different headers at one (chain, height) are rejected even where no
+    order reaches the fork. Every node's order is then a prefix of the
+    store's by construction. After each (time, node) group the view must
+    cover every chain. The whole-view oracles run once: validate_view over
+    the store, and the brute-force reference on each node's last view. The
+    longest node order is written out.
     """
     snapshots = trace_dir / "snapshots.csv"
     rows = _load_snapshots(snapshots) if snapshots.is_file() else None
@@ -396,37 +386,46 @@ def _verify_order(trace_dir: Path, out: Path) -> int:
     tx_counts = _load_tx_counts(trace_dir / "order.csv")
 
     num_chains = len({header.chain_id for _, _, header, _ in rows})
-    views: dict[int, GlobalView] = {}
-    longest = LongestOrder()  # holder is a "node n t=time" label
+    store = GlobalView(num_chains)
+    views: dict[int, Frontier] = {}
     checked = 0
     for (time, node_id), group in groupby(rows, key=lambda row: row[:2]):
         view = views.get(node_id)
         if view is None:
-            view = views[node_id] = GlobalView(num_chains)
-        start = len(view.order)  # order[:start] passed at the node's previous group
+            view = views[node_id] = Frontier(store)
         try:
             for _, _, header, stored in group:
-                view.add(header, stored)
-            order = total_order(view)
+                chain, height = header.chain_id, header.height
+                if chain >= num_chains:
+                    raise UnknownChain(f"chain {chain} not in view")
+                held = view.heights[chain]
+                if height != held:  # a row missing, repeated or misplaced
+                    raise OrderingError(f"chain {chain} height {height}: expected height {held}")
+                if height == len(store.chains[chain]):
+                    store.add(header, stored)
+                elif not store.holds(header):
+                    raise OrderingError(
+                        f"chain {chain} height {height}: another node holds a different header"
+                    )
+                view.advance(chain, header.next_rank)
+            total_order(view)  # raises IncompleteView unless every chain is covered
         except OrderingError as exc:
             raise _Rejected(1, f"t={time} node={node_id}: {exc}") from None
         checked += 1
-        label = f"node {node_id} t={time}"
-        if not longest.check(order, label, start):
-            _print_divergence(longest.holder, longest.refs, label, order)
-            return 1
 
+    try:
+        validate_view(store)
+    except OrderingError as exc:
+        raise _Rejected(1, str(exc)) from None
     for node_id, view in views.items():
-        try:
-            validate_view(view)
-            if view.order != reference_total_order(view):
-                raise OrderingError("total_order disagrees with the brute-force reference")
-        except OrderingError as exc:
-            raise _Rejected(1, f"node={node_id}: {exc}") from None
+        if view.order != reference_total_order(view):
+            why = "total_order disagrees with the brute-force reference"
+            raise _Rejected(1, f"node={node_id}: {why}")
 
     out.mkdir(parents=True, exist_ok=True)
+    longest = max((view.order for view in views.values()), key=len)
     final = []
-    for ref in longest.refs:
+    for ref in longest:
         hex_hash = ref.block_hash.hex()
         final.append(
             (ref.rank, ref.chain_id, ref.height, hex_hash, tx_counts.get(hex_hash, 0))
@@ -434,7 +433,7 @@ def _verify_order(trace_dir: Path, out: Path) -> int:
     (out / "order.csv").write_bytes(order_csv(final))
     print(
         f"verify-order: {checked} snapshot orders consistent; "
-        f"final order has {len(longest.refs)} blocks"
+        f"final order has {len(longest)} blocks"
     )
     return 0
 

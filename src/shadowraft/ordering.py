@@ -14,8 +14,11 @@ A GlobalView is a store of headers: they enter only through ``add``, which
 applies the ledger's linkage rule (``ledger.check_link``) and keeps the
 ConfirmBar and the merged total order current. A Frontier is one node's
 prefix of each of a store's chains; its order is a prefix of the store's.
-The simulator keeps one store per run and one frontier per node;
-``verify-order``, whose nodes may fork, rebuilds one GlobalView per node.
+The simulator and ``verify-order`` each keep one store per run and one
+frontier per node. A header that reaches a node at a height the store
+already holds must be the store's header there (``GlobalView.holds``), so a
+fork between two nodes is caught where it enters, and every node's order is
+a prefix of the store's by construction.
 """
 
 from __future__ import annotations
@@ -91,17 +94,30 @@ class GlobalView:
                 new += chain_refs[bisect_left(chain_refs, lo) : bisect_left(chain_refs, hi)]
             self.order += sorted(new)
 
+    def holds(self, header: BlockHeader) -> bool:
+        """Whether header is the store's header at its chain and height (the fork rule).
+
+        Nodes that share the store's own header object need no hashing; only
+        another object is compared by hash. False past the chain's tip.
+        """
+        chain, height = header.chain_id, header.height
+        headers = self.chains[chain]
+        return height < len(headers) and (
+            header is headers[height]
+            or hash_header(header) == self.refs[chain][height].block_hash
+        )
+
 
 class Frontier:
     """One node's view: the first heights[c] headers of each chain c of a store."""
 
     __slots__ = ("store", "heights", "tails", "bar")
 
-    def __init__(self, store: GlobalView):  # at the store's tip
+    def __init__(self, store: GlobalView):  # empty: every chain at height 0
         self.store = store
-        self.heights = [len(headers) for headers in store.chains]
-        self.tails = list(store.tails)
-        self.bar = store.bar
+        self.heights = [0] * len(store.chains)
+        self.tails = [0] * len(store.chains)
+        self.bar = 0
 
     def advance(self, chain: int, next_rank: int) -> None:
         """Take the store's next header of chain, which the caller checked, by its next_rank."""
@@ -150,42 +166,18 @@ def propose_rank_fields(view: GlobalView | Frontier, chain_id: int) -> tuple[int
     return rank, max(rank + 1, max(view.tails))
 
 
-def total_order(view: GlobalView) -> list[OrderedBlockRef]:
+def total_order(view: GlobalView | Frontier) -> list[OrderedBlockRef]:
     """Fully confirmed blocks: rank < the ConfirmBar, sorted by (rank, chain_id).
 
-    A copy of view.order; every chain must appear. As the view grows it only
-    gains a suffix (prefix stability): every later block on any chain ranks
-    at or above that chain's tail next_rank, hence at or above the bar.
+    A copy of view.order; every chain must appear, and a tail is 0 only
+    while its chain is empty. As the view grows it only gains a suffix
+    (prefix stability): every later block on any chain ranks at or above
+    that chain's tail next_rank, hence at or above the bar.
     """
-    if not all(view.chains):
-        present = [c for c, headers in enumerate(view.chains) if headers]
-        raise IncompleteView(f"view covers {present} of {len(view.chains)} chains")
+    if not all(view.tails):
+        present = [c for c, tail in enumerate(view.tails) if tail]
+        raise IncompleteView(f"view covers {present} of {len(view.tails)} chains")
     return list(view.order)
-
-
-class LongestOrder:
-    """The longest of the orders checked so far, and the holder that extended it.
-
-    Orders are consistent iff each is a prefix of the longest one.
-    """
-
-    def __init__(self):
-        self.refs: list[OrderedBlockRef] = []
-        self.holder = None
-
-    def check(self, order: list[OrderedBlockRef], holder, start: int = 0) -> bool:
-        """False if order[start:] disagrees with refs; else extend refs to cover order.
-
-        refs only grows by a suffix, so order[:start] needs no check once it passed.
-        """
-        refs = self.refs
-        common = min(len(order), len(refs))
-        if order[start:common] != refs[start:common]:
-            return False
-        if len(order) > len(refs):
-            refs += order[len(refs) :]
-            self.holder = holder
-        return True
 
 
 def reference_total_order(view: GlobalView | Frontier) -> list[OrderedBlockRef]:

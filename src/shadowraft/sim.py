@@ -72,6 +72,7 @@ from .ledger import (
     append_block,
     decode_block,
     encode_block,
+    # unused here, but perfbench/tracer.py wraps shadowraft.sim.hash_header by name
     hash_header,
     make_genesis,
     new_block,
@@ -407,7 +408,9 @@ class _Node:
         self.height = 0  # blocks of the chain's ledger this replica has applied
         self.applied = 0
         self.led_term = 0
-        self.view = Frontier(store)  # holding every genesis
+        self.view = Frontier(store)
+        for chain, headers in enumerate(store.chains):
+            self.view.advance(chain, headers[0].next_rank)  # every genesis
         self.buffer: list[dict[int, BlockHeader]] = [{} for _ in store.chains]
         self.written = [0] * len(store.chains)  # headers per chain in snapshots
         self.timer_at, self.timer_seq = None, 0  # the timer fires at (deadline, seq)
@@ -667,13 +670,11 @@ class Simulation:
     # -- views and gossip ----------------------------------------------------
 
     def _ingest_header(self, node: _Node, header: BlockHeader, now: int) -> None:
-        view = node.view
+        view, store = node.view, self.store
         chain, height = header.chain_id, header.height
-        headers, refs = self.store.chains[chain], self.store.refs[chain]
         held = view.heights[chain]
         if height < held:
-            # replicas share one decoded header object: only another one needs hashing
-            if header is not headers[height] and hash_header(header) != refs[height].block_hash:
+            if not store.holds(header):
                 self._flag(f"view-divergence node={node.node_id} chain={chain} height={height}")
             return
         buf = node.buffer[chain]
@@ -681,10 +682,7 @@ class Simulation:
         bar, tip = view.bar, held
         while tip in buf:
             nxt = buf.pop(tip)
-            # the store's own header, or a copy; a fork or an orphan is flagged
-            if tip >= len(headers) or (
-                nxt is not headers[tip] and hash_header(nxt) != refs[tip].block_hash
-            ):
+            if not store.holds(nxt):  # a fork, or an orphan past the store's tip
                 self._flag(f"header-linkage node={node.node_id} chain={chain} height={tip}")
                 break
             view.advance(chain, nxt.next_rank)
@@ -770,14 +768,16 @@ class Simulation:
             pending[chain].append(tx)
 
     def _on_snapshot(self, now: int) -> None:
-        live = [node for node in self.nodes if self.crash_time[node.node_id] > now]
-        rows, refs = self.snapshot_rows, self.store.refs
-        for node in live:
-            for chain, headers in enumerate(node.view.chains):
-                start = node.written[chain]
-                for h, ref in zip(headers[start:], refs[chain][start:]):
-                    rows.append((now, node.node_id, h, ref.block_hash))
-                node.written[chain] = len(headers)
+        rows, chains, refs = self.snapshot_rows, self.store.chains, self.store.refs
+        for node in self.nodes:
+            if self.crash_time[node.node_id] <= now:
+                continue
+            written = node.written
+            for chain, height in enumerate(node.view.heights):
+                headers, chain_refs = chains[chain], refs[chain]
+                for i in range(written[chain], height):
+                    rows.append((now, node.node_id, headers[i], chain_refs[i].block_hash))
+                written[chain] = height
 
     # -- main loop ----------------------------------------------------------
 

@@ -425,17 +425,10 @@ def test_verify_order_catches_missing_or_repeated_rows(tmp_path, capsys):
         assert "node=0" in capsys.readouterr().err
 
 
-def test_verify_order_checks_every_order_against_the_longest(tmp_path, capsys):
-    # node 1 holds a prefix of both node 0 and node 2, which disagree with
-    # each other: a check of adjacent node ids alone would pass this file
-    from shadowraft.ledger import Transaction, hash_header, make_genesis, new_block
+def _snapshot_dir(tmp_path, views):
+    """A trace directory whose snapshots.csv gives each node its headers at t=100."""
+    from shadowraft.ledger import hash_header
 
-    genesis = make_genesis(0).header
-    link = dict(chain_id=0, height=1, parent_hash=hash_header(genesis), rank=1,
-                next_rank=2, proposer_term=1)
-    block_a = new_block(transactions=[Transaction(b"a", False, 1, 0)], **link).header
-    block_b = new_block(transactions=[Transaction(b"b", False, 1, 0)], **link).header
-    views = {0: [genesis, block_a], 1: [genesis], 2: [genesis, block_b]}
     lines = ["time,node_id,chain_id,height,rank,next_rank,proposer_term,"
              "parent_hash,tx_root,block_hash"]
     for node, headers in views.items():
@@ -448,10 +441,53 @@ def test_verify_order_checks_every_order_against_the_longest(tmp_path, capsys):
     trace = tmp_path / "trace"
     trace.mkdir()
     (trace / "snapshots.csv").write_text("\n".join(lines) + "\n")
+    return trace
+
+
+def _rival_blocks():
+    """Chain 0's genesis and two different headers that both link to it at height 1."""
+    from shadowraft.ledger import Transaction, hash_header, make_genesis, new_block
+
+    genesis = make_genesis(0).header
+    link = dict(chain_id=0, height=1, parent_hash=hash_header(genesis), rank=1,
+                next_rank=2, proposer_term=1)
+    block_a = new_block(transactions=[Transaction(b"a", False, 1, 0)], **link).header
+    block_b = new_block(transactions=[Transaction(b"b", False, 1, 0)], **link).header
+    return genesis, block_a, block_b
+
+
+def test_verify_order_checks_every_order_against_the_longest(tmp_path, capsys):
+    # node 1 holds a prefix of both node 0 and node 2, which disagree with
+    # each other: node 2's header is a fork of the one node 0 put in the store
+    genesis, block_a, block_b = _rival_blocks()
+    trace = _snapshot_dir(tmp_path, {0: [genesis, block_a], 1: [genesis], 2: [genesis, block_b]})
     assert main(["verify-order", str(trace), "--out", str(tmp_path / "v")]) == 1
     err = capsys.readouterr().err
-    assert "orders diverge at position 1" in err
-    assert "node 0 t=100" in err and "node 2 t=100" in err
+    assert "t=100 node=2: chain 0 height 1: another node holds a different header" in err
+
+
+def test_verify_order_rejects_a_fork_that_no_order_reaches(tmp_path, capsys):
+    # chain 1 stays at its genesis, so every bar is 1 and both orders hold the
+    # two genesis blocks alone: the fork at chain 0 height 1 is in no order
+    from shadowraft.ledger import make_genesis
+
+    genesis, block_a, block_b = _rival_blocks()
+    other = make_genesis(1).header
+    views = {0: [genesis, block_a, other], 1: [genesis, other], 2: [genesis, block_b, other]}
+    trace = _snapshot_dir(tmp_path, views)
+    assert main(["verify-order", str(trace), "--out", str(tmp_path / "v")]) == 1
+    err = capsys.readouterr().err
+    assert "node=2: chain 0 height 1: another node holds a different header" in err
+
+
+def test_verify_order_rejects_a_chain_id_past_the_chain_count(tmp_path, capsys):
+    # chain ids {0, 2} make two chains, so chain 2 is outside every view
+    from shadowraft.ledger import make_genesis
+
+    trace = _snapshot_dir(tmp_path, {0: [make_genesis(0).header, make_genesis(2).header]})
+    assert main(["verify-order", str(trace), "--out", str(tmp_path / "v")]) == 1
+    err = capsys.readouterr().err
+    assert "t=100 node=0: chain 2 not in view" in err and "Traceback" not in err
 
 
 def test_verify_order_rejects_malformed_snapshots(tmp_path, capsys):
@@ -497,8 +533,8 @@ def test_argparse_usage_errors(capsys):
 
 
 def test_verify_order_runs_each_oracle_once_per_node(tmp_path, monkeypatch, capsys):
-    # orders only grow by appending, so the whole-view oracles check each
-    # node's last view; every (time, node) group still gets the prefix check
+    # orders only grow by appending, so the brute-force reference checks each
+    # node's last view, and validate_view rechecks the one store all views share
     import shadowraft.cli as cli
 
     out = run_and_verify_dirs(tmp_path)
@@ -515,7 +551,7 @@ def test_verify_order_runs_each_oracle_once_per_node(tmp_path, monkeypatch, caps
     groups = {(cells[0], cells[1]) for cells in rows}
     assert f"{len(groups)} snapshot orders consistent" in capsys.readouterr().out
     assert len(groups) > len(nodes)
-    assert calls == {"validate_view": len(nodes), "reference_total_order": len(nodes)}
+    assert calls == {"validate_view": 1, "reference_total_order": len(nodes)}
 
 
 def _snapshot_header(cells):
@@ -526,11 +562,23 @@ def _snapshot_header(cells):
                        bytes.fromhex(cells[8]), term)
 
 
+def _has_fork(rows):
+    """Whether two rows hold different hashes at one (chain, height)."""
+    held = {}
+    return any(held.setdefault((c[2], c[3]), c[9]) != c[9] for c in rows)
+
+
 def _reference_verdict(rows):
     """verify-order's exit code for well-formed rows whose stored hashes match,
-    by brute force: at every (time, node) group the node's whole view is
-    relinked, must cover every chain, and its order must agree with every
-    earlier group's order up to the shorter of the two."""
+    by brute force: every (chain, height) in the file has one hash, and at
+    every (time, node) group the node's whole view is relinked, must cover
+    every chain, and its order must agree with every earlier group's order
+    up to the shorter of the two."""
+    return 1 if _has_fork(rows) else _per_node_verdict(rows)
+
+
+def _per_node_verdict(rows):
+    """_reference_verdict without the one-hash rule: each node's view alone."""
     from shadowraft.ledger import LedgerError, check_link, hash_header
 
     rows = sorted(rows, key=lambda c: (int(c[0]), int(c[1]), int(c[2]), int(c[3])))
@@ -631,3 +679,5 @@ def test_verify_order_exit_codes_under_snapshot_mutations(tmp_path, capsys):
         assert main(["verify-order", str(out), "--out", str(tmp_path / "v")]) == verdicts[-1]
     assert "view covers" in capsys.readouterr().err.splitlines()[-1]
     assert verdicts.count(0) > 10 and verdicts.count(1) > 10, verdicts
+    # some mutant links in every node's own view and is rejected as a fork alone
+    assert any(_has_fork(m) and _per_node_verdict(m) == 0 for m in mutants)

@@ -11,6 +11,7 @@ from oracles import OracleStream, oracle_key
 from test_golden import CASES
 
 import shadowraft.ledger as ledger_module
+import shadowraft.ordering as ordering_module
 import shadowraft.sealing as sealing_module
 import shadowraft.sim as sim_module
 from shadowraft.beacon import Certificate
@@ -746,8 +747,8 @@ def test_gossip_that_conflicts_with_a_view_is_flagged(monkeypatch):
     node = sim.nodes[0]
     held = node.view.chains[0][1]
     calls = {"hash_header": 0}
-    monkeypatch.setattr(
-        sim_module, "hash_header", counted(calls, "hash_header", sim_module.hash_header)
+    monkeypatch.setattr(  # the fork rule, GlobalView.holds, hashes in ordering
+        ordering_module, "hash_header", counted(calls, "hash_header", ordering_module.hash_header)
     )
     sim._ingest_header(node, held, sim.now)  # a repeat of the object it holds
     assert calls["hash_header"] == 0
