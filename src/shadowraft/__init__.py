@@ -2,7 +2,7 @@
 
 The package splits into pure protocol layers and a simulation harness:
 
-- rng: deterministic counter-mode randomness streams (the reproducibility
+- rng: deterministic SHAKE-128 block streams (the reproducibility
   backbone of everything else)
 - ledger: canonical block/transaction encodings, hashing, chain validation
 - sealing: authenticated encryption envelopes for sensitive payloads

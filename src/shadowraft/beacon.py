@@ -25,7 +25,7 @@ import hashlib
 from dataclasses import dataclass
 import struct
 
-from .rng import Stream, stream_key
+from .rng import R, Stream, stream_key
 
 
 class BeaconError(Exception):
@@ -45,9 +45,6 @@ class InvalidShape(BeaconError):
 
 
 _DRAWS = struct.Struct(">QQ")  # an invocation's q and rnd draws
-# an enclave's first read is the 8 blocks a Stream refill hashes; each later
-# read doubles, up to the cap, so a short-lived enclave hashes no extra block
-_FIRST_READ, _MAX_READ = 256, 4096
 # _CANDIDATE[k] maps a byte to 0 iff its low k bits are all zero, else to 1:
 # the pattern 0, 1, ..., 1 of length 2^k, repeated over the 256 byte values
 _CANDIDATE = [(b"\0" + b"\1" * ((1 << k) - 1)) * (256 >> k) for k in range(9)]
@@ -72,8 +69,8 @@ def _cert_tag(secret: bytes, epoch: int, rnd: int, node_id: int) -> bytes:
 class BeaconNode:
     """One verifier's enclave: signing secret, private rng, and the epoch gate.
 
-    The rng is read only in batches of 16-byte (q, rnd) records, 256 bytes
-    first and each later read twice the last, up to 4 KiB. When a batch
+    The rng is read only in batches of one stream block, R bytes or R / 16
+    (q, rnd) records, so each batch hashes exactly one block. When a batch
     arrives its winning records are found by a byte scan: the low byte of
     each q through _CANDIDATE, and for l > 8 a check of the whole q. _at is
     the next record and _stop the next winning record or the batch's end.
@@ -90,7 +87,6 @@ class BeaconNode:
             raise ValueError("lottery_bits out of range")
         if len(self.secret) != 32:
             raise ValueError("secret must be 32 bytes")
-        self._read = _FIRST_READ  # bytes in the next read
         # the last read, and its records' low q bytes mapped by _CANDIDATE
         self._batch = self._flags = b""
         self._at = self._stop = 0
@@ -125,8 +121,7 @@ def invoke_beacon(node: BeaconNode, epoch: int) -> Certificate | None:
         node._at = i + 1
         return None
     if i == len(node._flags):  # the batch is used up: read the next one
-        node._batch = batch = node.rng.next_bytes(node._read)
-        node._read = min(2 * node._read, _MAX_READ)
+        node._batch = batch = node.rng.next_bytes(R)
         # next_below(2^l) is the first u64 mod 2^l: a power of two rejects no draw
         node._flags = batch[7::16].translate(_CANDIDATE[min(node.lottery_bits, 8)])
         i, node._stop = 0, node._next_win(0)

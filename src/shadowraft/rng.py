@@ -1,4 +1,4 @@
-"""Deterministic counter-mode random streams.
+"""Deterministic random streams of SHAKE-128 blocks.
 
 Every source of randomness in this package is drawn from a named stream so
 that a single master seed reproduces a whole experiment bit-for-bit, and so
@@ -6,22 +6,24 @@ that independent concerns never share a stream: per-node beacon secrets and
 draws, the committee shuffle, seal keys, Raft message delays, gossip delays,
 the client workload and per-node election timeouts.
 
-The construction is fixed and intentionally simple so it can be re-derived
-by hand or by another implementation:
+The construction (layout v3) is fixed and intentionally simple so it can be
+re-derived by hand or by another implementation:
 
     key      = SHA-256(b"shadowraft.stream.v1" || label_0 || 0x1F || label_1 ...)
-    block(i) = SHA-256(key || BE64(i))          for i = 0, 1, 2, ...
+    block(i) = SHAKE128(key || BE64(i)), its first R = 1024 bytes, i = 0, 1, 2, ...
 
 where an integer label contributes its 8-byte big-endian encoding and a
-string label its UTF-8 bytes. The stream is the concatenation of the blocks,
-consumed left to right; ``next_u64`` reads the next 8 bytes big-endian.
-A stream keys one SHA-256 context with ``key`` when built and hashes each
-block from a copy of it. A refill hashes the next 8 blocks (more if one read
-needs them) onto the unread bytes of the buffer, and each draw is one slice
-or unpack of that buffer, which reads exactly the stream defined above.
-``peek(st)`` unpacks the next ``st.size`` bytes by a ``struct.Struct``
-without consuming them, and ``skip(n)`` consumes n bytes, so a caller can
-read several draws at once and take them only when none would be rejected.
+string label its UTF-8 bytes. SHAKE-128 is the FIPS 202 extendable-output
+function. The stream is the concatenation of the blocks, consumed left to
+right; ``next_u64`` reads the next 8 bytes big-endian. Block i depends only
+on (key, i), never on how the stream is read. A stream keys one SHAKE-128
+context with ``key`` when built and hashes each block from a copy of it. A
+refill appends the fewest whole blocks, at least one, that leave n or more
+bytes unread, and each draw is one slice or unpack of that buffer, which
+reads exactly the stream defined above. ``peek(st)`` unpacks the next
+``st.size`` bytes by a ``struct.Struct`` without consuming them, and
+``skip(n)`` consumes n bytes, so a caller can read several draws at once and
+take them only when none would be rejected.
 
 ``next_below(n)`` is unbiased: it draws 64-bit values and rejects any draw
 at or above ``below_limit(n)``, the largest multiple of ``n`` that fits in
@@ -47,7 +49,7 @@ import struct
 _DOMAIN = b"shadowraft.stream.v1"
 _SEP = b"\x1f"
 _U64 = 1 << 64
-_BLOCKS = 8  # blocks hashed per refill
+R = 1024  # bytes per block
 _unpack_u64 = struct.Struct(">Q").unpack_from
 
 
@@ -74,14 +76,14 @@ def stream_key(*labels: int | str) -> bytes:
 
 
 class Stream:
-    """One deterministic byte stream, identified by its key, read through a multi-block buffer."""
+    """One deterministic byte stream, identified by its key, read through a block buffer."""
 
     __slots__ = ("_ctx", "_counter", "_buf", "_pos", "_end")
 
     def __init__(self, key: bytes):
         if len(key) != 32:
             raise ValueError("stream key must be 32 bytes")
-        self._ctx = hashlib.sha256(key)  # block(i) hashes a copy of it, then BE64(i)
+        self._ctx = hashlib.shake_128(key)  # block(i) hashes a copy of it, then BE64(i)
         self._counter = 0  # next block to hash
         self._buf = b""
         self._pos = self._end = 0  # unread bytes are _buf[_pos:_end]
@@ -93,12 +95,12 @@ class Stream:
     def _fill(self, n: int) -> None:
         """Keep the unread bytes and append blocks until n or more are unread."""
         c, copy = self._counter, self._ctx.copy
-        self._counter = end = c + max(_BLOCKS, (n - self._end + self._pos + 31) // 32)
+        self._counter = end = c + (n - self._end + self._pos + R - 1) // R
         blocks = []
         for i in range(c, end):
             h = copy()
             h.update(i.to_bytes(8, "big"))
-            blocks.append(h.digest())
+            blocks.append(h.digest(R))
         self._buf = self._buf[self._pos :] + b"".join(blocks)
         self._pos, self._end = 0, len(self._buf)
 

@@ -9,6 +9,7 @@ import hashlib
 
 DOMAIN = b"shadowraft.stream.v1"
 U64 = 1 << 64
+BLOCK = 1024  # bytes of SHAKE-128 output per stream block (layout v3)
 
 
 def oracle_key(*labels):
@@ -22,7 +23,7 @@ def oracle_key(*labels):
 
 
 class OracleStream:
-    """Counter-mode SHA-256 byte stream, read front to back."""
+    """Stream layout v3: block i is SHAKE128(key || BE64(i)) cut to BLOCK bytes, read front to back."""
 
     def __init__(self, key):
         self.key = key
@@ -31,7 +32,8 @@ class OracleStream:
 
     def read(self, n):
         while len(self.buf) < n:
-            self.buf += hashlib.sha256(self.key + self.counter.to_bytes(8, "big")).digest()
+            block_input = self.key + self.counter.to_bytes(8, "big")
+            self.buf += hashlib.shake_128(block_input).digest(BLOCK)
             self.counter += 1
         out, self.buf = self.buf[:n], self.buf[n:]
         return out

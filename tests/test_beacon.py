@@ -49,9 +49,9 @@ def test_invoke_draw_order_matches_oracle():
 
 
 def test_invoke_draws_match_oracle_across_read_ahead():
-    # 1,300 invocations read 20,800 bytes, past the 4 KiB read cap several
-    # times; the epochs skip values and each skip is preceded by rejected
-    # replays, which must consume no draw
+    # 1,300 invocations read 20,800 bytes, past 20 one-block batch edges; the
+    # epochs skip values and each skip is preceded by rejected replays, which
+    # must consume no draw
     bits, seed, count = 1, 13, 1300
     node = make_beacon_nodes(1, bits, seed)[0]
     wins = 0
@@ -92,26 +92,17 @@ def test_invoke_matches_oracle_where_the_byte_scan_is_not_enough(bits, count):
         assert (True, True) in seen
 
 
-def test_read_schedule_doubles_up_to_four_kib():
-    # reads of 256, 512, 1024 and 2048 bytes, then 4096 each, are 16, 32,
-    # 64, 128 and then 256 records; a read is made when the first record
-    # past the last read is needed, and each 32-byte block is hashed once
+def test_each_batch_hashes_one_block():
+    # every read is one R-byte block, R / 16 = 64 records; a read is made when
+    # the first record past the last read is needed, so an enclave invoked k
+    # times has hashed ceil(k / 64) blocks, and a short-lived one hashes one
     node = make_beacon_nodes(1, 6, seed=17)[0]
     invoked = 0
-    for count, blocks in [(1, 8), (16, 8), (17, 24), (100, 56), (1300, 760)]:
+    for count in (1, 16, 64, 65, 100, 128, 129, 1300):
         while invoked < count:
             invoke_beacon(node, invoked)
             invoked += 1
-        assert node.rng._counter == blocks, count
-
-
-def test_sixteen_invocations_hash_eight_blocks():
-    # a simulation locks its seed within a few epochs, so an enclave's first
-    # reads must hash no more than the 16 draws it uses
-    node = make_beacon_nodes(1, 6, seed=17)[0]
-    for epoch in range(16):
-        invoke_beacon(node, epoch)
-    assert node.rng._counter == 8
+        assert node.rng._counter == -(-count // 64), count
 
 
 def test_invoke_wins_at_rate_two_to_minus_l():

@@ -196,11 +196,16 @@ def test_failed_runs_end_in_one_line_diagnostics(tmp_path, capsys):
 
 
 def test_beacon_that_locks_past_the_horizon_is_an_error(tmp_path, capsys):
-    # 133 epochs of 100 ticks: the seed locks at t = 13300, node 1 down from t = 50
+    # epochs of 100 ticks at l = 9, node 1 down from t = 50; a run with a long
+    # horizon reads the tick at which the seed locks
     keys = dict(
         seed="1", num_nodes="3", num_chains="1", lottery_bits="9", delta="100",
         drain_window="0", crash_schedule="50:1",
     )
+    probe = write_cfg(tmp_path, "probe.cfg", run_duration="100000", **keys)
+    trace = run_simulation(build_config(read_config_file(str(probe)))[0])
+    epochs, lock = len(trace.beacon_rows), trace.workload_start
+    assert lock == 100 * epochs > 50  # node 1 crashes during the beacon phase
     late, exact = tmp_path / "late", tmp_path / "exact"
     argv = ["run", "--config", str(write_cfg(tmp_path, "late.cfg", run_duration="1", **keys))]
     assert main([*argv, "--out", str(late)]) == 2
@@ -209,12 +214,12 @@ def test_beacon_that_locks_past_the_horizon_is_an_error(tmp_path, capsys):
     )
     assert not late.exists()
     # a seed that locks at the horizon itself still runs
-    argv = ["run", "--config", str(write_cfg(tmp_path, "exact.cfg", run_duration="13300", **keys))]
+    argv = ["run", "--config", str(write_cfg(tmp_path, "exact.cfg", run_duration=str(lock), **keys))]
     assert main([*argv, "--out", str(exact)]) == 0
     capsys.readouterr()
     summary = (exact / "summary.txt").read_text()
-    assert "beacon: 133 epoch(s)" in summary
-    assert "workload start t=13300, horizon t=13300" in summary
+    assert f"beacon: {epochs} epoch(s)" in summary
+    assert f"workload start t={lock}, horizon t={lock}" in summary
 
 
 def test_run_rejects_a_tx_rate_whose_nonces_pass_u64(tmp_path, capsys, monkeypatch):
@@ -615,7 +620,7 @@ def test_verify_order_exit_codes_under_snapshot_mutations(tmp_path, capsys):
     # exit code must equal the brute-force verdict of the mutated file
     from shadowraft.ledger import hash_header
 
-    cfg = write_cfg(tmp_path, num_nodes="6", num_chains="3", run_duration="500",
+    cfg = write_cfg(tmp_path, seed="30", num_nodes="6", num_chains="3", run_duration="500",
                     snapshot_interval="40")
     out = tmp_path / "trace"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0

@@ -26,15 +26,15 @@ CASES = {
             "snapshot_interval": "150",
         },
         {
-            "beacon.csv": "ad25863edce2c4308f925f7656f8770d4764e4bc2749e2f4ef9367fef88ba6c9",
-            "confirmbar.csv": "eb34b13d78169868d97e9d867bcb0cdf7fa1e0d2aa4537dc6bfb28474c9ee6df",
-            "latency.csv": "7a7ba5a2f95173807390fa45aeb091d32d5d8e0141af77afef1d9e40ed001b85",
-            "order.csv": "f1a696e2ae4ce723f35ed33d414da30254cab288dc834d0d7d2ae6cf63e82ebe",
+            "beacon.csv": "9e7ce19aa849ff0da9a078408247539442c8ef1dce189d4f6b0a20dac16f531c",
+            "confirmbar.csv": "471e81536b92fde11cd0c07d6e184a0c73a2241e1d4236fef40f3c36db394459",
+            "latency.csv": "32af829f5a23fd4008e6926ce52fd4077d8180776908a6e7b992c689ca03f8f1",
+            "order.csv": "964939269bb23b55ecc6dd6423fd21bad9e8f886aee4fbc83e5df2cb39883284",
             "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
-            "snapshots.csv": "9e93cf66a36c205f19b66985cb4f33009d7edefb8a843f1090fd697d081c7d08",
-            "summary.txt": "85ddcd8f1aceb42468870b273c34bc4359549ead2aa1a9cc32ccb06fedb8a0b2",
-            "throughput.csv": "d353cd5a3565d9444c9a176db1e53175202a8a38de40bf8d24325fd9d9624cda",
-            "verify/order.csv": "e9114b3f7f8d87d7a5aa5c5c46aa509f112edeee04c0fc6f80e406a584b2fdae",
+            "snapshots.csv": "677865923f4fffedd76421eb48fc73e05f0d798a1305a4ac8e3cccce7a2c2d5a",
+            "summary.txt": "bb8e5a7dc1600a96d14ee407f0bc5a219e54699b172c1f19813760569ac30792",
+            "throughput.csv": "e813907a0f7b72c526dd5da8b7cb8b23eeac6e50ecc173425f6a1185b1fd6773",
+            "verify/order.csv": "23012a242666dd4f5834ac0c314a07ba401cbbc0c644a3711d447febf858a03f",
         },
     ),
     "multi-chain-crash": (
@@ -49,15 +49,15 @@ CASES = {
             "snapshot_interval": "200",
         },
         {
-            "beacon.csv": "b20c0b4a262bb8d5437707224af1999a424285a6bfd4358479802b3f3f41e0d5",
-            "confirmbar.csv": "70e761018d434fad741a38d4ae96d4ce2c1492479d3c2fcce40d606372b59d6f",
-            "latency.csv": "ed7ba2be2947e66a383272d411ebe3f5fbae9bed45ae00959639365035d3dfa0",
-            "order.csv": "97827e0d112426b7c0bb4dc5682cb08beb39607819515df652e5e63c2ba9581f",
+            "beacon.csv": "ec96440550fad91041633954c74cb8f9511bfc8724f056e50e099aaddba8eb40",
+            "confirmbar.csv": "19c0e7ddf05e0cf2b7ab867f7ca7b1dc67157a4cabea1ef6ba0f7c955bca33c8",
+            "latency.csv": "2a1da4c95f026180b48893893c04a204d5789e2d6dbb66df0bdafaeb02258126",
+            "order.csv": "635c40b4b502bda241fcaa54760bbf8eae91ea90ae2ae6c4bf19589a91b039d3",
             "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
-            "snapshots.csv": "08504676851e62fc3bd1fb2e7eff87cd27cd183d8b22447e9b7b4fc4b24fc4de",
-            "summary.txt": "41bce8f9d33e7f59a4d25aec0d466e90c39528e715531bf48631d0b479d8c7d1",
-            "throughput.csv": "407da8201ba1b2e076acd7cb400f611fd456a5cd0c23eb1c8cbbeb8a0540a334",
-            "verify/order.csv": "db87456197a03f1ad49fd148e21eaf2866d07b45d7da7ab77153a21a8b2efddb",
+            "snapshots.csv": "efb0c898b53e52d98e87dc6910c83f8f6e59ce96b26eef2a7e838c43502754ea",
+            "summary.txt": "0d8baf2588e80730bf3fe2c3f5019117214a2a42160a16c7fe1a6bb98972a1f8",
+            "throughput.csv": "f08f6dee5dce224124af41cae724188abf06dd84ccb626dff2674d89620bc7a0",
+            "verify/order.csv": "3421709d9b11f056e426e611405f866fc868fee5433c3b259daf36f9ed782834",
         },
     ),
     "traced": (
@@ -73,22 +73,22 @@ CASES = {
             "trace_events": "true",
         },
         {
-            "beacon.csv": "e9ee7f3ac0e20738bd29b0a45ed487958ba241c113edfca81ff2b0438ad5f276",
-            "confirmbar.csv": "db7f669cdfd807e71bbd41a09c8d757c1b6c078247b2d1dbd7729dc629cfbc95",
-            "events.csv": "86eeb374b9a88e77336b3a975a7cc88288a170e1834b38687384dd14fcd3d94d",
-            "latency.csv": "0b085af53b8f210f8a3696913cb6185cbec1dff22c25384a1ab6125fbc39ed10",
-            "order.csv": "8ca66f828c4df7cb90aa6c3b456a2dbb2c8d8dabd8cb2e92016ca6168d86d99e",
+            "beacon.csv": "5fdc33381f920b6dd54ed44d305fe066c5453bf10fe85259eb78ac45e5b3089f",
+            "confirmbar.csv": "fe33941baf6d331c10a8c5ee82196d84ed837f31c3548ec9c002d9f1905e70c9",
+            "events.csv": "f42b4319a15763a55344843e1298241e75098142869cf1009767fe6da6542fca",
+            "latency.csv": "e5e7229fe8ede4825ba0b99c0c6d6bfa514eb601d11dc8b0667419b43ad6dbc5",
+            "order.csv": "ce7e337bdb3f1a97ae91e14d9da3a1e241bc81b502ef4c4b328db722376e4ad8",
             "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
-            "snapshots.csv": "2596b394bbce4687ba6cab6f7732b5319e6247ece76f98183d5583a4089e19d1",
-            "summary.txt": "59b74aa92c325507f2258014865aed9e36edd792de64b05b5aba59b95e0f1bec",
-            "throughput.csv": "c05ce8d628f8fa6852298a2f2eb9bb6ca69b877779b2d65c84fae9661aef345d",
-            "verify/order.csv": "418ee1d11bf3fd8564deafef64c333454dd6ae116af9e5fc27ed6b4e98a4b35b",
+            "snapshots.csv": "0bb8d45ba00d3cab9af0dad7d04d0f19ed641be61dbf59b75006561265b859a7",
+            "summary.txt": "87b87a701c41a701b0738ded1deeb39e3326edbae9f54ca079945e3dc488ac40",
+            "throughput.csv": "9d129fac2c2807bcd119e2942fc2fa2bbd65a0f1df5c6e169d0e1f7c71bc47b6",
+            "verify/order.csv": "5a07064d7563c7855d1280bf49193911da4ea5a450e3661f1242479ba5bc9d70",
         },
     ),
-    # the crash path, traced: chain 0's leader (node 5) crashes mid-run, chain
-    # 1's leader (node 2) on the tick of a proposal and a snapshot, and node 6
+    # the crash path, traced: chain 0's leader (node 6) crashes mid-run, chain
+    # 1's leader (node 1) on the tick of a proposal and a snapshot, and node 5
     # one tick after the horizon (t = 565), so it still gets the header that
-    # node 7 gossips at t = 567 and takes it at t = 570
+    # node 7 gossips at t = 568 and takes it at t = 570
     "traced-crash": (
         {
             "seed": "5",
@@ -97,23 +97,23 @@ CASES = {
             "lottery_bits": "2",
             "election_timeout": "60",
             "heartbeat_interval": "15",
-            "crash_schedule": "300:5,410:2,566:6",
+            "crash_schedule": "300:6,410:1,566:5",
             "run_duration": "565",
             "drain_window": "0",
             "snapshot_interval": "200",
             "trace_events": "true",
         },
         {
-            "beacon.csv": "daf77b3177a6e244b4af04d8ffee1b6348fb653b771776b934f6f4ecd473e930",
-            "confirmbar.csv": "abb9d6644bd46b51bfae5f8000a832e0a15942ded68d16eb65377fbac6aa17a7",
-            "events.csv": "ecdb56656970dca9cb66c67a37f7483a12888e4204e505207238247a7970992a",
-            "latency.csv": "2bf46560b97d21ec819002714e391256fb277153b064d1db6d4acac3a914b277",
-            "order.csv": "87e35f0f6d579ca5a0ec5aa477a9e6bd0e7b8b0993eec472702777b8b27da2b0",
+            "beacon.csv": "4ba0ed824b0cbb8177e003bec17f663642b12a2a733023abcbd10ffd4b4d3d7c",
+            "confirmbar.csv": "2ae5fc006b6c7b9c2436692a5cd717cfbbd283086c82e4231802f7c8dba882c1",
+            "events.csv": "f1a4d66183a8015a222d1134804b89d16aca4688c51b0582c6ba31818ff27349",
+            "latency.csv": "ada51cc7def186883031a7679f26230e71e64f5d1f9db543d8030fa3ba04a380",
+            "order.csv": "e503ecd408f84e9f46cc56ae4c1b43b4a2e4f89bad3f74736d3ecbc3e61b0694",
             "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
-            "snapshots.csv": "19a96a48138735ca8c3cfe9692f08e88921afbd413a122fda6022ed938bda417",
-            "summary.txt": "f38f9f544444803490a5172fcb627d6ccb5bd85b96c1c49ab4435a4d77586f97",
-            "throughput.csv": "d6dd97f83586927a41339a3a7d098d4fab3ed57e76ee56f0baff9920d87ce4db",
-            "verify/order.csv": "f21a4ef33c2a8d824879aa88b2a2591364c720026283bd8b0d2d731d33d96a81",
+            "snapshots.csv": "4bf77cc1e1f8a5d554f7a0c9f9ec0cda71e8fdfa2d85e905003814170e11a7f6",
+            "summary.txt": "c99652d47a02723f4c1433510a80615d48110084b7db5fa223b8bf569eef30da",
+            "throughput.csv": "2c658e5bb08d2ed2daa8d11d538b5986f117ea0bf08296ff282d71cd2c0fa698",
+            "verify/order.csv": "c10f13e62eb1544bac552709a5a3ae72a34a9646b3891cddf5f83375315f798c",
         },
     ),
     # the traced run at a load where ticks take up to four arrivals each, so
@@ -133,21 +133,21 @@ CASES = {
             "trace_events": "true",
         },
         {
-            "beacon.csv": "e9ee7f3ac0e20738bd29b0a45ed487958ba241c113edfca81ff2b0438ad5f276",
-            "confirmbar.csv": "db7f669cdfd807e71bbd41a09c8d757c1b6c078247b2d1dbd7729dc629cfbc95",
-            "events.csv": "51b7254eaa65db91b21ccde4a76b253010d273b43a24a1ab9c5f679b51b72655",
-            "latency.csv": "768bc5d3318ed8d55798cba70017bc63c97ae8a4c58a02d3b31da68ee976f069",
-            "order.csv": "efc6736b6f42ba4e60800706f9e2608d3ca166eba1ef416c9262e85fe05785b5",
+            "beacon.csv": "5fdc33381f920b6dd54ed44d305fe066c5453bf10fe85259eb78ac45e5b3089f",
+            "confirmbar.csv": "fe33941baf6d331c10a8c5ee82196d84ed837f31c3548ec9c002d9f1905e70c9",
+            "events.csv": "f1336d23601db7cf8f33797976a8811e9a711192c988032cb641f017be780b05",
+            "latency.csv": "3e52a84c33db9b75d54a1835ba795038c28c5cd640d7009cd9e58f9afa89aaa8",
+            "order.csv": "ab7ab43e1fc27b78f23d5eb111d99d5009b424d39a1796dc802ab2026e3f9062",
             "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
-            "snapshots.csv": "576eced34192f9905457d5227dfebb31752c8411ff0007ef429f55cb4a81dbe0",
-            "summary.txt": "ab644c998a2f88833530a3a7f570a875f03b0e81d23e80199464c9066d44b7c7",
-            "throughput.csv": "611e2d935ece35aceef2eab0b7e9fb9473b865c45f65ba8e91355ba7a48bc315",
-            "verify/order.csv": "069d67481dcbe94e3c160a42b8e289106ceb395d7b4cf1a74d74669a0a1a782c",
+            "snapshots.csv": "a74229feac00eb0e69c6971fd74f8b2222b44b62a2d5e0985efb3b6a6f4b1cf5",
+            "summary.txt": "41a2d817b308d675ef7eadce9663344322778521afa304111ed76ac9887b839a",
+            "throughput.csv": "cc95aec1135d201a7a196900b26dfe99c26f020e563030d6c62f0d830dd13183",
+            "verify/order.csv": "6c989a3e4e4bbfaa7463d7c1de52ea2e921d9f30057095daa965ac071ffe83f5",
         },
     ),
     # gossip delays of 1..20 ticks against a 5-tick block interval: headers of
-    # one chain reach a node out of order (78 of 5,100 arrive above the node's
-    # tip and wait in its buffer) and the 16 ConfirmBars rise 637 times
+    # one chain reach a node out of order (102 of 5,130 arrive above the node's
+    # tip and wait in its buffer) and the 16 ConfirmBars rise 628 times
     "gossip-reorder": (
         {
             "seed": "7",
@@ -161,15 +161,15 @@ CASES = {
             "snapshot_interval": "200",
         },
         {
-            "beacon.csv": "1779ab8ccc758aff4a9faa38dbb7195c51f710155b2c4a67057504b096c9aae4",
-            "confirmbar.csv": "87fe953aeeaaf605f7ab205a6b523de97351c9c1bfaa8d96aba9bbdf5347515c",
-            "latency.csv": "96ca7d6d340384a0f05a351eefd4b9ca41253eea755fb2ff009342986ec3ec6d",
-            "order.csv": "9f094ef3a32c188a248b2b3d66a1828521b5fc691e0f460597d621b4aad3ef3c",
+            "beacon.csv": "565f4a9b9daf36df6d8386520e49127c57796e0adb718d8ba56a6c8991a40fd7",
+            "confirmbar.csv": "2f902042b6d8faddbf4070fa65ff15400746ed726990d0de256278f52f8b788e",
+            "latency.csv": "28eb60f207f4e524ea5058cf94da08188517020016597aae3739fc03b379de10",
+            "order.csv": "c12d8291033b2be2694d0f63cd7a9a5dbd0de0cf1f4a0c1c3bde2ecc932614be",
             "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
-            "snapshots.csv": "3a55e7018fd37c8809bbd3abbf6b4da3c296cd3d30edb5f79b96ab525ad2f0f3",
-            "summary.txt": "f7d3d60e6428456b8ef3db40d95be1df7d86796df85abce11feb52a74656e319",
-            "throughput.csv": "dfdd3e31b3fa6270361b60d545c07057fb72ed3ac6bf85f67763433aaaa80741",
-            "verify/order.csv": "b42d4dce3437b72a236dff1d039e7523eb6d611b1027d9127548d32351cea9da",
+            "snapshots.csv": "4e85a8ed5acba4d1220dd0ce03044552172427edcf9e3924d48d3c72080e75e7",
+            "summary.txt": "41079b552b72fb284b797a43d8732048673205b2615f7efc2c91a6f21959d4dc",
+            "throughput.csv": "e043dc4c95459c9de6d909e8240ad38f8f2c4374d6abf89093dadb62c9df98c9",
+            "verify/order.csv": "d5f02489e030670af282493ce0d75360da487a08343750f0f63501840b378aac",
         },
     ),
 }
@@ -193,8 +193,8 @@ def test_output_digests_are_pinned(name, tmp_path, capsys):
 
 
 BEACON_STATS = {
-    "beacon.csv": "7dbd1ce73266b867994cb7e3707a556307965995ffc8ff550185ddf8951556a5",
-    "beacon_summary.txt": "df62f89bf7c1f819a16c37def8d1b783c17e2bb29c88c05d4deb52306b39a3b8",
+    "beacon.csv": "c387deb930396c7fee891f959b0f0e003c3043a6b2fd2ab9c293313008da93e0",
+    "beacon_summary.txt": "7e14e43aad6ecb6e85ab60e079fc28c33e746a37864114d888a4b20684ae54f2",
 }
 
 
@@ -210,8 +210,8 @@ def test_beacon_stats_digests_are_pinned(tmp_path, capsys):
 
 
 SCALE = {
-    "scaling.csv": "71cda6d7199c12700b2640671fac3510a8fc4616962f9acc91731b24c62b739e",
-    "scaling_summary.txt": "1c62388b9481fe505cd2f78e0beeabab9ac61b2f32707530b5b73987b317acad",
+    "scaling.csv": "ac3b2da8bc0f8df2d11f12afef7bc57a06a81653d3b2b039087adf16c10a8e8c",
+    "scaling_summary.txt": "746cb7a6259446b60dd4f5ed5521025455e7e025876671638e1197d4587890b2",
 }
 
 

@@ -1,9 +1,9 @@
 """Stream primitives, cross-checked against the hashlib oracles in oracles.py.
 
 The oracles re-implement the documented construction (SHA-256 over
-domain-separated labels, counter-mode blocks, rejection sampling, descending
-Fisher-Yates) straight from hashlib so the production code and the tests
-cannot share a bug.
+domain-separated labels, SHAKE-128 blocks of 1024 bytes, rejection sampling,
+descending Fisher-Yates) straight from hashlib so the production code and the
+tests cannot share a bug.
 """
 
 import struct
@@ -183,12 +183,14 @@ def test_shuffle_empty_and_singleton():
     assert empty == [] and one == [42]
 
 
-# One draw each: (method name, arguments). Byte counts up to 70 cross one or
-# two block edges from any offset. A Stream refills 8 blocks (256 bytes) at a
-# time, more when one read needs them, so its buffer edge moves with the mix
-# of draws; peeks and skips of up to 300 bytes cross it from any offset, and
-# the explicit examples put a read across it at known places.
-_PEEK_FORMATS = [">QQQ24s", ">QQ", ">Q", ">5s", ">0s", ">300s"]
+# One draw each: (method name, arguments). A Stream's buffer always ends on a
+# block edge, a multiple of 1024 bytes into the stream, and a read that
+# outgrows the unread bytes appends as many blocks as it needs. Small reads of
+# up to 70 bytes straddle an edge only from its last bytes; peeks of up to
+# 1100 bytes and skips of up to 2100 cross one or two edges from any offset,
+# and the explicit examples put reads on, across and past the 1024- and
+# 2048-byte edges at known places.
+_PEEK_FORMATS = [">QQQ24s", ">QQ", ">Q", ">5s", ">0s", ">1100s"]
 
 _DRAWS = st.one_of(
     st.tuples(st.just("next_bytes"), st.tuples(st.integers(0, 70))),
@@ -198,7 +200,7 @@ _DRAWS = st.one_of(
     st.tuples(st.just("chance"), st.tuples(st.floats(-0.5, 1.5))),
     st.tuples(st.just("shuffle"), st.tuples(st.integers(0, 9))),
     st.tuples(st.just("peek"), st.tuples(st.sampled_from(_PEEK_FORMATS))),
-    st.tuples(st.just("skip"), st.tuples(st.integers(0, 300))),
+    st.tuples(st.just("skip"), st.tuples(st.integers(0, 2100))),
 )
 
 
@@ -229,13 +231,17 @@ def _oracle_draw(o, name, args):
 @example(label=0, draws=[("next_bytes", (8,)), ("next_bytes", (56,)), ("next_u64", ())])
 @example(label=1, draws=[("next_bytes", (3,)), ("next_u64", ()), ("next_bytes", (29,))])
 @example(label=2, draws=[("next_bytes", (70,)), ("next_bytes", (26,)), ("next_u64", ())])
-# the first refill ends at byte 256: reads that end on it, straddle it, or outgrow a refill
-@example(label=3, draws=[("skip", (250,)), ("peek", (">QQQ24s",)), ("skip", (48,)), ("next_u64", ())])
-@example(label=4, draws=[("skip", (256,)), ("peek", (">QQ",)), ("next_below", (1000,))])
-@example(label=8, draws=[("skip", (249,)), ("peek", (">Q",)), ("skip", (7,)), ("next_u64", ())])
-@example(label=5, draws=[("next_bytes", (60,)), ("skip", (190,)), ("skip", (40,)), ("next_u64", ())])
-@example(label=6, draws=[("next_u64", ()), ("peek", (">300s",)), ("next_bytes", (70,)), ("skip", (240,))])
-@example(label=7, draws=[("skip", (252,)), ("next_u64", ()), ("peek", (">0s",)), ("skip", (0,))])
+# the first block ends at byte 1024 and the second at 2048: reads that end on an
+# edge, straddle it, or outgrow a block
+@example(label=3, draws=[("skip", (1018,)), ("peek", (">QQQ24s",)), ("skip", (48,)), ("next_u64", ())])
+@example(label=4, draws=[("skip", (1024,)), ("peek", (">QQ",)), ("next_below", (1000,))])
+@example(label=8, draws=[("skip", (1017,)), ("peek", (">Q",)), ("skip", (7,)), ("next_u64", ())])
+@example(label=5, draws=[("next_bytes", (60,)), ("skip", (960,)), ("skip", (40,)), ("next_u64", ())])
+@example(label=6, draws=[("next_u64", ()), ("peek", (">1100s",)), ("next_bytes", (70,)), ("skip", (1970,))])
+@example(label=7, draws=[("skip", (1020,)), ("next_u64", ()), ("peek", (">0s",)), ("skip", (0,))])
+@example(label=9, draws=[("skip", (2048,)), ("next_u64", ()), ("skip", (2036,)), ("peek", (">QQ",))])
+@example(label=10, draws=[("skip", (100,)), ("skip", (2000,)), ("peek", (">1100s",)), ("next_u64", ())])
+@example(label=11, draws=[("peek", (">1100s",)), ("skip", (2045,)), ("next_bytes", (6,)), ("next_u64", ())])
 def test_any_draw_interleaving_reads_the_oracle_bytes(label, draws):
     s = Stream.from_labels("interleave", label)
     o = OracleStream(oracle_key("interleave", label))

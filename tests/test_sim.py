@@ -124,7 +124,7 @@ def test_beacon_phase_skips_nodes_crashed_by_epoch_start(monkeypatch):
     # node 1 is down from the start, node 2 crashes exactly as epoch 2 opens,
     # node 3 mid-way through epoch 3
     crashes = ((0, 1), (20, 2), (35, 3))
-    cfg = small_cfg(seed=9, num_nodes=7, num_chains=1, lottery_bits=5,
+    cfg = small_cfg(seed=10, num_nodes=7, num_chains=1, lottery_bits=5,
                     run_duration=400, crash_schedule=crashes)
     calls = []
 
@@ -677,10 +677,23 @@ def test_fork_at_a_height_the_store_holds_is_flagged(monkeypatch):
     # a block after genesis that links to it as a real one would, but that the
     # store does not hold: caught at the node's frontier and below it
     cfg = small_cfg(num_nodes=5, run_duration=400)
-    assert run_simulation(cfg).safety_flags == []
+    # the victim is block 1's appender: the one node that block is not gossiped to
+    appenders = []
+    real_gossip = Simulation._gossip_block
+
+    def recording(self, node, header, now):
+        if header.height == 1:
+            appenders.append(node.node_id)
+        real_gossip(self, node, header, now)
+
+    with monkeypatch.context() as m:
+        m.setattr(Simulation, "_gossip_block", recording)
+        assert run_simulation(cfg).safety_flags == []
+    [victim] = appenders
+    assert victim != 0  # node 0 stays an honest witness below
     genesis = make_genesis(0)
     fork = new_block(0, 1, hash_header(genesis.header), 1, 2, (), 99).header
-    victim, swapped = 3, []
+    swapped = []
     real_ingest = Simulation._ingest_header
 
     def forking(self, node, header, now):
@@ -693,7 +706,7 @@ def test_fork_at_a_height_the_store_holds_is_flagged(monkeypatch):
     sim = Simulation(cfg)
     sim.run()
     assert sim.store.chains[0][1] != fork
-    # node 3 appended block 1: its own copy was the fork, and it never gets another
+    # the victim appended block 1: its own copy was the fork, and it never gets another
     assert sim.flags == [
         f"header-linkage node={victim} chain=0 height=1",
         f"final-order-divergence nodes=0,{victim}",
