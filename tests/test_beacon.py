@@ -95,14 +95,23 @@ def test_invoke_matches_oracle_where_the_byte_scan_is_not_enough(bits, count):
 def test_each_batch_hashes_one_block():
     # every read is one R-byte block, R / 16 = 64 records; a read is made when
     # the first record past the last read is needed, so an enclave invoked k
-    # times has hashed ceil(k / 64) blocks, and a short-lived one hashes one
+    # times has hashed ceil(k / 64) blocks
     node = make_beacon_nodes(1, 6, seed=17)[0]
     invoked = 0
-    for count in (1, 16, 64, 65, 100, 128, 129, 1300):
+    for count in (1, 64, 65, 100, 128, 129, 1300):
         while invoked < count:
             invoke_beacon(node, invoked)
             invoked += 1
         assert node.rng._counter == -(-count // 64), count
+
+
+def test_sixteen_invocations_hash_one_block():
+    # a simulation locks its seed within a few epochs, so an enclave's first
+    # reads must hash no more than the one block its 16 draws lie in
+    node = make_beacon_nodes(1, 6, seed=17)[0]
+    for epoch in range(16):
+        invoke_beacon(node, epoch)
+    assert node.rng._counter == 1
 
 
 def test_invoke_wins_at_rate_two_to_minus_l():
