@@ -85,15 +85,11 @@ class BlockHeader:
 
 @dataclass(frozen=True)
 class Block:
-    """A header, its transactions and their encoding, computed if not given."""
+    """A header, its transactions and their encoding."""
 
     header: BlockHeader
     transactions: tuple[Transaction, ...]
-    body: bytes | memoryview = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.body is None:
-            object.__setattr__(self, "body", encode_transactions(self.transactions))
+    body: bytes | memoryview = field(compare=False, repr=False)
 
 
 @dataclass

@@ -12,7 +12,8 @@ A sealed payload is its wire bytes, with no decoded form:
     key_id u32 || nonce 12B || ciphertext_len u64 || ciphertext || auth_tag 16B
 
 AES-GCM returns ciphertext || auth_tag, so ``seal`` appends it to the packed
-head, and ``unseal`` checks the head and decrypts everything after it.
+head, and ``KeyDirectory.unseal`` checks the head and decrypts everything
+after it under the key the head names.
 """
 
 from __future__ import annotations
@@ -95,21 +96,6 @@ def _parse(data: bytes) -> tuple[int, bytes]:
     return key_id, nonce
 
 
-def _open(key: SealKey, nonce: bytes, data: bytes, associated_data: bytes) -> bytes:
-    try:
-        return key.aead.decrypt(nonce, data[_HEAD.size :], associated_data)
-    except InvalidTag as exc:
-        raise AuthFailure("authentication failed") from exc
-
-
-def unseal(key: SealKey, data: bytes, associated_data: bytes) -> bytes:
-    """The plaintext of sealed wire bytes, which must name key."""
-    key_id, nonce = _parse(data)
-    if key_id != key.key_id:
-        raise UnknownKey(f"sealed with key {key_id}, not {key.key_id}")
-    return _open(key, nonce, data, associated_data)
-
-
 class KeyDirectory:
     """Static in-simulation key directory shared by all honest verifiers.
 
@@ -140,4 +126,8 @@ class KeyDirectory:
     def unseal(self, data: bytes, associated_data: bytes) -> bytes:
         """The plaintext of sealed wire bytes, under the key they name."""
         key_id, nonce = _parse(data)
-        return _open(self.get(key_id), nonce, data, associated_data)
+        key = self.get(key_id)
+        try:
+            return key.aead.decrypt(nonce, data[_HEAD.size :], associated_data)
+        except InvalidTag as exc:
+            raise AuthFailure("authentication failed") from exc

@@ -1,8 +1,9 @@
 """Deterministic discrete-event simulation of the whole protocol stack.
 
 One run executes: (1) beacon epochs until a seed locks, each costing one
-synchronous round of `delta` ticks, the last ending by end_time or the run
-fails; (2) committee assignment from the locked seed; (3) per-chain Raft with
+synchronous round of `delta` ticks; the horizon is the one bound, so at most
+end_time // delta epochs run, and a beacon that locks no seed in them fails
+the run; (2) committee assignment from the locked seed; (3) per-chain Raft with
 leaders batching client transactions into blocks on a timer, rank fields
 taken from the proposer's current view; (4) committed-header gossip, from the
 replica that appends it, to every other node, which drives each node's
@@ -46,6 +47,12 @@ N-1 times; every other replica checks that its own command has the same bytes
 and keeps only its height in that ledger. Each node's view is a Frontier over
 the store, so every order is a prefix of the store's by construction, not a
 flag. Latency and transaction counts are read from frontiers and ledgers.
+
+A transaction is confirmed at the first tick at which some replica of its
+chain has applied its block and holds a ConfirmBar above the block's rank.
+Only two events make that true, and each samples where it happens: a bar
+rise at a node, and a replica's apply of a height whose header gossip
+brought it first. Each chain's heights are sampled once, in order.
 
 A snapshot writes, for each live node, only the headers that entered its
 view since its previous snapshot; the view of node n at time t is the union
@@ -121,7 +128,6 @@ class SimConfig:
     snapshot_interval: int = 250
     empty_blocks: bool = True
     num_seal_keys: int = 4
-    max_beacon_epochs: int = 10000
     trace_events: bool = False
 
     def validate(self) -> None:
@@ -162,8 +168,6 @@ class SimConfig:
             bad("snapshot_interval", "must be >= 1")
         if self.num_seal_keys < 1:
             bad("num_seal_keys", "must be >= 1")
-        if self.max_beacon_epochs < 1:
-            bad("max_beacon_epochs", "must be >= 1")
         listed = set()
         for when, nid in self.crash_schedule:
             if when < 0:
@@ -421,7 +425,6 @@ class Simulation:
     def __init__(self, config: SimConfig):
         config.validate()
         self.cfg = config
-        self.now = 0
         self.end_time = config.run_duration + config.drain_window
         self._seq = 0
         self.queue: list[tuple] = []
@@ -496,11 +499,8 @@ class Simulation:
         cfg = self.cfg
         enclaves = make_beacon_nodes(cfg.num_nodes, cfg.lottery_bits, cfg.seed)
         keys = {enclave.node_id: enclave.secret for enclave in enclaves}
-        for epoch in range(cfg.max_beacon_epochs):
-            t0 = epoch * cfg.delta
-            if t0 + cfg.delta > self.end_time:  # no epoch may start past the horizon
-                raise SimError(f"beacon failed to lock a seed by the horizon t={self.end_time}")
-            live = [e for e in enclaves if self.crash_time[e.node_id] > t0]
+        for epoch in range(self.end_time // cfg.delta):  # each epoch ends by the horizon
+            live = [e for e in enclaves if self.crash_time[e.node_id] > epoch * cfg.delta]
             row, forged = settle_epoch(live, epoch, keys)
             self._count("BeaconCertificate", row[4])
             for cert in forged:
@@ -509,7 +509,7 @@ class Simulation:
             if row[1]:
                 self.locked_seed = row[3]
                 return (epoch + 1) * cfg.delta
-        raise SimError(f"beacon failed to lock a seed in {cfg.max_beacon_epochs} epochs")
+        raise SimError(f"beacon failed to lock a seed by the horizon t={self.end_time}")
 
     # -- workload ----------------------------------------------------------
 
@@ -639,7 +639,10 @@ class Simulation:
                 )
                 continue
             node.height = height
-            self._ingest_header(node, block.header, now)
+            if height >= node.view.heights[node.chain_id]:
+                self._ingest_header(node, block.header, now)
+            elif height > self.sampled[node.chain_id]:  # gossip brought the header first
+                self._sample_latency(node, now)
             if appender:
                 self._gossip_block(node, block.header, now)
 
@@ -687,9 +690,8 @@ class Simulation:
                 break
             view.advance(chain, nxt.next_rank)
             tip += 1
-        if tip > held:
-            if view.bar > bar:
-                self.bar_rows.append((now, node.node_id, view.bar))
+        if view.bar > bar:
+            self.bar_rows.append((now, node.node_id, view.bar))
             self._sample_latency(node, now)
 
     def _gossip_block(self, node: _Node, header: BlockHeader, now: int) -> None:
@@ -841,7 +843,6 @@ class Simulation:
                 if kind not in (_MSG, _GOSSIP):
                     continue
                 at = end_time
-            self.now = time
             if kind == _CLIENT:
                 self._on_arrivals(time, seq, payload)
                 continue
@@ -914,8 +915,6 @@ class Simulation:
 
     def _final_checks(self) -> None:
         honest = [n for n in self.nodes if self.crash_time[n.node_id] > self.end_time]
-        for node in honest:
-            self._sample_latency(node, self.now)
         try:
             validate_view(self.store)
         except OrderingError as exc:

@@ -29,7 +29,7 @@ from shadowraft.ordering import (
     total_order,
 )
 from shadowraft.rng import Stream
-from shadowraft.sealing import AuthFailure, generate_key, seal, unseal
+from shadowraft.sealing import AuthFailure, KeyDirectory, generate_key, seal
 from shadowraft.sim import SimConfig, measure_scaling, run_simulation
 
 EPOCHS = 20_000
@@ -275,12 +275,14 @@ def test_criterion_6_throughput_scaling():
 def test_criterion_7_sealing_round_trips_and_tampering():
     rand = random.Random(7001)
     key = generate_key(1, Stream.from_labels("acceptance-seal", 1))
+    directory = KeyDirectory()
+    directory.add(key)
     round_trips = auth_failures = plaintext_windows = 0
     for _ in range(1000):
         plaintext = rand.randbytes(rand.randrange(16, 64))
         ad = rand.randbytes(8)
         sealed = seal(key, plaintext, ad)
-        if unseal(key, sealed, ad) == plaintext:
+        if directory.unseal(sealed, ad) == plaintext:
             round_trips += 1
         # wire bytes: key_id 4B, nonce 12B, length 8B, ciphertext, auth_tag 16B
         ciphertext = sealed[24:-16]
@@ -293,7 +295,7 @@ def test_criterion_7_sealing_round_trips_and_tampering():
         forged = bytearray(sealed)  # one bit flipped in the nonce, ciphertext or auth_tag
         forged[rand.randrange(start, end)] ^= 1 << rand.randrange(8)
         try:
-            unseal(key, bytes(forged), ad)
+            directory.unseal(bytes(forged), ad)
         except AuthFailure:
             auth_failures += 1
 

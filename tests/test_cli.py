@@ -95,7 +95,6 @@ def test_config_file_round_trips_every_field(tmp_path):
         snapshot_interval=200,
         empty_blocks=False,
         num_seal_keys=3,
-        max_beacon_epochs=500,
         trace_events=True,
     )
     default = SimConfig()
@@ -174,11 +173,10 @@ def test_run_missing_config_file(tmp_path, capsys):
 def test_failed_runs_end_in_one_line_diagnostics(tmp_path, capsys):
     twice = write_cfg(tmp_path, "twice.cfg", crash_schedule="100:1, 300:1")
     never = write_cfg(
-        tmp_path, "never.cfg", num_nodes="3", num_chains="1", lottery_bits="32",
-        max_beacon_epochs="2",
+        tmp_path, "never.cfg", num_nodes="3", num_chains="1", lottery_bits="32"
     )
     endless, undefined = (write_cfg(tmp_path, f"{v}.cfg", tx_rate=v) for v in ("inf", "nan"))
-    no_lock = "error: beacon failed to lock a seed in 2 epochs\n"
+    no_lock = "error: beacon failed to lock a seed by the horizon t=1200\n"
     bad_rate = "configuration error: tx_rate: must be finite and >= 0\n"
     bad_stats = "beacon-stats: need nodes >= 1, 1 <= bits <= 32, epochs >= 1, 0 <= seed < 2**64\n"
     cases = [
@@ -405,6 +403,39 @@ def test_verify_order_catches_forged_consistent_header(tmp_path, capsys):
 
     assert main(["verify-order", str(out)]) == 1
     capsys.readouterr()
+
+
+def test_verify_order_links_each_header_new_to_the_store(tmp_path, capsys):
+    # a re-hashed header whose rank skips its parent's next_rank reaches the
+    # store only through GlobalView.add, whose linkage rule names it; were it
+    # let in, node 1's true header at that height would be the first rejection
+    from shadowraft.ledger import BlockHeader, hash_header
+
+    out = tmp_path / "run"
+    assert main(["run", "--out", str(out)]) == 0
+    snap = out / "snapshots.csv"
+    lines = snap.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines[1:], 1) if line.split(",")[2:4] == ["0", "1"])
+    cells = lines[i].split(",")
+    cells[4], cells[5] = str(int(cells[4]) + 1), str(int(cells[5]) + 1)
+    forged = BlockHeader(
+        chain_id=0,
+        height=1,
+        parent_hash=bytes.fromhex(cells[7]),
+        rank=int(cells[4]),
+        next_rank=int(cells[5]),
+        tx_root=bytes.fromhex(cells[8]),
+        proposer_term=int(cells[6]),
+    )
+    cells[9] = hash_header(forged).hex()
+    lines[i] = ",".join(cells)
+    snap.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+
+    assert main(["verify-order", str(out), "--out", str(tmp_path / "v")]) == 1
+    assert capsys.readouterr().err == (
+        "verify-order: t=400 node=0: chain 0 height 1: rank 2, expected tip next_rank 1\n"
+    )
 
 
 def test_verify_order_catches_missing_or_repeated_rows(tmp_path, capsys):

@@ -163,11 +163,11 @@ CASES = {
         {
             "beacon.csv": "565f4a9b9daf36df6d8386520e49127c57796e0adb718d8ba56a6c8991a40fd7",
             "confirmbar.csv": "2f902042b6d8faddbf4070fa65ff15400746ed726990d0de256278f52f8b788e",
-            "latency.csv": "28eb60f207f4e524ea5058cf94da08188517020016597aae3739fc03b379de10",
+            "latency.csv": "a03b362478c60f647b04165ae94f3acd8eb51dbe4a9484d30740d2b84f46d6ee",
             "order.csv": "c12d8291033b2be2694d0f63cd7a9a5dbd0de0cf1f4a0c1c3bde2ecc932614be",
             "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
             "snapshots.csv": "4e85a8ed5acba4d1220dd0ce03044552172427edcf9e3924d48d3c72080e75e7",
-            "summary.txt": "41079b552b72fb284b797a43d8732048673205b2615f7efc2c91a6f21959d4dc",
+            "summary.txt": "2164f8b8b8e3df443babf2b72927ddfc223c6e16bf9a489e3405696723b8d745",
             "throughput.csv": "e043dc4c95459c9de6d909e8240ad38f8f2c4374d6abf89093dadb62c9df98c9",
             "verify/order.csv": "d5f02489e030670af282493ce0d75360da487a08343750f0f63501840b378aac",
         },

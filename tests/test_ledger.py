@@ -138,7 +138,7 @@ _TXS = st.lists(
 def test_block_body_is_the_transaction_list_encoding(txs):
     blk = new_block(1, 4, bytes(32), 6, 9, txs, 3)
     assert blk.body == encode_transactions(txs)
-    assert Block(blk.header, blk.transactions).body == blk.body
+    assert Block(blk.header, blk.transactions, encode_transactions(txs)) == blk
     assert blk.header.tx_root == hashlib.sha256(encode_transactions(txs)).digest()
     decoded = decode_block(encode_block(blk))
     assert decoded == blk
@@ -251,7 +251,7 @@ def test_append_rejects_bad_parent():
 def test_append_rejects_tx_root_mismatch():
     ledger = genesis_ledger()
     good = new_block(0, 1, ledger.hashes[-1], 1, 2, [sample_tx(2)], 1)
-    forged = Block(good.header, ())
+    forged = Block(good.header, (), encode_transactions(()))
     assert_rejected(ledger, forged, LinkageError)
 
 

@@ -17,12 +17,18 @@ from shadowraft.sealing import (
     UnknownKey,
     generate_key,
     seal,
-    unseal,
 )
 
 
 def fresh_key(key_id=0, seed=1):
     return generate_key(key_id, Stream.from_labels("seal-test", seed, key_id))
+
+
+def directory_of(*keys):
+    directory = KeyDirectory()
+    for key in keys:
+        directory.add(key)
+    return directory
 
 
 def nonce_of(sealed):
@@ -35,16 +41,17 @@ def ciphertext_of(sealed):
 
 def test_roundtrip():
     key = fresh_key()
+    directory = directory_of(key)
     for pt in [b"", b"x", b"hello sealed world", bytes(200)]:
         sealed = seal(key, pt, b"ad")
-        assert unseal(key, sealed, b"ad") == pt
+        assert directory.unseal(sealed, b"ad") == pt
 
 
 def test_associated_data_is_authenticated():
     key = fresh_key()
     sealed = seal(key, b"payload", b"context-a")
     with pytest.raises(AuthFailure):
-        unseal(key, sealed, b"context-b")
+        directory_of(key).unseal(sealed, b"context-b")
 
 
 def test_nonces_count_up_per_key():
@@ -75,22 +82,18 @@ def test_wire_layout():
 
 def test_decode_rejects_malformed():
     key = fresh_key()
-    directory = KeyDirectory()
-    directory.add(key)
+    directory = directory_of(key)
     raw = seal(key, b"abcdef", b"")
     longer = raw[:16] + (7).to_bytes(8, "big") + raw[24:]
     for bad in (raw[:-1], raw + b"\x00", b"short", raw[: _HEAD.size + 15], longer):
         with pytest.raises(DecodeError):
-            unseal(key, bad, b"")
-        with pytest.raises(DecodeError):
             directory.unseal(bad, b"")
-    assert unseal(key, raw, b"") == directory.unseal(raw, b"") == b"abcdef"
+    assert directory.unseal(raw, b"") == b"abcdef"
 
 
 def test_tampering_any_field_fails_auth():
     key = fresh_key()
-    directory = KeyDirectory()
-    directory.add(key)
+    directory = directory_of(key)
     sealed = seal(key, b"the quick brown fox", b"ad")
     rng = random.Random(5)
     # each region of the wire bytes -> (start, end, the error a flipped bit raises)
@@ -106,8 +109,6 @@ def test_tampering_any_field_fails_auth():
             forged = bytearray(sealed)
             forged[i] ^= 1 << rng.randrange(8)
             with pytest.raises(error):
-                unseal(key, bytes(forged), b"ad")
-            with pytest.raises(error):
                 directory.unseal(bytes(forged), b"ad")
     assert directory.unseal(sealed, b"ad") == b"the quick brown fox"
 
@@ -116,7 +117,7 @@ def test_wrong_key_object_rejected():
     a, b = fresh_key(0), fresh_key(1)
     sealed = seal(a, b"p", b"")
     with pytest.raises(UnknownKey):
-        unseal(b, sealed, b"")
+        directory_of(b).unseal(sealed, b"")
 
 
 def test_ciphertext_hides_plaintext():

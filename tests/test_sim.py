@@ -4,6 +4,7 @@ Most assertions are properties (flags empty, commits resumed) rather than
 pinned numbers, since traces are deterministic but config-sensitive.
 """
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -84,7 +85,7 @@ def test_beacon_phase_accounting():
 
 
 def test_beacon_that_never_locks_is_an_error():
-    cfg = small_cfg(num_nodes=1, num_chains=1, lottery_bits=32, max_beacon_epochs=3)
+    cfg = small_cfg(num_nodes=1, num_chains=1, lottery_bits=32)
     with pytest.raises(SimError):
         run_simulation(cfg)
 
@@ -323,9 +324,49 @@ def test_latency_waits_for_the_node_to_apply_the_block():
     assert all(block.transactions for block in blocks[1:4])
     node.height = 2  # as if the node had applied heights 1 and 2 only
     sim.sampled[0], sim.latency_rows = 0, []
-    sim._sample_latency(node, sim.now)
+    sim._sample_latency(node, sim.end_time)
     nonces = [tx.nonce for block in blocks[1:3] for tx in block.transactions]
     assert [row[0] for row in sim.latency_rows] == nonces
+
+
+@pytest.mark.parametrize("seed", [7, 4, 9])
+def test_latency_is_stamped_at_the_first_tick_a_replica_confirms(seed, monkeypatch):
+    # a transaction confirms at the first tick at which some replica of its
+    # chain has applied its block and holds a bar above the block's rank; in
+    # the gossip-reorder shape a header often reaches a replica before its apply
+    config, _ = build_config(CASES["gossip-reorder"][0])
+    applied = {}  # (chain, height) -> {node: tick of its apply}
+    real_apply = Simulation._apply_committed
+
+    def recording(self, node, now):
+        before = node.height
+        real_apply(self, node, now)
+        for height in range(before + 1, node.height + 1):
+            applied.setdefault((node.chain_id, height), {})[node.node_id] = now
+
+    monkeypatch.setattr(Simulation, "_apply_committed", recording)
+    sim = Simulation(replace(config, seed=seed))
+    trace = sim.run()
+    assert not trace.safety_flags and trace.latency_rows
+    bars = {n: [(trace.workload_start, 1)] for n in range(config.num_nodes)}  # genesis
+    for time, node, bar in trace.bar_rows:
+        bars[node].append((time, bar))
+    where = {
+        tx.nonce: (chain, height, block.header.rank)
+        for chain, ledger in sim.canonical.items()
+        for height, block in enumerate(ledger.blocks)
+        for tx in block.transactions
+    }
+
+    def confirmed_at(node, tick, rank):
+        above = [time for time, bar in bars[node] if bar > rank]
+        return max(tick, above[0]) if above else math.inf
+
+    for nonce, submit, confirm, latency in trace.latency_rows:
+        chain, height, rank = where[nonce]
+        replicas = applied[chain, height]
+        assert confirm == min(confirmed_at(n, tick, rank) for n, tick in replicas.items()), nonce
+        assert latency == confirm - submit
 
 
 def test_final_order_shape():
@@ -414,10 +455,11 @@ def test_second_vote_in_a_term_is_flagged():
     voter = sim.nodes[0]
     a, b = [n for n in sim.assignment[voter.chain_id] if n != voter.node_id][:2]
     term = 10**6
-    sim._after_raft(voter, sim.now, [(a, VoteReply(term, True))])
-    sim._after_raft(voter, sim.now, [(a, VoteReply(term, True)), (b, VoteReply(term, False))])
+    sim._after_raft(voter, sim.end_time, [(a, VoteReply(term, True))])
+    both = [(a, VoteReply(term, True)), (b, VoteReply(term, False))]
+    sim._after_raft(voter, sim.end_time, both)
     assert not sim.flags  # a repeated grant and a refusal are not second votes
-    sim._after_raft(voter, sim.now, [(b, VoteReply(term, True))])
+    sim._after_raft(voter, sim.end_time, [(b, VoteReply(term, True))])
     assert sim.flags == [
         f"vote-safety chain={voter.chain_id} term={term} voter=0 candidates={a},{b}"
     ]
@@ -432,7 +474,7 @@ def test_second_leader_in_a_won_term_is_flagged():
     other = sim.nodes[next(n for n in sim.assignment[0] if n != winner)]
     r = other.raft
     r.current_term, r.role, r.votes = term, Role.CANDIDATE, set(r.cluster)
-    sim._after_raft(other, sim.now, r._maybe_win(sim.now))
+    sim._after_raft(other, sim.end_time, r._maybe_win(sim.end_time))
     assert sim.flags == [
         f"election-safety chain=0 term={term} leaders={winner},{other.node_id}"
     ]
@@ -447,7 +489,7 @@ def test_commit_past_the_leaders_acks_is_flagged():
     index = r.last_log_index() + 1
     r.log.append(LogEntry(r.current_term, index, b""))  # a no-op no peer holds
     r.commit_index = index
-    sim._after_raft(leader, sim.now, [])
+    sim._after_raft(leader, sim.end_time, [])
     assert sim.flags == [
         f"commit-quorum chain={leader.chain_id} index={index} acks=1 quorum={r.quorum}"
     ]
@@ -574,7 +616,7 @@ def test_replicas_that_disagree_on_a_committed_entry_are_flagged():
         block = new_block(0, height + 1, parent, rank, next_rank, (), term)
         node.raft.log.append(LogEntry(node.raft.current_term, index, encode_block(block)))
         node.raft.commit_index = index
-        sim._apply_committed(node, sim.now)
+        sim._apply_committed(node, sim.end_time)
 
     commit(a, 7)
     assert a.height == height + 1 and not sim.flags
@@ -714,7 +756,7 @@ def test_fork_at_a_height_the_store_holds_is_flagged(monkeypatch):
     sim.flags.clear()
     node = sim.nodes[0]
     assert node.view.heights[0] > 1
-    real_ingest(sim, node, fork, sim.now)
+    real_ingest(sim, node, fork, sim.end_time)
     assert sim.flags == ["view-divergence node=0 chain=0 height=1"]
 
 
@@ -763,16 +805,17 @@ def test_gossip_that_conflicts_with_a_view_is_flagged(monkeypatch):
     monkeypatch.setattr(  # the fork rule, GlobalView.holds, hashes in ordering
         ordering_module, "hash_header", counted(calls, "hash_header", ordering_module.hash_header)
     )
-    sim._ingest_header(node, held, sim.now)  # a repeat of the object it holds
+    sim._ingest_header(node, held, sim.end_time)  # a repeat of the object it holds
     assert calls["hash_header"] == 0
-    sim._ingest_header(node, replace(held), sim.now)  # an equal copy is hashed
+    sim._ingest_header(node, replace(held), sim.end_time)  # an equal copy is hashed
     assert calls["hash_header"] == 1 and not sim.flags
-    sim._ingest_header(node, replace(held, proposer_term=held.proposer_term + 1), sim.now)
+    forked = replace(held, proposer_term=held.proposer_term + 1)
+    sim._ingest_header(node, forked, sim.end_time)
     assert sim.flags == ["view-divergence node=0 chain=0 height=1"]
     sim.flags.clear()
     tip = node.view.chains[0][-1]
     orphan = new_block(0, tip.height + 1, bytes(32), tip.next_rank, tip.next_rank + 1, (), 1)
-    sim._ingest_header(node, orphan.header, sim.now)
+    sim._ingest_header(node, orphan.header, sim.end_time)
     assert sim.flags == [f"header-linkage node=0 chain=0 height={tip.height + 1}"]
 
 
