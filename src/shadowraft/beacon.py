@@ -74,6 +74,9 @@ class BeaconNode:
     arrives its winning records are found by a byte scan: the low byte of
     each q through _CANDIDATE, and for l > 8 a check of the whole q. _at is
     the next record and _stop the next winning record or the batch's end.
+    The records in between lose, so a caller that invokes the enclave only
+    when its output can change (sim.Lottery) reads lapse(), which skips
+    them and names the epoch whose invocation reaches _stop.
     """
 
     node_id: int
@@ -90,6 +93,18 @@ class BeaconNode:
         # the last read, and its records' low q bytes mapped by _CANDIDATE
         self._batch = self._flags = b""
         self._at = self._stop = 0
+
+    def lapse(self) -> int:
+        """Skip the losing records before _stop; return the epoch that reads _stop.
+
+        Called after an invocation. Each skipped record is consumed as the
+        invocation of one epoch after the last invoked one, and the gate
+        closes on those epochs, so the enclave is left as if invoked at
+        every epoch before the one returned.
+        """
+        self.last_invoked_epoch += self._stop - self._at
+        self._at = self._stop
+        return self.last_invoked_epoch + 1
 
     def _next_win(self, i: int) -> int:
         """The first winning record at or after i, else the batch's record count."""

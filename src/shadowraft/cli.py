@@ -45,6 +45,7 @@ from .ordering import (
 )
 from .sim import (
     ConfigError,
+    Lottery,
     SimConfig,
     SimError,
     SimTrace,
@@ -53,7 +54,6 @@ from .sim import (
     measure_scaling,
     order_csv,
     run_simulation,
-    settle_epoch,
 )
 
 _BOOL_WORDS = {
@@ -189,11 +189,10 @@ def cmd_beacon_stats(args) -> int:
         print("beacon-stats: need nodes >= 1, 1 <= bits <= 32, epochs >= 1, "
               "0 <= seed < 2**64", file=sys.stderr)
         return 2
-    enclaves = make_beacon_nodes(n, bits, args.seed)
-    keys = {e.node_id: e.secret for e in enclaves}
+    lottery = Lottery(make_beacon_nodes(n, bits, args.seed))
     rows, forged = [], []
     for epoch in range(epochs):
-        row, bad = settle_epoch(enclaves, epoch, keys)
+        row, bad = lottery.settle(epoch)
         rows.append(row)
         forged += bad
     repeat_rate = 1 - sum(row[1] for row in rows) / epochs

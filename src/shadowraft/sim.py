@@ -215,26 +215,72 @@ def beacon_csv(rows) -> bytes:
     )
 
 
-def settle_epoch(enclaves, epoch: int, keys: dict[int, bytes]):
-    """Invoke each enclave once for the epoch and lock its seed if one can be.
+class Lottery:
+    """One beacon run's enclaves, settled epoch by epoch, invoking only those that are due.
 
-    Every certificate, valid or not, is broadcast to the other len(keys) - 1
-    nodes. The seed is the lowest rnd among the certificates whose epoch,
-    node and tag verify against keys. Returns the beacon.csv row (epoch,
-    succeeded, valid certificates, seed or None, messages) and the
-    certificates that failed verification.
+    An enclave is due at the epoch whose invocation reaches its next winning
+    record or the end of its batch, and every enclave is due at epoch 0,
+    when its first batch is read. Each invocation consumes one record, so
+    the records before that one all lose: after each invocation the
+    enclave's lapse() skips them, closing its gate on their epochs, and
+    names its next due epoch. A heap holds (due epoch, node id, enclave).
+    Settling an epoch pops only the enclaves due at it, in node id order,
+    and invokes each through this module's invoke_beacon, so the rows equal
+    those of invoking every live enclave every epoch.
+
+    Liveness is the simulator's rule at each epoch's start tick: node n is
+    down in epoch e iff crash_time[n] <= e * delta. An enclave that is down
+    when it comes due leaves the heap for good, since faults are crash-stop.
+    It leaves lapsed to the epoch before its due one, which may be past its
+    crash: a restart must re-insert it with its record index advanced only
+    by the epochs in which it was live.
     """
-    certs = [cert for e in enclaves if (cert := invoke_beacon(e, epoch))]
-    valid, forged = [], []
-    for cert in certs:
-        ok = cert.epoch == epoch and cert.node_id in keys
-        if ok and beacon_mod.verify_certificate(cert, keys):
-            valid.append(cert)
-        else:
-            forged.append(cert)
-    seed = select_seed(valid)
-    messages = len(certs) * (len(keys) - 1)
-    return (epoch, int(seed is not None), len(valid), seed, messages), forged
+
+    def __init__(self, enclaves, crash_time=None, delta: int = 1):
+        self._keys = {e.node_id: e.secret for e in enclaves}
+        self._crash_time = crash_time or [math.inf] * len(enclaves)
+        self._delta = delta
+        self._last = -1  # the last settled epoch
+        self._heap = [(0, e.node_id, e) for e in enclaves]
+        heapq.heapify(self._heap)
+
+    def settle(self, epoch: int):
+        """Invoke the enclaves due at the next epoch and lock its seed if one can be.
+
+        Epochs settle one at a time from 0, as the due epochs count them: an
+        epoch at or below the last settled raises EpochReplay, and one past
+        the next raises ValueError. Every certificate, valid or not, is
+        broadcast to the other N - 1 nodes. The seed is the lowest rnd
+        among the certificates whose epoch, node and tag verify against the
+        enclaves' secrets. Returns the beacon.csv row (epoch, succeeded,
+        valid certificates, seed or None, messages) and the certificates
+        that failed verification.
+        """
+        if epoch != self._last + 1:
+            error = beacon_mod.EpochReplay if epoch <= self._last else ValueError
+            raise error(f"epoch {epoch} settled after epoch {self._last}")
+        self._last = epoch
+        heap, crash_time, start = self._heap, self._crash_time, epoch * self._delta
+        certs = []
+        while heap and heap[0][0] == epoch:
+            _, nid, enclave = heap[0]
+            if crash_time[nid] <= start:
+                heapq.heappop(heap)
+                continue
+            if cert := invoke_beacon(enclave, epoch):
+                certs.append(cert)
+            heapq.heapreplace(heap, (enclave.lapse(), nid, enclave))
+        keys = self._keys
+        valid, forged = [], []
+        for cert in certs:
+            ok = cert.epoch == epoch and cert.node_id in keys
+            if ok and beacon_mod.verify_certificate(cert, keys):
+                valid.append(cert)
+            else:
+                forged.append(cert)
+        seed = select_seed(valid)
+        messages = len(certs) * (len(keys) - 1)
+        return (epoch, int(seed is not None), len(valid), seed, messages), forged
 
 
 def order_csv(rows) -> bytes:
@@ -498,10 +544,9 @@ class Simulation:
     def _run_beacon_phase(self) -> int:
         cfg = self.cfg
         enclaves = make_beacon_nodes(cfg.num_nodes, cfg.lottery_bits, cfg.seed)
-        keys = {enclave.node_id: enclave.secret for enclave in enclaves}
+        lottery = Lottery(enclaves, self.crash_time, cfg.delta)
         for epoch in range(self.end_time // cfg.delta):  # each epoch ends by the horizon
-            live = [e for e in enclaves if self.crash_time[e.node_id] > epoch * cfg.delta]
-            row, forged = settle_epoch(live, epoch, keys)
+            row, forged = lottery.settle(epoch)
             self._count("BeaconCertificate", row[4])
             for cert in forged:
                 self._flag(f"beacon-certificate epoch={epoch} node={cert.node_id}")

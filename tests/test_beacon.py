@@ -26,7 +26,7 @@ from shadowraft.beacon import (
 )
 import shadowraft.sim as sim_module
 from shadowraft.rng import Stream
-from shadowraft.sim import settle_epoch
+from shadowraft.sim import Lottery
 
 
 def directory_for(nodes):
@@ -200,23 +200,34 @@ def test_select_seed_order_independent():
 
 
 def test_settle_epoch_drops_certificates_for_other_epochs(monkeypatch):
-    # node 0 answers every epoch with a correctly tagged certificate that
-    # it won at another epoch: broadcast, counted as forged, never the seed
-    stale, _ = first_certificate(bits=2, seed=2)  # won at epoch 8
+    # node 0 answers each epoch it is invoked in with a correctly tagged
+    # certificate that it won at another epoch: broadcast, counted as
+    # forged, never the seed
+    probe = make_beacon_nodes(1, 2, seed=2)[0]  # node 0's enclave and stream
+    stale = [c for c in (invoke_beacon(probe, e) for e in range(200)) if c][5]
     nodes = make_beacon_nodes(4, 2, seed=2)
     twins = make_beacon_nodes(4, 2, seed=2)
     keys = directory_for(nodes)
     assert verify_certificate(stale, keys)
+    invoked = []  # the epochs in which the lottery invokes node 0
 
     def replaying(node, epoch):
         cert = invoke_beacon(node, epoch)  # node 0 still burns its draw
-        return stale if node.node_id == 0 else cert
+        if node.node_id:
+            return cert
+        invoked.append(epoch)
+        return stale
 
     monkeypatch.setattr(sim_module, "invoke_beacon", replaying)
+    lottery = Lottery(nodes)
     outcomes = set()
     for epoch in range(stale.epoch + 12):
         honest = [c for c in (invoke_beacon(n, epoch) for n in twins[1:]) if c]
-        row, forged = settle_epoch(nodes, epoch, keys)
+        row, forged = lottery.settle(epoch)
+        if invoked[-1] != epoch:
+            assert forged == [] and row == (epoch, int(bool(honest)), len(honest),
+                                            select_seed(honest), len(honest) * 3)
+            continue
         if epoch == stale.epoch:
             assert forged == [] and row[2] == len(honest) + 1
             continue
@@ -225,16 +236,17 @@ def test_settle_epoch_drops_certificates_for_other_epochs(monkeypatch):
                        select_seed(honest), (len(honest) + 1) * 3)
         outcomes.add((epoch < stale.epoch, bool(honest)))
     assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
+    assert stale.epoch in invoked and len(invoked) < stale.epoch + 12
 
 
 def test_settle_epoch_agrees_with_manual_invocation():
     nodes_a = make_beacon_nodes(8, 3, seed=21)
     nodes_b = make_beacon_nodes(8, 3, seed=21)
-    keys = directory_for(nodes_a)
+    lottery = Lottery(nodes_a)
     saw_single_winner = False
     for epoch in range(30):
         manual = [c for c in (invoke_beacon(n, epoch) for n in nodes_b) if c]
-        row, forged = settle_epoch(nodes_a, epoch, keys)
+        row, forged = lottery.settle(epoch)
         row_epoch, succeeded, num_certificates, seed, messages_sent = row
         assert row_epoch == epoch and forged == []
         assert messages_sent == len(manual) * 7
@@ -248,6 +260,58 @@ def test_settle_epoch_agrees_with_manual_invocation():
             saw_single_winner = True
             assert seed == manual[0].rnd
     assert saw_single_winner
+
+
+def stream_state(node):
+    return node._at, node.last_invoked_epoch, node.rng._counter, node.rng._pos
+
+
+@pytest.mark.parametrize("num_nodes, bits", [(6, 1), (16, 5), (32, 10)])
+def test_lottery_matches_invoking_every_live_enclave_under_crashes(num_nodes, bits):
+    # node 1 is down from t=0, node 2 from the start of epoch 2, node 3 from
+    # mid-way through epoch 3 and node 4 from mid-way through epoch 150, past
+    # two 64-record batches; 400 epochs cross six batch edges
+    delta, epochs, seed = 10, 400, 5
+    crash_time = [math.inf] * num_nodes
+    for when, nid in ((0, 1), (20, 2), (35, 3), (1505, 4)):
+        crash_time[nid] = when
+    nodes = make_beacon_nodes(num_nodes, bits, seed)
+    twins = make_beacon_nodes(num_nodes, bits, seed)
+    lottery = Lottery(nodes, crash_time, delta)
+    compared = [0] * num_nodes
+    for epoch in range(epochs):
+        live = [n for n in range(num_nodes) if crash_time[n] > epoch * delta]
+        certs = [c for c in (invoke_beacon(twins[n], epoch) for n in live) if c]
+        seed_rnd = select_seed(certs)
+        expect = (epoch, int(seed_rnd is not None), len(certs), seed_rnd,
+                  len(certs) * (num_nodes - 1))
+        assert lottery.settle(epoch) == (expect, []), epoch
+        for n in live:  # an enclave lapsed to this epoch is caught up with its twin
+            if nodes[n].last_invoked_epoch == epoch:
+                assert stream_state(nodes[n]) == stream_state(twins[n]), (epoch, n)
+                compared[n] += 1
+    assert compared[1] == 0 and min(compared[4:]) >= 2  # node 4 at epochs 63 and 127
+    assert min(twins[n].rng._counter for n in range(5, num_nodes)) == -(-epochs // 64)
+    assert sum(compared) < num_nodes * epochs // 2  # most epochs invoke no enclave
+
+
+def test_lottery_keeps_the_epoch_gate():
+    nodes = make_beacon_nodes(8, 4, seed=12)
+    lottery = Lottery(nodes)
+    gates = [-1] * 8
+    for epoch in range(150):
+        row, _ = lottery.settle(epoch)
+        for replay in (epoch, epoch // 2):
+            with pytest.raises(EpochReplay):
+                lottery.settle(replay)
+        for n, node in enumerate(nodes):
+            assert node.last_invoked_epoch >= max(gates[n], epoch)  # never lowered
+            gates[n] = node.last_invoked_epoch
+            with pytest.raises(EpochReplay):  # a settled epoch is closed to manual calls
+                invoke_beacon(node, epoch)
+    assert row[0] == 149
+    with pytest.raises(ValueError):  # epochs settle one at a time
+        lottery.settle(151)
 
 
 def test_repeat_probability_closed_form():
@@ -267,9 +331,8 @@ def test_expected_messages():
 
 def test_empirical_repeat_rate_tracks_closed_form():
     num_nodes, bits, trials = 16, 4, 3000
-    nodes = make_beacon_nodes(num_nodes, bits, seed=31)
-    keys = directory_for(nodes)
-    repeats = sum(1 for epoch in range(trials) if not settle_epoch(nodes, epoch, keys)[0][1])
+    lottery = Lottery(make_beacon_nodes(num_nodes, bits, seed=31))
+    repeats = sum(1 for epoch in range(trials) if not lottery.settle(epoch)[0][1])
     p = repeat_probability(num_nodes, bits)
     sigma = math.sqrt(p * (1 - p) / trials)
     assert abs(repeats / trials - p) < 5 * sigma
