@@ -16,6 +16,10 @@ one per rejection) and through entry batches attached at submit time.
 Log entries and messages are immutable named tuples: cheap to build, since a
 run builds one per send. ``handle_message`` dispatches on the exact type
 through one table, so a subclass of a message type is not a message.
+
+``SafetyMonitor`` holds Raft's safety rules (Figure 3 of the Raft paper,
+Ongaro & Ousterhout 2014) for one cluster, each written once. Any driver
+feeds it: the simulator and the tests' own network both do.
 """
 
 from __future__ import annotations
@@ -321,3 +325,76 @@ _HANDLERS = {
     AppendEntries: RaftNode.handle_append_entries,
     AppendReply: RaftNode.handle_append_reply,
 }
+
+
+class SafetyMonitor:
+    """Raft's safety rules for one chain's cluster, each written once.
+
+    A driver feeds it where a rule can break, and each violation appends
+    one flag's text to the run's flags list:
+    - leader(node): node leads its current term. No other node may lead
+      that term (election-safety).
+    - vote(voter, term, candidate): voter granted candidate its vote. It may
+      grant no other candidate a vote in that term (vote-safety).
+    - commit(node): node's commit_index may have moved. A leader's rise must
+      be held by a quorum of its replicas (commit-quorum). That holds only
+      at the rise: a new leader inherits a commit_index that its reset
+      match_index does not cover. So the monitor keeps each node's last
+      commit_index, and a driver may call commit after every step.
+    - check_logs(nodes), at the end of a run, for every pair of nodes:
+      entries that share an index and a term have identical prefixes
+      (log-matching). For a pair whose logs match, the shorter committed
+      prefix lies inside the longer one (committed-prefix).
+    """
+
+    __slots__ = ("chain_id", "flags", "winners", "votes", "commits")
+
+    def __init__(self, chain_id: int, flags: list[str]):
+        self.chain_id = chain_id
+        self.flags = flags
+        self.winners: dict[int, int] = {}  # term -> the node that led it first
+        self.votes: dict[tuple[int, int], int] = {}  # (term, voter) -> candidate
+        self.commits: dict[int, int] = {}  # node -> its commit_index when last fed
+
+    def leader(self, node: RaftNode) -> None:
+        term, nid = node.current_term, node.node_id
+        holder = self.winners.setdefault(term, nid)
+        if holder != nid:
+            self.flags.append(
+                f"election-safety chain={self.chain_id} term={term} leaders={holder},{nid}"
+            )
+
+    def vote(self, voter: int, term: int, candidate: int) -> None:
+        first = self.votes.setdefault((term, voter), candidate)
+        if first != candidate:
+            self.flags.append(
+                f"vote-safety chain={self.chain_id} term={term} "
+                f"voter={voter} candidates={first},{candidate}"
+            )
+
+    def commit(self, node: RaftNode) -> None:
+        new, old = node.commit_index, self.commits.get(node.node_id, 0)
+        self.commits[node.node_id] = new
+        if new > old and node.role is LEADER:
+            match = node.match_index
+            acks = 1 + sum(1 for p in node.peers if match[p] >= new)
+            if acks < node.quorum:
+                self.flags.append(
+                    f"commit-quorum chain={self.chain_id} "
+                    f"index={new} acks={acks} quorum={node.quorum}"
+                )
+
+    def check_logs(self, nodes: Sequence[RaftNode]) -> None:
+        for i, a in enumerate(nodes):
+            for b in nodes[i + 1 :]:
+                la, lb = a.log, b.log
+                top = min(len(la), len(lb))  # the deepest index whose terms agree
+                while top > 0 and la[top - 1].term != lb[top - 1].term:
+                    top -= 1
+                if top > 0 and la[:top] != lb[:top]:
+                    kind = "log-matching"
+                elif min(a.commit_index, b.commit_index) > top:
+                    kind = "committed-prefix"  # past top, the logs differ in term
+                else:
+                    continue
+                self.flags.append(f"{kind} chain={self.chain_id} nodes={a.node_id},{b.node_id}")

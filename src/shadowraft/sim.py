@@ -92,7 +92,7 @@ from .ordering import (
     reference_total_order,
     validate_view,
 )
-from .raft import LEADER, RaftNode, VoteReply, quorum_threshold
+from .raft import LEADER, RaftNode, SafetyMonitor, VoteReply, quorum_threshold
 from .rng import Stream, below_limit, chance_limit
 from .sealing import KeyDirectory, SealingError, seal
 
@@ -506,8 +506,7 @@ class Simulation:
         # (chain, index) -> (command, block or DecodeError, height or None if skipped)
         self.committed_cmds: dict[tuple[int, int], tuple] = {}
         self.skipped = 0
-        self.election_winners: dict[tuple[int, int], int] = {}
-        self.votes: dict[tuple[int, int, int], int] = {}  # (chain, term, voter) -> candidate
+        self.monitors = [SafetyMonitor(c, self.flags) for c in range(config.num_chains)]
 
     # -- plumbing ---------------------------------------------------------
 
@@ -616,13 +615,7 @@ class Simulation:
         r = node.raft
         if r.role is LEADER and r.current_term != node.led_term:
             node.led_term = r.current_term
-            key = (node.chain_id, r.current_term)
-            holder = self.election_winners.setdefault(key, node.node_id)
-            if holder != node.node_id:
-                self._flag(
-                    f"election-safety chain={node.chain_id} term={r.current_term} "
-                    f"leaders={holder},{node.node_id}"
-                )
+            self.monitors[node.chain_id].leader(r)
             # a no-op entry lets the new leader commit inherited entries
             outgoing = outgoing + r.client_submit(b"", now)
         # each send: its delay draw, its count and its heap entry
@@ -632,7 +625,7 @@ class Simulation:
         for dst, msg in outgoing:
             kind = type(msg)
             if kind is VoteReply and msg.granted:
-                self._record_vote(node, msg.term, dst)
+                self.monitors[node.chain_id].vote(src, msg.term, dst)
             v = next_u64()
             while v >= limit:
                 v = next_u64()
@@ -642,13 +635,7 @@ class Simulation:
             heapq.heappush(queue, (now + lo + v % span, seq, _MSG, dst, (src, msg)))
         self._seq = seq
         if r.commit_index > node.applied:
-            if r.role is LEADER:
-                acks = 1 + sum(1 for p in r.peers if r.match_index[p] >= r.commit_index)
-                if acks < r.quorum:
-                    self._flag(
-                        f"commit-quorum chain={node.chain_id} "
-                        f"index={r.commit_index} acks={acks} quorum={r.quorum}"
-                    )
+            self.monitors[node.chain_id].commit(r)
             self._apply_committed(node, now)
         self._arm_timer(node, now)
 
@@ -705,15 +692,6 @@ class Simulation:
             return command, block, None
         self.store.add(block.header, ledger.hashes[-1])
         return command, block, block.header.height
-
-    def _record_vote(self, node: _Node, term: int, candidate: int) -> None:
-        key = (node.chain_id, term, node.node_id)
-        first = self.votes.setdefault(key, candidate)
-        if first != candidate:
-            self._flag(
-                f"vote-safety chain={node.chain_id} term={term} "
-                f"voter={node.node_id} candidates={first},{candidate}"
-            )
 
     # -- views and gossip ----------------------------------------------------
 
@@ -979,19 +957,8 @@ class Simulation:
                 tx_count = len(self.canonical[chain].blocks[height].transactions)
                 self.final_order.append((rank, chain, height, bh.hex(), tx_count))
 
-        # log matching: deepest shared (index, term) implies identical prefixes
-        for chain, members in enumerate(self.assignment):
-            alive = [self.nodes[n] for n in members if self.crash_time[n] > self.end_time]
-            for i, a in enumerate(alive):
-                for b in alive[i + 1 :]:
-                    la, lb = a.raft.log, b.raft.log
-                    top = min(len(la), len(lb))
-                    while top > 0 and la[top - 1].term != lb[top - 1].term:
-                        top -= 1
-                    if top > 0 and la[:top] != lb[:top]:
-                        self._flag(
-                            f"log-matching chain={chain} nodes={a.node_id},{b.node_id}"
-                        )
+        for monitor, members in zip(self.monitors, self.assignment):
+            monitor.check_logs([self.nodes[n].raft for n in members])
 
         self.sealed_verified = 0
         for ledger in self.canonical.values():

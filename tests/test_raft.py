@@ -1,8 +1,10 @@
 """Consensus handler rules, plus a small randomized cluster harness.
 
 The harness at the bottom is an independent driver (plain heapq and
-random.Random, no simulator imports) so the safety properties are not
-checked with the machinery under test.
+random.Random, no simulator imports), so no simulator machinery drives the
+nodes it checks. Its safety rules are not its own: it feeds the shared
+raft.SafetyMonitor, the one the simulator feeds, and asserts that it raises
+no flag. The monitor's rules are checked by injection tests in test_sim.py.
 """
 
 import copy
@@ -18,6 +20,7 @@ from shadowraft.raft import (
     NotLeader,
     RaftNode,
     Role,
+    SafetyMonitor,
     VoteReply,
     VoteRequest,
     quorum_threshold,
@@ -407,7 +410,7 @@ def test_messages_are_immutable(msg):
 
 
 class MiniNet:
-    """Tiny lossy-free network driver with crash-stop faults."""
+    """Tiny loss-free network driver with crash-stop faults, judged by a SafetyMonitor."""
 
     def __init__(self, n, seed, crashes=()):
         self.rand = random.Random(seed)
@@ -419,7 +422,8 @@ class MiniNet:
         self.crashes = dict(crashes)  # time -> node
         self.queue = []
         self.seq = 0
-        self.leaders = {}  # term -> node_id
+        self.flags = []
+        self.monitor = SafetyMonitor(0, self.flags)
         self.submitted = 0
 
     def push(self, when, dst, src, msg):
@@ -427,14 +431,15 @@ class MiniNet:
         self.seq += 1
 
     def fan_out(self, now, src, outgoing):
+        """Send what src's step returned, feeding the monitor after every step."""
         for dst, msg in outgoing:
+            if type(msg) is VoteReply and msg.granted:
+                self.monitor.vote(src, msg.term, dst)
             self.push(now + self.rand.randint(1, 5), dst, src, msg)
-
-    def observe(self, nid):
-        node = self.nodes[nid]
+        node = self.nodes[src]
         if node.role is Role.LEADER:
-            claimed = self.leaders.setdefault(node.current_term, nid)
-            assert claimed == nid, f"two leaders in term {node.current_term}"
+            self.monitor.leader(node)
+        self.monitor.commit(node)
 
     def run(self, horizon):
         for now in range(horizon):
@@ -445,10 +450,8 @@ class MiniNet:
                 if dst not in self.alive:
                     continue
                 self.fan_out(now, dst, self.nodes[dst].handle_message(src, msg, now))
-                self.observe(dst)
             for nid in self.alive:
                 self.fan_out(now, nid, self.nodes[nid].tick(now))
-                self.observe(nid)
             if now % 40 == 0:
                 for nid in self.alive:
                     node = self.nodes[nid]
@@ -457,22 +460,6 @@ class MiniNet:
                         self.submitted += 1
                         self.fan_out(now, nid, node.client_submit(payload, now))
                         break
-
-    def check_logs(self):
-        nodes = list(self.nodes.values())
-        for a in nodes:
-            for b in nodes:
-                if a.node_id >= b.node_id:
-                    continue
-                upto = min(len(a.log), len(b.log))
-                for i in range(upto - 1, -1, -1):
-                    if a.log[i].term == b.log[i].term:
-                        assert a.log[: i + 1] == b.log[: i + 1]
-                        break
-                ca = [e.command for e in a.log[: a.commit_index]]
-                cb = [e.command for e in b.log[: b.commit_index]]
-                shorter, longer = sorted((ca, cb), key=len)
-                assert longer[: len(shorter)] == shorter
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -486,7 +473,8 @@ def test_randomized_runs_preserve_safety(n):
                 crashes[rand.randrange(200, 900)] = k
         net = MiniNet(n, seed, crashes.items())
         net.run(1200)
-        net.check_logs()
+        net.monitor.check_logs(list(net.nodes.values()))
+        assert net.flags == [], (n, seed)
         if not crashes:
             committed = max(node.commit_index for node in net.nodes.values())
             assert committed > 0

@@ -39,10 +39,10 @@ def first_leader(cfg, chain=0):
     """Probe run: winner of the chain's earliest decided term."""
     sim = Simulation(cfg)
     sim.run()
-    terms = [term for (c, term) in sim.election_winners if c == chain]
-    assert terms, "probe run elected nobody"
-    first = min(terms)
-    return sim.election_winners[(chain, first)], first
+    winners = sim.monitors[chain].winners
+    assert winners, "probe run elected nobody"
+    first = min(winners)
+    return winners[first], first
 
 
 def test_fault_free_single_chain_run():
@@ -50,7 +50,7 @@ def test_fault_free_single_chain_run():
     sim = Simulation(cfg)
     trace = sim.run()
     assert trace.safety_flags == []
-    assert sim.election_winners  # someone won an election
+    assert sim.monitors[0].winners  # someone won an election
     assert trace.total_committed_txs() > 0
     assert trace.committed_blocks[0] > 0
     assert not trace.expected_stall
@@ -173,9 +173,7 @@ def test_leader_crash_elects_successor_and_commits_resume():
     trace = sim.run()
     assert trace.safety_flags == []
     assert not trace.expected_stall
-    later = {
-        (c, t): w for (c, t), w in sim.election_winners.items() if t > first_term
-    }
+    later = {t: w for t, w in sim.monitors[0].winners.items() if t > first_term}
     assert later, "no re-election after the leader crash"
     assert all(w != leader for w in later.values())
     # blocks proposed under the successor's term made it onto the chain
@@ -468,8 +466,8 @@ def test_second_leader_in_a_won_term_is_flagged():
     sim = Simulation(small_cfg(num_nodes=5, run_duration=400))
     sim.run()
     assert not sim.flags
-    term = max(t for c, t in sim.election_winners if c == 0)
-    winner = sim.election_winners[(0, term)]
+    term = max(sim.monitors[0].winners)
+    winner = sim.monitors[0].winners[term]
     other = sim.nodes[next(n for n in sim.assignment[0] if n != winner)]
     r = other.raft
     r.current_term, r.role, r.votes = term, Role.CANDIDATE, set(r.cluster)
@@ -505,6 +503,22 @@ def test_entries_that_differ_below_a_shared_index_and_term_are_flagged():
     log[0] = log[0]._replace(command=log[0].command + b"\x00")  # same index and term
     sim._final_checks()
     assert sim.flags == [f"log-matching chain=0 nodes={first},{n}" for n in others]
+
+
+def test_committed_entry_that_differs_in_term_is_flagged_on_a_crashed_node():
+    cfg = small_cfg(num_nodes=5, run_duration=400)
+    first, *others = Simulation(cfg).run().assignment[0]
+    sim = Simulation(replace(cfg, crash_schedule=((300, first),)))
+    sim.run()
+    assert not sim.flags and sim.assignment[0] == [first, *others]
+    r = sim.nodes[first].raft  # down since t=300, but still a committee member
+    top = r.commit_index
+    assert top > 0 and all(sim.nodes[n].raft.commit_index > top for n in others)
+    assert all(sim.nodes[n].raft.log[:top] == r.log[:top] for n in others)
+    # the logs still match below it, so this is no log-matching flag
+    r.log[top - 1] = r.log[top - 1]._replace(term=r.log[top - 1].term + 1)
+    sim._final_checks()
+    assert sim.flags == [f"committed-prefix chain=0 nodes={first},{n}" for n in others]
 
 
 def test_node_whose_final_order_differs_is_flagged(monkeypatch):
@@ -881,7 +895,7 @@ def test_gossip_draws_move_no_raft_delay(monkeypatch):
 
     assert cut_trace.message_counts["Gossip"] < base_trace.message_counts["Gossip"]
     assert raft_counts(cut_trace) == raft_counts(base_trace)
-    assert cut.election_winners == base.election_winners
+    assert [m.winners for m in cut.monitors] == [m.winners for m in base.monitors]
 
 
 def drawn_workload(cfg):
