@@ -333,21 +333,24 @@ class SafetyMonitor:
     A driver feeds it where a rule can break, and each violation appends
     one flag's text to the run's flags list:
     - leader(node): node leads its current term. No other node may lead
-      that term (election-safety).
+      that term (election-safety). The term's first leader must hold every
+      entry committed so far (leader-completeness).
     - vote(voter, term, candidate): voter granted candidate its vote. It may
       grant no other candidate a vote in that term (vote-safety).
-    - commit(node): node's commit_index may have moved. A leader's rise must
-      be held by a quorum of its replicas (commit-quorum). That holds only
-      at the rise: a new leader inherits a commit_index that its reset
-      match_index does not cover. So the monitor keeps each node's last
-      commit_index, and a driver may call commit after every step.
+    - commit(node): node's commit_index may have moved. It may never fall
+      (commit-monotonicity). A leader's rise must be held by a quorum of its
+      replicas (commit-quorum). That holds only at the rise: a new leader
+      inherits a commit_index that its reset match_index does not cover. So
+      the monitor keeps each node's last commit_index, and a driver may call
+      commit after every step. A rise also extends the chain's committed
+      entries, which leader-completeness reads.
     - check_logs(nodes), at the end of a run, for every pair of nodes:
       entries that share an index and a term have identical prefixes
       (log-matching). For a pair whose logs match, the shorter committed
       prefix lies inside the longer one (committed-prefix).
     """
 
-    __slots__ = ("chain_id", "flags", "winners", "votes", "commits")
+    __slots__ = ("chain_id", "flags", "winners", "votes", "commits", "committed")
 
     def __init__(self, chain_id: int, flags: list[str]):
         self.chain_id = chain_id
@@ -355,11 +358,23 @@ class SafetyMonitor:
         self.winners: dict[int, int] = {}  # term -> the node that led it first
         self.votes: dict[tuple[int, int], int] = {}  # (term, voter) -> candidate
         self.commits: dict[int, int] = {}  # node -> its commit_index when last fed
+        self.committed: list[LogEntry] = []  # the longest committed prefix fed
 
     def leader(self, node: RaftNode) -> None:
         term, nid = node.current_term, node.node_id
-        holder = self.winners.setdefault(term, nid)
-        if holder != nid:
+        holder = self.winners.get(term)
+        if holder is None:
+            self.winners[term] = nid
+            log, committed = node.log, self.committed
+            if log[: len(committed)] != committed:
+                index = 1  # the first committed entry the leader lacks
+                while index <= len(log) and log[index - 1] == committed[index - 1]:
+                    index += 1
+                self.flags.append(
+                    f"leader-completeness chain={self.chain_id} term={term} "
+                    f"leader={nid} index={index}"
+                )
+        elif holder != nid:
             self.flags.append(
                 f"election-safety chain={self.chain_id} term={term} leaders={holder},{nid}"
             )
@@ -373,16 +388,25 @@ class SafetyMonitor:
             )
 
     def commit(self, node: RaftNode) -> None:
-        new, old = node.commit_index, self.commits.get(node.node_id, 0)
-        self.commits[node.node_id] = new
-        if new > old and node.role is LEADER:
-            match = node.match_index
-            acks = 1 + sum(1 for p in node.peers if match[p] >= new)
-            if acks < node.quorum:
-                self.flags.append(
-                    f"commit-quorum chain={self.chain_id} "
-                    f"index={new} acks={acks} quorum={node.quorum}"
-                )
+        nid = node.node_id
+        new, old = node.commit_index, self.commits.get(nid, 0)
+        self.commits[nid] = new
+        if new < old:
+            self.flags.append(
+                f"commit-monotonicity chain={self.chain_id} node={nid} index={new} was={old}"
+            )
+        elif new > old:
+            if node.role is LEADER:
+                match = node.match_index
+                acks = 1 + sum(1 for p in node.peers if match[p] >= new)
+                if acks < node.quorum:
+                    self.flags.append(
+                        f"commit-quorum chain={self.chain_id} "
+                        f"index={new} acks={acks} quorum={node.quorum}"
+                    )
+            committed = self.committed
+            if new > len(committed):
+                committed += node.log[len(committed) : new]
 
     def check_logs(self, nodes: Sequence[RaftNode]) -> None:
         for i, a in enumerate(nodes):

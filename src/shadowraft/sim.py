@@ -634,7 +634,7 @@ class Simulation:
             seq += 1
             heapq.heappush(queue, (now + lo + v % span, seq, _MSG, dst, (src, msg)))
         self._seq = seq
-        if r.commit_index > node.applied:
+        if r.commit_index != node.applied:  # a fall is flagged, and applies nothing
             self.monitors[node.chain_id].commit(r)
             self._apply_committed(node, now)
         self._arm_timer(node, now)

@@ -293,6 +293,25 @@ def test_old_term_entries_commit_only_via_current_term():
     assert leader.commit_index == 2
 
 
+def test_monitor_flags_a_leader_elected_past_the_up_to_date_check():
+    nodes = build_cluster(3)
+    flags = []
+    monitor = SafetyMonitor(0, flags)
+    elect(nodes, 0)
+    monitor.leader(nodes[0])
+    out = dict(nodes[0].client_submit(b"a", 1))
+    [(_, reply)] = nodes[1].handle_append_entries(0, out[1], 2)
+    nodes[0].handle_append_reply(1, reply, 3)
+    monitor.commit(nodes[0])
+    assert nodes[0].commit_index == 1 and flags == []
+    # node 2 never received the entry; a voter that skipped the check elects it
+    nodes[2].handle_election_timeout(300)
+    nodes[2].handle_vote_reply(1, VoteReply(2, True), 300)
+    assert nodes[2].role is Role.LEADER and nodes[2].log == []
+    monitor.leader(nodes[2])
+    assert flags == ["leader-completeness chain=0 term=2 leader=2 index=1"]
+
+
 def test_backtracking_repairs_lagging_follower():
     nodes = build_cluster(3)
     elect(nodes, 0)

@@ -493,6 +493,38 @@ def test_commit_past_the_leaders_acks_is_flagged():
     assert leader.applied == index
 
 
+def test_leader_that_lacks_a_committed_entry_is_flagged():
+    sim = Simulation(small_cfg(num_nodes=5, run_duration=400))
+    sim.run()
+    assert not sim.flags
+    term = max(sim.monitors[0].winners) + 1  # a term nobody has led
+    node = sim.nodes[sim.assignment[0][0]]
+    r = node.raft
+    index = r.commit_index
+    assert index > 0
+    del r.log[index - 1 :]  # the last committed entry and all after it
+    r.current_term, r.role, r.votes = term, Role.CANDIDATE, set(r.cluster)
+    sim._after_raft(node, sim.end_time, r._maybe_win(sim.end_time))
+    assert sim.flags == [
+        f"leader-completeness chain=0 term={term} leader={node.node_id} index={index}"
+    ]
+
+
+def test_commit_index_that_falls_is_flagged_once():
+    sim = Simulation(small_cfg(num_nodes=5, run_duration=400))
+    sim.run()
+    assert not sim.flags
+    node = sim.nodes[sim.assignment[0][1]]
+    was = node.raft.commit_index
+    node.raft.commit_index = was - 1
+    sim._after_raft(node, sim.end_time, [])
+    sim._after_raft(node, sim.end_time, [])  # no second fall
+    assert sim.flags == [
+        f"commit-monotonicity chain=0 node={node.node_id} index={was - 1} was={was}"
+    ]
+    assert node.applied == was
+
+
 def test_entries_that_differ_below_a_shared_index_and_term_are_flagged():
     sim = Simulation(small_cfg(num_nodes=5, run_duration=400))
     sim.run()
