@@ -374,9 +374,11 @@ def _verify_order(trace_dir: Path, out: Path) -> int:
     different headers at one (chain, height) are rejected even where no
     order reaches the fork. Every node's order is then a prefix of the
     store's by construction. After each (time, node) group the view must
-    cover every chain. The whole-view oracles run once: validate_view over
-    the store, and the brute-force reference on each node's last view. The
-    longest node order is written out.
+    cover every chain. The whole-view oracles run once: validate_view and
+    the brute-force reference over the store. Each node's last order must
+    be the reference's refs that lie below that node's heights and below its
+    bar, the lowest next_rank among its chains' last headers. The longest
+    node order is written out.
     """
     snapshots = trace_dir / "snapshots.csv"
     rows = _load_snapshots(snapshots) if snapshots.is_file() else None
@@ -416,8 +418,12 @@ def _verify_order(trace_dir: Path, out: Path) -> int:
         validate_view(store)
     except OrderingError as exc:
         raise _Rejected(1, str(exc)) from None
+    reference = reference_total_order(store)
     for node_id, view in views.items():
-        if view.order != reference_total_order(view):
+        heights = view.heights
+        bar = min(store.chains[c][n - 1].next_rank for c, n in enumerate(heights))
+        mine = [r for r in reference if r.rank < bar and r.height < heights[r.chain_id]]
+        if view.order != mine:
             why = "total_order disagrees with the brute-force reference"
             raise _Rejected(1, f"node={node_id}: {why}")
 

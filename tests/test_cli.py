@@ -568,9 +568,10 @@ def test_argparse_usage_errors(capsys):
     capsys.readouterr()
 
 
-def test_verify_order_runs_each_oracle_once_per_node(tmp_path, monkeypatch, capsys):
-    # orders only grow by appending, so the brute-force reference checks each
-    # node's last view, and validate_view rechecks the one store all views share
+def test_verify_order_runs_each_oracle_once_per_file(tmp_path, monkeypatch, capsys):
+    # every node's order is a prefix of the one store's, so both oracles run
+    # once, over the store, and each node's last order is checked against the
+    # brute-force reference cut at that node's heights and bar
     import shadowraft.cli as cli
 
     out = run_and_verify_dirs(tmp_path)
@@ -586,8 +587,8 @@ def test_verify_order_runs_each_oracle_once_per_node(tmp_path, monkeypatch, caps
     nodes = {cells[1] for cells in rows}
     groups = {(cells[0], cells[1]) for cells in rows}
     assert f"{len(groups)} snapshot orders consistent" in capsys.readouterr().out
-    assert len(groups) > len(nodes)
-    assert calls == {"validate_view": 1, "reference_total_order": len(nodes)}
+    assert len(groups) > len(nodes) > 1
+    assert calls == {"validate_view": 1, "reference_total_order": 1}
 
 
 def _snapshot_header(cells):
