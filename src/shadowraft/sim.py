@@ -34,11 +34,14 @@ fires nothing, sends nothing, and never recovers. A crash's heap entry is an
 event only, pushed before all others, so it pops first at its tick. Past
 end_time liveness is read at end_time: a crash scheduled later never happens.
 
-The simulator is also the property-test vehicle: beacon certificates,
-election safety, one vote per term, log matching, state-machine safety,
-commit quorum, rank discipline, prefix stability of the total order, and
-sealed round-trip integrity are all checked during the run and recorded as
-safety flags, which must stay empty.
+The simulator is also the property-test vehicle: beacon certificates, the
+Raft rules, state-machine safety at apply, rank discipline, prefix
+stability of the total order, and sealed round-trip integrity are all
+checked during the run and recorded as safety flags, which must stay empty.
+The Raft rules are one raft.SafetyMonitor per chain, fed only where a rule
+can break: a node's first leadership of a term, a granted vote, a change of
+commit_index, and the end-of-run log check over every committee member,
+crashed ones included.
 
 Each chain has one ledger. The first replica to apply a committed entry
 decodes it, appends it to the ledger and to the run's one header store, and

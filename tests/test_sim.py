@@ -4,7 +4,9 @@ Most assertions are properties (flags empty, commits resumed) rather than
 pinned numbers, since traces are deterministic but config-sensitive.
 """
 
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -65,6 +67,22 @@ def test_rerun_is_byte_identical():
     assert sorted(a) == sorted(b)
     for name in a:
         assert a[name] == b[name], f"{name} differs between identical runs"
+
+
+def test_finished_simulation_is_freed_by_refcount():
+    # no reference cycle holds a run: its memory goes when its last name does
+    sim = Simulation(small_cfg(num_nodes=5, num_chains=2, run_duration=600))
+    trace = sim.run()
+    ref = weakref.ref(sim)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del sim
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert trace.committed_blocks[0] > 0
 
 
 def test_different_seeds_differ():
