@@ -328,26 +328,22 @@ _HANDLERS = {
 
 
 class SafetyMonitor:
-    """Raft's safety rules for one chain's cluster, each written once.
+    """Raft's safety rules for one chain, each written once.
 
     A driver feeds it where a rule can break, and each violation appends
     one flag's text to the run's flags list:
-    - leader(node): node leads its current term. No other node may lead
-      that term (election-safety). The term's first leader must hold every
-      entry committed so far (leader-completeness).
-    - vote(voter, term, candidate): voter granted candidate its vote. It may
-      grant no other candidate a vote in that term (vote-safety).
-    - commit(node): node's commit_index may have moved. It may never fall
-      (commit-monotonicity). A leader's rise must be held by a quorum of its
-      replicas (commit-quorum). That holds only at the rise: a new leader
-      inherits a commit_index that its reset match_index does not cover. So
-      the monitor keeps each node's last commit_index, and a driver may call
-      commit after every step. A rise also extends the chain's committed
-      entries, which leader-completeness reads.
-    - check_logs(nodes), at the end of a run, for every pair of nodes:
-      entries that share an index and a term have identical prefixes
-      (log-matching). For a pair whose logs match, the shorter committed
-      prefix lies inside the longer one (committed-prefix).
+    - leader(node): no two nodes lead one term (election-safety), and a
+      term's first leader holds every entry committed so far
+      (leader-completeness).
+    - vote(voter, term, candidate): a voter grants one candidate per term
+      (vote-safety).
+    - commit(node): no commit_index falls (commit-monotonicity), and a
+      leader's rise is held by a quorum (commit-quorum). That holds only at
+      the rise: a new leader's reset match_index does not cover the
+      commit_index it inherits. So the monitor keeps each node's last
+      commit_index, and a driver may call commit after any step.
+    - check_logs(nodes), at the end of a run, for every pair: log-matching,
+      then, for a pair whose logs match, committed-prefix agreement.
     """
 
     __slots__ = ("chain_id", "flags", "winners", "votes", "commits", "committed")

@@ -4,7 +4,7 @@ The harness at the bottom is an independent driver (plain heapq and
 random.Random, no simulator imports), so no simulator machinery drives the
 nodes it checks. Its safety rules are not its own: it feeds the shared
 raft.SafetyMonitor, the one the simulator feeds, and asserts that it raises
-no flag. The monitor's rules are checked by injection tests in test_sim.py.
+no flag. Injection tests here and in test_sim.py check the monitor's rules.
 """
 
 import copy
