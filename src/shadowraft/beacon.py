@@ -24,6 +24,7 @@ import hmac
 import hashlib
 from dataclasses import dataclass
 import struct
+from typing import NamedTuple
 
 from .rng import R, Stream, stream_key
 
@@ -50,9 +51,8 @@ _DRAWS = struct.Struct(">QQ")  # an invocation's q and rnd draws
 _CANDIDATE = [(b"\0" + b"\1" * ((1 << k) - 1)) * (256 >> k) for k in range(9)]
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Enclave-signed proof that a node won the epoch lottery."""
+class Certificate(NamedTuple):
+    """Enclave-signed proof that a node won the epoch lottery; the tag signs the rest in order."""
 
     epoch: int
     rnd: int

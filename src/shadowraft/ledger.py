@@ -2,10 +2,8 @@
 
 Encodings are canonical by construction: fixed-width big-endian integers,
 length-prefixed byte strings, fields in declaration order. Hashing is
-SHA-256 throughout. The header byte layout (the hashing preimage) is:
-
-    chain_id u32 || height u64 || parent_hash 32B || rank u64
-    || next_rank u64 || tx_root 32B || proposer_term u64
+SHA-256 throughout. The header byte layout (the hashing preimage) is
+``BlockHeader``'s fields in order, packed by ``_HEADER``.
 
 A block carries ``body``, the encoding of its transaction list, made once:
 ``new_block`` encodes the list and hashes that for ``tx_root``,
@@ -13,10 +11,14 @@ A block carries ``body``, the encoding of its transaction list, made once:
 view of the bytes it parsed, and ``append_block`` checks ``tx_root`` against
 its hash.
 
-All values here are immutable except ``ChainLedger``, which grows only by
-``append_block`` checking a block against its tip and appending it.
-``Transaction`` is a named tuple whose constructor range-checks fee and nonce;
-``decode_block`` skips that by ``tuple.__new__``, since ``>Q`` unpacks fit u64.
+``Transaction``, ``BlockHeader`` and ``Block`` are named tuples. The first
+two hold their fields in wire order, so ``BlockHeader``'s class body is the
+header layout's one field list: ``header_bytes`` packs the tuple and
+``decode_block`` builds one from the unpacked preimage. No constructor
+range-checks a field; ``encode_transaction`` rejects a fee or nonce outside
+u64 when it packs them, so ``new_block`` does too. ``ChainLedger`` is the
+one mutable value: it grows only by ``append_block`` checking a block
+against its tip and appending it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Iterable, NamedTuple
 HASH_LEN = 32
 ZERO_HASH = b"\x00" * HASH_LEN
 
-_HEADER = struct.Struct(">IQ32sQQ32sQ")  # 100 bytes
+_HEADER = struct.Struct(">IQ32sQQ32sQ")  # BlockHeader, 100 bytes
 _U64 = struct.Struct(">Q")
 _TX_TAIL = struct.Struct(">BQQ")  # sensitivity flag, fee, nonce
 
@@ -54,42 +56,31 @@ class DecodeError(LedgerError):
     """Bytes do not parse as a canonical encoding."""
 
 
-class _TransactionFields(NamedTuple):
+class Transaction(NamedTuple):
     payload: bytes
     sensitive: bool
     fee: int
     nonce: int
 
 
-class Transaction(_TransactionFields):
-    __slots__ = ()
+class BlockHeader(NamedTuple):
+    """The hashing preimage: _HEADER packs these fields, in this order, into 100 bytes."""
 
-    def __new__(cls, payload: bytes, sensitive: bool, fee: int, nonce: int):
-        if not 0 <= fee < 1 << 64:
-            raise ValueError("fee out of u64 range")
-        if not 0 <= nonce < 1 << 64:
-            raise ValueError("nonce out of range")
-        return tuple.__new__(cls, (payload, sensitive, fee, nonce))
-
-
-@dataclass(frozen=True)
-class BlockHeader:
-    chain_id: int
-    height: int
-    parent_hash: bytes
-    rank: int
-    next_rank: int
-    tx_root: bytes
-    proposer_term: int
+    chain_id: int  # u32
+    height: int  # u64
+    parent_hash: bytes  # 32 bytes
+    rank: int  # u64
+    next_rank: int  # u64
+    tx_root: bytes  # 32 bytes
+    proposer_term: int  # u64
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """A header, its transactions and their encoding."""
 
     header: BlockHeader
     transactions: tuple[Transaction, ...]
-    body: bytes | memoryview = field(compare=False, repr=False)
+    body: bytes | memoryview
 
 
 @dataclass
@@ -112,15 +103,7 @@ def encode_transactions(txs: Iterable[Transaction]) -> bytes:
 
 
 def header_bytes(header: BlockHeader) -> bytes:
-    return _HEADER.pack(
-        header.chain_id,
-        header.height,
-        header.parent_hash,
-        header.rank,
-        header.next_rank,
-        header.tx_root,
-        header.proposer_term,
-    )
+    return _HEADER.pack(*header)
 
 
 def hash_header(header: BlockHeader) -> bytes:
@@ -139,15 +122,8 @@ def new_block(
     """Build a block with its tx_root computed from the transaction list."""
     txs = tuple(transactions)
     body = encode_transactions(txs)
-    header = BlockHeader(
-        chain_id=chain_id,
-        height=height,
-        parent_hash=parent_hash,
-        rank=rank,
-        next_rank=next_rank,
-        tx_root=hashlib.sha256(body).digest(),
-        proposer_term=proposer_term,
-    )
+    root = hashlib.sha256(body).digest()
+    header = BlockHeader(chain_id, height, parent_hash, rank, next_rank, root, proposer_term)
     return Block(header, txs, body)
 
 
@@ -165,9 +141,10 @@ def decode_block(data: bytes) -> Block:
     end = len(data)
     if end < _HEADER.size + 8:
         raise DecodeError("truncated block header")
-    header = BlockHeader(*_HEADER.unpack_from(data, 0))
+    header = BlockHeader._make(_HEADER.unpack_from(data, 0))
     (count,) = _U64.unpack_from(data, _HEADER.size)
     pos = _HEADER.size + 8
+    # tuple.__new__ skips Transaction's Python-level __new__, one call per transaction
     u64, tail, new = _U64.unpack_from, _TX_TAIL.unpack_from, tuple.__new__
     tail_size = _TX_TAIL.size
     txs = []

@@ -70,6 +70,7 @@ import math
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import beacon as beacon_mod
 from .beacon import assign_chains, invoke_beacon, make_beacon_nodes, select_seed
@@ -602,7 +603,7 @@ class Simulation:
                     payload = seal(keys[key_id], payload, _AD(nonce, fee))
                 else:
                     plaintexts.append(None)
-                # fee < 1000, and SimConfig.validate keeps every nonce below 2**64
+                # tuple.__new__ skips Transaction's Python-level __new__, one call per tx
                 arrivals.append((chain, new(Transaction, (payload, sensitive, fee, nonce))))
                 nonce += 1
             # one entry per tick: its transactions take seqs seq .. seq + k - 1
@@ -985,8 +986,7 @@ def run_simulation(config: SimConfig) -> SimTrace:
     return Simulation(config).run()
 
 
-@dataclass(frozen=True)
-class ScalingPoint:
+class ScalingPoint(NamedTuple):
     chains: int
     nodes: int
     committed_txs: int

@@ -6,6 +6,7 @@ int.to_bytes, independently of the struct formats in the module.
 
 import hashlib
 import random
+import struct
 
 import pytest
 from hypothesis import given
@@ -90,12 +91,13 @@ def test_tx_root_is_sha256_of_list_encoding():
 
 
 def test_transaction_field_validation():
-    with pytest.raises(ValueError):
-        Transaction(b"", False, -1, 0)
-    with pytest.raises(ValueError):
-        Transaction(b"", False, 0, 1 << 64)
-    with pytest.raises(ValueError):
-        Transaction(b"", False, 1 << 64, 0)
+    # the encoder is the one range check, and new_block encodes every transaction
+    for fee, nonce in ((-1, 0), (1 << 64, 0), (0, 1 << 64)):
+        tx = Transaction(b"", False, fee, nonce)
+        with pytest.raises(struct.error):
+            encode_transaction(tx)
+        with pytest.raises(struct.error):
+            new_block(0, 0, ZERO_HASH, 0, 1, [tx], 0)
 
 
 def test_header_layout_matches_oracle():

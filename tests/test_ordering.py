@@ -6,7 +6,6 @@ stays a brute-force re-implementation rather than a call into total_order.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -191,11 +190,11 @@ def test_validate_view_rejects_corruption():
     g, child = b.view().chains[0]
 
     for broken in (
-        replace(child, rank=9),
-        replace(child, next_rank=child.rank),
-        replace(child, parent_hash=bytes(32)),
-        replace(child, height=5),
-        replace(child, chain_id=1),
+        child._replace(rank=9),
+        child._replace(next_rank=child.rank),
+        child._replace(parent_hash=bytes(32)),
+        child._replace(height=5),
+        child._replace(chain_id=1),
     ):
         # the add path refuses the header outright
         view = build_view(2, {0: [g]})

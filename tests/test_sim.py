@@ -870,9 +870,9 @@ def test_gossip_that_conflicts_with_a_view_is_flagged(monkeypatch):
     )
     sim._ingest_header(node, held, sim.end_time)  # a repeat of the object it holds
     assert calls["hash_header"] == 0
-    sim._ingest_header(node, replace(held), sim.end_time)  # an equal copy is hashed
+    sim._ingest_header(node, held._replace(), sim.end_time)  # an equal copy is hashed
     assert calls["hash_header"] == 1 and not sim.flags
-    forked = replace(held, proposer_term=held.proposer_term + 1)
+    forked = held._replace(proposer_term=held.proposer_term + 1)
     sim._ingest_header(node, forked, sim.end_time)
     assert sim.flags == ["view-divergence node=0 chain=0 height=1"]
     sim.flags.clear()
