@@ -27,7 +27,9 @@ take them only when none would be rejected.
 
 ``next_below(n)`` is unbiased: it draws 64-bit values and rejects any draw
 at or above ``below_limit(n)``, the largest multiple of ``n`` that fits in
-64 bits, and returns the first kept draw modulo ``n``. A hot caller with a
+64 bits, and returns the first kept draw modulo ``n``. ``below_limit``
+raises ValueError unless 1 <= n <= 2^64: past 2^64 the limit would be 0,
+and a loop under it would reject every draw. A hot caller with a
 fixed ``n`` reads the same draws by computing the limit once and running the
 same loop on ``next_u64``, with no call between it and the stream::
 
@@ -136,10 +138,6 @@ class Stream:
 
     def next_below(self, n: int) -> int:
         """Unbiased draw from [0, n) by rejection sampling over 64-bit draws."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        if n > _U64:
-            raise ValueError("n exceeds 64-bit range")
         limit = below_limit(n)
         v = self.next_u64()
         while v >= limit:
@@ -164,7 +162,14 @@ class Stream:
 
 
 def below_limit(n: int) -> int:
-    """next_below(n) rejects a draw at or above this, the largest multiple of n up to 2^64."""
+    """next_below(n) rejects a draw at or above this, the largest multiple of n up to 2^64.
+
+    Raises ValueError unless 1 <= n <= 2^64, the domain where it is positive.
+    """
+    if n <= 0:
+        raise ValueError("n must be positive")
+    if n > _U64:
+        raise ValueError("n exceeds 64-bit range")
     return _U64 - _U64 % n
 
 

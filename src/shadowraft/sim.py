@@ -150,8 +150,10 @@ class SimConfig:
             bad("delta", "must be >= 1")
         if not 1 <= self.raft_delay_min <= self.raft_delay_max:
             bad("raft_delay_min", "need 1 <= raft_delay_min <= raft_delay_max")
-        if self.election_timeout < 1:
-            bad("election_timeout", "must be >= 1")
+        if self.raft_delay_max - self.raft_delay_min >= 2**64:  # the span of a bounded draw
+            bad("raft_delay_max", "need raft_delay_max - raft_delay_min < 2**64")
+        if not 1 <= self.election_timeout <= 2**64:
+            bad("election_timeout", "must be in [1, 2**64]")
         if not 1 <= self.heartbeat_interval <= self.election_timeout:
             bad("heartbeat_interval", "must be in [1, election_timeout]")
         if self.block_interval < 1:
@@ -170,8 +172,8 @@ class SimConfig:
             bad("max_batch", "must be >= 1")
         if self.snapshot_interval < 1:
             bad("snapshot_interval", "must be >= 1")
-        if self.num_seal_keys < 1:
-            bad("num_seal_keys", "must be >= 1")
+        if not 1 <= self.num_seal_keys <= 2**32:  # a sealed payload's key id is a u32
+            bad("num_seal_keys", "must be in [1, 2**32]")
         listed = set()
         for when, nid in self.crash_schedule:
             if when < 0:

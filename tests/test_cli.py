@@ -1,6 +1,11 @@
 """Command-line interface: exit codes, outputs, and the snapshot checker."""
 
+import os
+import resource
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +235,33 @@ def test_run_rejects_a_tx_rate_whose_nonces_pass_u64(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err == (
         "configuration error: tx_rate: too high: need (int(tx_rate) + 1) * run_duration <= 2**64\n"
     )
+
+
+def test_run_rejects_a_draw_or_key_id_past_its_width_at_once(tmp_path):
+    # a bounded draw over more than 2**64 values would reject every u64 and loop
+    # forever, and a key id past u32 would come only after 2**32 keys: validate
+    # refuses each, so the run exits 2 before it starts
+    cases = {
+        "raft_delay_max": str(2**65),
+        "election_timeout": str(2**65),
+        "num_seal_keys": str(2**32 + 1),
+    }
+    path = [str(Path(cli_module.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+    def cap_memory():  # a run that does start must fail, not fill the machine
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    for key, value in cases.items():
+        cfg = write_cfg(tmp_path, f"{key}.cfg", **{key: value})
+        argv = [sys.executable, "-m", "shadowraft", "run", "--config", str(cfg)]
+        done = subprocess.run(
+            [*argv, "--out", str(tmp_path / key)], env=env, capture_output=True,
+            text=True, timeout=20, preexec_fn=cap_memory,
+        )
+        assert done.returncode == 2, (key, done.stderr)
+        assert done.stderr.startswith(f"configuration error: {key}: "), done.stderr
+        assert "Traceback" not in done.stderr
 
 
 def test_run_seed_override_changes_outputs(tmp_path):

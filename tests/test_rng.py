@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from oracles import OracleStream, oracle_key
 
 from shadowraft.raft import AppendEntries, AppendReply, RaftNode
-from shadowraft.rng import Stream, stream_key
+from shadowraft.rng import Stream, below_limit, stream_key
 from shadowraft.sim import SimConfig, Simulation
 
 
@@ -109,6 +109,14 @@ def test_next_below_bounds_and_errors():
         s.next_below(0)
     with pytest.raises(ValueError):
         s.next_below((1 << 64) + 1)
+
+
+def test_below_limit_domain():
+    # past 2**64 the limit would be 0, and an inlined loop would reject every draw
+    assert below_limit(1 << 64) == 1 << 64
+    for n in (0, (1 << 64) + 1):
+        with pytest.raises(ValueError):
+            below_limit(n)
 
 
 def test_next_below_distribution():
