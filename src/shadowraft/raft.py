@@ -121,7 +121,6 @@ class RaftNode:
         self.log: list[LogEntry] = []
         self.commit_index = 0
         self.role = FOLLOWER
-        self.leader_id: int | None = None
         self.votes: set[int] = set()
         self.next_index: dict[int, int] = {}
         self.match_index: dict[int, int] = {}
@@ -173,7 +172,6 @@ class RaftNode:
             self.voted_for = None
         self.role = FOLLOWER
         self.votes = set()
-        self.leader_id = None
 
     # -- elections --------------------------------------------------------
 
@@ -184,7 +182,6 @@ class RaftNode:
         self.role = CANDIDATE
         self.voted_for = self.node_id
         self.votes = {self.node_id}
-        self.leader_id = None
         self.election_deadline = now + self._draw_timeout()
         request = VoteRequest(
             term=self.current_term,
@@ -226,7 +223,6 @@ class RaftNode:
     def _maybe_win(self, now: int) -> Outgoing:
         if self.role is CANDIDATE and len(self.votes) >= self.quorum:
             self.role = LEADER
-            self.leader_id = self.node_id
             self.next_index = {p: self.last_log_index() + 1 for p in self.peers}
             self.match_index = {p: 0 for p in self.peers}
             self.heartbeat_deadline = now + self.heartbeat_interval
@@ -263,7 +259,6 @@ class RaftNode:
             return [(src, AppendReply(self.current_term, False, 0))]
         if msg.term > self.current_term or self.role is not FOLLOWER:
             self._step_down(msg.term)
-        self.leader_id = msg.leader_id
         self.election_deadline = now + self._draw_timeout()
 
         log, prev, entries = self.log, msg.prev_log_index, msg.entries

@@ -211,7 +211,6 @@ def test_follower_appends_and_acks():
     [(dst, reply)] = nodes[1].handle_append_entries(0, msg, 5)
     assert dst == 0
     assert reply == AppendReply(1, True, 2)
-    assert nodes[1].leader_id == 0
     assert [e.command for e in nodes[1].log] == [b"a", b"b"]
     # idempotent on redelivery
     [(_, reply2)] = nodes[1].handle_append_entries(0, msg, 6)
