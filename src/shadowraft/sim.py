@@ -12,15 +12,16 @@ ConfirmBar and total order; (5) metric and safety collection.
 Time is an integer tick counter. Events execute in (time, insertion
 sequence) order off a single heap, so a run is a pure function of its
 SimConfig: identical configs give byte-identical CSV outputs. The client
-workload is drawn before the run starts, as one heap entry per tick with
-arrivals: it holds that tick's transactions in nonce order and reserves one
-sequence number for each, and each transaction counts as one event. The
-ticks that get one arrival more than int(tx_rate) are drawn as geometric
-gaps, one draw each. Submit times are fixed at generation: every tick with
-arrivals is before run_duration <= end_time, and only the flush after
-end_time drops events, so each entry is processed at its own tick.
-SimConfig.validate bounds (int(tx_rate) + 1) * run_duration by 2**64, so
-every nonce fits in a u64. A node's superseded Raft deadline is not an event.
+workload is drawn before the run starts into each chain's pending list, so
+in nonce and submit-time order, with no heap entry. Each transaction
+reserves one sequence number and counts as one event at its submit time,
+before run_duration <= end_time. The ticks that get one arrival more than
+int(tx_rate) are drawn as geometric gaps, one draw each. A proposal at
+tick t takes up to max_batch of its chain's transactions submitted before
+t. SimConfig.validate bounds (int(tx_rate) + 1) * run_duration by 2**64, so
+every nonce fits in a u64. A node's superseded Raft deadline is not an
+event. The events.csv rows written at set-up are sorted into place at the
+end of the run.
 
 Two delay regimes: the beacon phase is synchronous with bound delta, the
 Raft/gossip phase draws per-message delays uniformly from
@@ -30,8 +31,8 @@ raft_delay_min + next_below(span), read by next_below's loop inlined on the
 stream's next_u64 with a limit computed once per run (see rng). Crashes are
 crash-stop, at most one per node, and liveness is one rule: node n is down at
 tick t iff Simulation.crash_time[n] <= t, and from then on it receives nothing,
-fires nothing, sends nothing, and never recovers. A crash's heap entry is an
-event only, pushed before all others, so it pops first at its tick. Past
+fires nothing, sends nothing, and never recovers. A crash is no heap entry:
+it reserves its sequence number first, and is an event only by end_time. Past
 end_time liveness is read at end_time: a crash scheduled later never happens.
 
 The simulator is also the property-test vehicle: beacon certificates, the
@@ -430,16 +431,14 @@ class SimTrace:
         return "\n".join(lines) + "\n"
 
 
-# event kinds, dispatched by integer for heap-compare speed; the deliveries first
-_MSG, _GOSSIP, _TIMER, _PROPOSE, _CLIENT, _CRASH, _SNAPSHOT = range(7)
+# heap event kinds, dispatched by integer for heap-compare speed; the deliveries first
+_MSG, _GOSSIP, _TIMER, _PROPOSE, _SNAPSHOT = range(5)
 
 _KIND_NAMES = {
     _MSG: "msg",
     _GOSSIP: "gossip",
     _TIMER: "timer",
     _PROPOSE: "propose",
-    _CLIENT: "client",
-    _CRASH: "crash",
     _SNAPSHOT: "snapshot",
 }
 
@@ -578,6 +577,7 @@ class Simulation:
         key_limit = below_limit(num_keys)
         sensitive_limit = chance_limit(cfg.sensitive_fraction)
         plaintexts, submit_times, new = self.plaintexts, self.submit_times, tuple.__new__
+        pending = self.pending
         sealed_size = _TX_DRAWS.size
         nonce = 0
         t = start if whole else extra
@@ -586,7 +586,6 @@ class Simulation:
             if t == extra:
                 k += 1
                 extra += 1 + bisect_right(gaps, next_u64())
-            arrivals = []
             for _ in range(k):
                 # one read; the sequential draws only where a draw it uses would reject
                 c, s, f, payload, key_draw = peek(_TX_DRAWS)
@@ -606,13 +605,18 @@ class Simulation:
                 else:
                     plaintexts.append(None)
                 # tuple.__new__ skips Transaction's Python-level __new__, one call per tx
-                arrivals.append((chain, new(Transaction, (payload, sensitive, fee, nonce))))
+                pending[chain].append(new(Transaction, (payload, sensitive, fee, nonce)))
                 nonce += 1
-            # one entry per tick: its transactions take seqs seq .. seq + k - 1
-            heapq.heappush(self.queue, (t, self._seq + 1, _CLIENT, -1, arrivals))
-            self._seq += k
-            submit_times += [t] * k  # the entry is processed at t < run_duration <= end_time
+            submit_times += [t] * k
             t = t + 1 if whole else extra
+        first = self._seq + 1  # the transaction of nonce n is the event of seq first + n
+        self._seq += nonce
+        self.events_processed += nonce
+        if self.event_rows is not None:
+            self.event_rows += [
+                (submit_times[tx.nonce], first + tx.nonce, "client", chain, "client")
+                for chain, txs in pending.items() for tx in txs
+            ]
 
     # -- raft interaction --------------------------------------------------
 
@@ -768,11 +772,16 @@ class Simulation:
         # applied, so the new block extends the real tip
         if r.commit_index != len(r.log) or node.applied != r.commit_index:
             return
-        queue = self.pending[chain]
-        txs = queue[: self.cfg.max_batch]
-        if not txs and not self.cfg.empty_blocks:
+        queue, submit_times = self.pending[chain], self.submit_times
+        # a tick's arrivals take later seqs than its proposals: take those submitted before now
+        n = bisect_left(
+            queue, now, hi=min(len(queue), self.cfg.max_batch),
+            key=lambda tx: submit_times[tx.nonce],
+        )
+        if not n and not self.cfg.empty_blocks:
             return
-        del queue[: len(txs)]
+        txs = queue[:n]
+        del queue[:n]
         rank, next_rank = propose_rank_fields(node.view, chain)
         block = new_block(
             chain_id=chain,
@@ -785,18 +794,6 @@ class Simulation:
         )
         out = r.client_submit(encode_block(block), now)
         self._after_raft(node, now, out)
-
-    def _on_arrivals(self, now: int, seq: int, arrivals) -> None:
-        """Queue one tick's (chain, tx) arrivals; each is one event, at seq + i."""
-        self.events_processed += len(arrivals)
-        if self.event_rows is not None:
-            name = _KIND_NAMES[_CLIENT]
-            self.event_rows.extend(
-                (now, seq + i, name, chain, name) for i, (chain, _) in enumerate(arrivals)
-            )
-        pending = self.pending
-        for chain, tx in arrivals:
-            pending[chain].append(tx)
 
     def _on_snapshot(self, now: int) -> None:
         rows, chains, refs = self.snapshot_rows, self.store.chains, self.store.refs
@@ -841,10 +838,13 @@ class Simulation:
         ]
         self.workload_start = t_start
 
-        # crashes are events only, pushed first so that each pops first at its tick
-        for when, nid in cfg.crash_schedule:
-            self._push(when, _CRASH, nid, None)
         crash_time, end_time = self.crash_time, self.end_time
+        for when, nid in cfg.crash_schedule:  # each reserves a seq before any other
+            self._seq += 1
+            if when <= end_time:
+                self.events_processed += 1
+                if self.event_rows is not None:
+                    self.event_rows.append((when, self._seq, "crash", nid, "crash"))
         expected_stall = any(
             sum(crash_time[n] <= end_time for n in members) >= quorum_threshold(len(members))
             for members in self.assignment
@@ -865,16 +865,9 @@ class Simulation:
 
         while self.queue:
             time, seq, kind, nid, payload = heapq.heappop(self.queue)
-            at = time  # the tick whose liveness this event reads
-            if time > end_time:
-                # horizon reached: stop timers, workload and crashes, but keep
-                # delivering in-flight traffic so views converge
-                if kind not in (_MSG, _GOSSIP):
-                    continue
-                at = end_time
-            if kind == _CLIENT:
-                self._on_arrivals(time, seq, payload)
-                continue
+            # timers, proposals and snapshots stop by the horizon; deliveries run past it,
+            # so views converge, and read liveness at end_time
+            at = min(time, end_time)
             if kind == _TIMER:
                 node = self.nodes[nid]
                 if node.queued == (time, seq):
@@ -912,6 +905,8 @@ class Simulation:
             elif kind == _SNAPSHOT:
                 self._on_snapshot(time)
 
+        if self.event_rows is not None:
+            self.event_rows.sort()  # the set-up rows into their places
         self._final_checks()
         committed_txs = {
             c: sum(len(b.transactions) for b in ledger.blocks)
@@ -927,7 +922,7 @@ class Simulation:
             committed_txs=committed_txs,
             committed_blocks=committed_blocks,
             skipped_blocks=self.skipped,
-            submitted_txs=len(self.submit_times),  # every arrival is processed
+            submitted_txs=len(self.submit_times),
             latency_rows=self.latency_rows,
             bar_rows=self.bar_rows,
             message_counts=self.counts,
@@ -1008,8 +1003,6 @@ def measure_scaling(
     per_chain_rate = base.tx_rate / base.num_chains
     points = []
     for c in chain_counts:
-        if c < 1:
-            raise ConfigError(f"chain_counts: invalid count {c}")
         cfg = replace(
             base,
             num_chains=c,

@@ -914,6 +914,69 @@ def test_each_timer_event_is_one_tick(monkeypatch):
     assert timers and timers == ticks
 
 
+def test_event_rows_are_the_events_in_time_then_seq_order():
+    # crashes in the beacon phase, mid-run and past the horizon, and arrivals
+    # drawn at a fractional rate, all interleave with the heap's events
+    cfg = small_cfg(
+        seed=8, num_nodes=6, num_chains=2, tx_rate=1.3, run_duration=900,
+        crash_schedule=((3, 0), (450, 3), (1301, 5)), trace_events=True,
+    )
+    trace = run_simulation(cfg)
+    assert 3 < trace.workload_start < 450 and trace.end_time == 1300
+    rows = trace.event_rows
+    keys = [(time, seq) for time, seq, *_ in rows]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert len(rows) == trace.events_processed
+    crashes = [(time, nid) for time, _, kind, nid, _ in rows if kind == "crash"]
+    assert crashes == [(3, 0), (450, 3)]
+    assert sum(row[2] == "client" for row in rows) == trace.submitted_txs > 0
+
+
+def test_a_proposal_takes_its_chains_earliest_arrivals_up_to_max_batch(monkeypatch):
+    proposals = []  # [chain, now, block or None]
+    real_propose, real_new_block = Simulation._on_propose, sim_module.new_block
+
+    def propose(self, chain, now):
+        proposals.append([chain, now, None])
+        real_propose(self, chain, now)
+
+    def recording_new_block(**fields):
+        proposals[-1][2] = real_new_block(**fields)
+        return proposals[-1][2]
+
+    monkeypatch.setattr(Simulation, "_on_propose", propose)
+    monkeypatch.setattr(sim_module, "new_block", recording_new_block)
+    cfg = small_cfg(
+        seed=4, num_nodes=6, num_chains=2, tx_rate=0.7, block_interval=10, max_batch=4,
+        trace_events=True,
+    )
+    trace = run_simulation(cfg)
+    # each client row is at its submit time and names its chain; by seq, in nonce order
+    client = sorted(
+        (seq, time, nid) for time, seq, kind, nid, _ in trace.event_rows if kind == "client"
+    )
+    submit = [time for _, time, _ in client]
+    chain_of = [nid for _, _, nid in client]
+    taken = {c: [] for c in range(cfg.num_chains)}
+    sizes = set()
+    for chain, now, block in proposals:
+        if block is None:
+            continue
+        nonces = [tx.nonce for tx in block.transactions]
+        assert len(nonces) <= cfg.max_batch
+        assert all(submit[n] < now and chain_of[n] == chain for n in nonces)
+        taken[chain] += nonces
+        sizes.add(len(nonces))
+        if len(nonces) < cfg.max_batch:
+            # no arrival of the chain before now is left behind
+            earlier = sum(submit[n] < now for n in range(len(submit)) if chain_of[n] == chain)
+            assert len(taken[chain]) == earlier
+    for c, nonces in taken.items():
+        mine = [n for n in range(len(chain_of)) if chain_of[n] == c]
+        assert nonces == mine[: len(nonces)]
+    assert cfg.max_batch in sizes and min(sizes) < cfg.max_batch
+
+
 def test_gossip_draws_move_no_raft_delay(monkeypatch):
     # crashing each chain's first leader forces elections whose vote races
     # turn on the Raft message delays
@@ -953,8 +1016,8 @@ def drawn_workload(cfg):
     sim = Simulation(cfg)
     sim._generate_workload(0)
     counts = [0] * cfg.run_duration
-    for t, _, _, _, arrivals in sim.queue:
-        counts[t] = len(arrivals)
+    for t in sim.submit_times:
+        counts[t] += 1
     return sim, counts
 
 
@@ -1047,13 +1110,13 @@ def test_rejected_workload_draws_fall_back_to_sequential_draws():
     sim._workload = crafted_stream(prefix)
     sim._generate_workload(0)
     got = []
-    for _, _, _, _, arrivals in sorted(sim.queue):
-        for chain, tx in arrivals:
-            if tx.sensitive:
-                key_id = int.from_bytes(tx.payload[:4], "big")  # the wire bytes' first field
-                got.append((chain, True, tx.fee, sim.plaintexts[tx.nonce], key_id))
-            else:
-                got.append((chain, False, tx.fee, tx.payload, None))
+    drawn = sorted((tx.nonce, chain, tx) for chain, txs in sim.pending.items() for tx in txs)
+    for _, chain, tx in drawn:
+        if tx.sensitive:
+            key_id = int.from_bytes(tx.payload[:4], "big")  # the wire bytes' first field
+            got.append((chain, True, tx.fee, sim.plaintexts[tx.nonce], key_id))
+        else:
+            got.append((chain, False, tx.fee, tx.payload, None))
 
     ref = crafted_stream(prefix)
     expect = []
