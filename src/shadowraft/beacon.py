@@ -13,6 +13,12 @@ With N nodes an epoch repeats (no certificate anywhere) with probability
 messages. Picking l near log2(N) keeps the repeat rate near 1/e and the
 message bill near N as the network grows.
 
+A certificate's tag is HMAC-SHA-256(secret, BE64(epoch) || BE64(rnd) ||
+BE32(node_id)). HMAC's key schedule (RFC 2104) runs once per secret: an
+enclave keys its own secret when it is provisioned, and a verifier keys each
+directory entry once (tag_key). Every tag, signed or checked, is then
+computed from copies of the two keyed SHA-256 contexts by _cert_tag.
+
 The locked seed keys a Fisher-Yates shuffle that deals verifiers onto
 shadow chains in committees whose sizes differ by at most one, so chain
 membership is unpredictable until the epoch settles.
@@ -60,9 +66,31 @@ class Certificate(NamedTuple):
     tag: bytes
 
 
-def _cert_tag(secret: bytes, epoch: int, rnd: int, node_id: int) -> bytes:
-    body = struct.pack(">QQI", epoch, rnd, node_id)
-    return hmac.new(secret, body, hashlib.sha256).digest()
+_BODY = struct.Struct(">QQI")  # the signed fields: epoch, rnd, node_id
+_IPAD = bytes(b ^ 0x36 for b in range(256))  # translate tables for RFC 2104's pads
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
+def tag_key(secret: bytes) -> tuple:
+    """HMAC-SHA-256's key schedule: the SHA-256 contexts of the padded secret.
+
+    Returns (inner, outer), SHA-256 after absorbing the secret zero-padded to
+    the 64-byte block and XORed with ipad (0x36) and with opad (0x5c), as in
+    RFC 2104 for a key of at most one block (an enclave's secret is 32
+    bytes). _cert_tag only copies the contexts, so one key serves every tag
+    under its secret.
+    """
+    padded = secret.ljust(64, b"\0")
+    return hashlib.sha256(padded.translate(_IPAD)), hashlib.sha256(padded.translate(_OPAD))
+
+
+def _cert_tag(key: tuple, epoch: int, rnd: int, node_id: int) -> bytes:
+    """HMAC-SHA-256 of the certificate body under a tag_key: signs and verifies."""
+    inner = key[0].copy()
+    inner.update(_BODY.pack(epoch, rnd, node_id))
+    outer = key[1].copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 @dataclass
@@ -90,6 +118,7 @@ class BeaconNode:
             raise ValueError("lottery_bits out of range")
         if len(self.secret) != 32:
             raise ValueError("secret must be 32 bytes")
+        self._tag_key = tag_key(self.secret)
         # the last read, and its records' low q bytes mapped by _CANDIDATE
         self._batch = self._flags = b""
         self._at = self._stop = 0
@@ -146,12 +175,17 @@ def invoke_beacon(node: BeaconNode, epoch: int) -> Certificate | None:
     node._at = i + 1
     node._stop = node._next_win(i + 1)
     rnd = _DRAWS.unpack_from(node._batch, 16 * i)[1]
-    tag = _cert_tag(node.secret, epoch, rnd, node.node_id)
+    tag = _cert_tag(node._tag_key, epoch, rnd, node.node_id)
     return Certificate(epoch=epoch, rnd=rnd, node_id=node.node_id, tag=tag)
 
 
-def verify_certificate(cert: Certificate, directory: dict[int, bytes]) -> bool:
-    """Check a certificate's tag against the issuing node's directory key."""
+def verify_certificate(cert: Certificate, directory: dict[int, tuple]) -> bool:
+    """Check a certificate's tag against the issuing node's directory key.
+
+    The directory maps each node id to tag_key of that node's secret, keyed
+    once per entry; the tag must equal HMAC-SHA-256(secret, BE64(epoch) ||
+    BE64(rnd) || BE32(node_id)) of the certificate's fields.
+    """
     if cert.node_id not in directory:
         raise UnknownNode(f"no key registered for node {cert.node_id}")
     expect = _cert_tag(directory[cert.node_id], cert.epoch, cert.rnd, cert.node_id)

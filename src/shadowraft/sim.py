@@ -244,7 +244,7 @@ class Lottery:
     """
 
     def __init__(self, enclaves, crash_time=None, delta: int = 1):
-        self._keys = {e.node_id: e.secret for e in enclaves}
+        self._keys = {e.node_id: beacon_mod.tag_key(e.secret) for e in enclaves}
         self._crash_time = crash_time or [math.inf] * len(enclaves)
         self._delta = delta
         self._last = -1  # the last settled epoch
@@ -259,9 +259,10 @@ class Lottery:
         the next raises ValueError. Every certificate, valid or not, is
         broadcast to the other N - 1 nodes. The seed is the lowest rnd
         among the certificates whose epoch, node and tag verify against the
-        enclaves' secrets. Returns the beacon.csv row (epoch, succeeded,
-        valid certificates, seed or None, messages) and the certificates
-        that failed verification.
+        directory, which keys each enclave's secret once (tag_key) and
+        shares no state with the enclave. Returns the beacon.csv row
+        (epoch, succeeded, valid certificates, seed or None, messages) and
+        the certificates that failed verification.
         """
         if epoch != self._last + 1:
             error = beacon_mod.EpochReplay if epoch <= self._last else ValueError

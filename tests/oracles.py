@@ -6,6 +6,7 @@ module free of shadowraft imports.
 """
 
 import hashlib
+import hmac
 
 DOMAIN = b"shadowraft.stream.v1"
 U64 = 1 << 64
@@ -76,3 +77,9 @@ def oracle_beacon_draws(seed, node_id, count):
     """(q-source u64, rnd u64) pairs for a node's first `count` invocations."""
     stream = OracleStream(oracle_key("beacon-rng", seed, node_id))
     return [(stream.u64(), stream.u64()) for _ in range(count)]
+
+
+def oracle_cert_tag(secret, epoch, rnd, node_id):
+    """HMAC-SHA-256(secret, BE64(epoch) || BE64(rnd) || BE32(node_id)) by the stdlib hmac module."""
+    body = epoch.to_bytes(8, "big") + rnd.to_bytes(8, "big") + node_id.to_bytes(4, "big")
+    return hmac.new(secret, body, hashlib.sha256).digest()

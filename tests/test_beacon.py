@@ -9,7 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import OracleStream, oracle_assignment, oracle_beacon_draws, oracle_key
+from oracles import (
+    OracleStream,
+    oracle_assignment,
+    oracle_beacon_draws,
+    oracle_cert_tag,
+    oracle_key,
+)
 from shadowraft.beacon import (
     BeaconNode,
     Certificate,
@@ -22,6 +28,7 @@ from shadowraft.beacon import (
     make_beacon_nodes,
     repeat_probability,
     select_seed,
+    tag_key,
     verify_certificate,
 )
 import shadowraft.sim as sim_module
@@ -30,7 +37,7 @@ from shadowraft.sim import Lottery
 
 
 def directory_for(nodes):
-    return {n.node_id: n.secret for n in nodes}
+    return {n.node_id: tag_key(n.secret) for n in nodes}
 
 
 def test_invoke_draw_order_matches_oracle():
@@ -173,6 +180,26 @@ def test_certificate_verifies_and_binds_fields():
     )
     with pytest.raises(UnknownNode):
         verify_certificate(cert, {})
+
+
+def test_certificate_tags_match_the_hmac_oracle():
+    # signing and verifying share one tag function, so a tag that is wrong the
+    # same way on both sides passes every other check: compare with stdlib hmac
+    seed, epochs = 4, 300
+    nodes = make_beacon_nodes(3, 2, seed)
+    directory = directory_for(nodes)
+    for node in nodes:
+        secret = oracle_key("beacon-secret", seed, node.node_id)
+        issued = [c for c in (invoke_beacon(node, e) for e in range(epochs)) if c]
+        assert len(issued) > 40
+        # wins at back-to-back epochs: one enclave's keyed contexts sign both
+        assert any(b.epoch == a.epoch + 1 for a, b in zip(issued, issued[1:]))
+        other = nodes[(node.node_id + 1) % len(nodes)]
+        for cert in issued:
+            assert cert.tag == oracle_cert_tag(secret, cert.epoch, cert.rnd, cert.node_id)
+            assert verify_certificate(cert, directory)
+            # the issuer's id mapped to another node's entry
+            assert not verify_certificate(cert, {node.node_id: directory[other.node_id]})
 
 
 def certs(pairs, epoch=1):
