@@ -1,12 +1,22 @@
 """Distributed randomness beacon built on per-node trusted enclaves.
 
 Each verifier hosts an enclave that evaluates its random source at most once
-per epoch. An invocation draws a lottery value q uniform on [0, 2^l) and
-then a 64-bit beacon value rnd; the enclave emits a signed certificate only
-when q == 0. The epoch gate is strictly increasing, so a node cannot re-roll
-a losing draw: discarding an unfavourable output burns its only attempt for
-that epoch. Certificate holders broadcast to everyone else, and the network
-locks in the lowest rnd among valid certificates as the epoch seed.
+per epoch. An invocation draws a lottery value q uniform on [0, 2^l); the
+enclave emits a signed certificate only when q == 0, carrying a 64-bit
+beacon value rnd that it draws only then. The epoch gate is strictly
+increasing, so a node cannot re-roll a losing draw: discarding an
+unfavourable output burns its only attempt for that epoch. Certificate
+holders broadcast to everyone else, and the network locks in the lowest rnd
+among valid certificates as the epoch seed.
+
+An enclave reads two private streams. Its "beacon-rng" stream holds one
+8-byte record per invocation, the u64 whose value mod 2^l is q, so one
+R-byte block holds R / 8 = 128 records. Its "beacon-rnd" stream holds the
+rnd of each win in turn: the k-th certificate's rnd is the stream's k-th
+u64. Only a winner needs rnd, and a losing epoch, the common case at
+l near log2(N), hashes no byte for it. rnd comes from a stream of its own
+rather than from q's unused high bits so that it stays a full 64-bit value,
+independent of q, as the certificate body states.
 
 With N nodes an epoch repeats (no certificate anywhere) with probability
 (1 - 2^-l)^N, and the expected broadcast load is 2^-l * N * (N - 1)
@@ -51,7 +61,7 @@ class InvalidShape(BeaconError):
     pass
 
 
-_DRAWS = struct.Struct(">QQ")  # an invocation's q and rnd draws
+_Q = struct.Struct(">Q")  # an invocation's record, a u64 whose value mod 2^l is q
 # _CANDIDATE[k] maps a byte to 0 iff its low k bits are all zero, else to 1:
 # the pattern 0, 1, ..., 1 of length 2^k, repeated over the 256 byte values
 _CANDIDATE = [(b"\0" + b"\1" * ((1 << k) - 1)) * (256 >> k) for k in range(9)]
@@ -95,10 +105,12 @@ def _cert_tag(key: tuple, epoch: int, rnd: int, node_id: int) -> bytes:
 
 @dataclass
 class BeaconNode:
-    """One verifier's enclave: signing secret, private rng, and the epoch gate.
+    """One verifier's enclave: signing secret, private streams, and the epoch gate.
 
-    The rng is read only in batches of one stream block, R bytes or R / 16
-    (q, rnd) records, so each batch hashes exactly one block. When a batch
+    rng holds the q records and rnd_rng the winners' rnd values. rng is
+    read only in batches of one stream block, R bytes or R / 8 q records, so
+    each batch hashes exactly one block; rnd_rng is read one u64 per win, so
+    an enclave that has not won has hashed none of it. When a batch
     arrives its winning records are found by a byte scan: the low byte of
     each q through _CANDIDATE, and for l > 8 a check of the whole q. _at is
     the next record and _stop the next winning record or the batch's end.
@@ -111,6 +123,7 @@ class BeaconNode:
     secret: bytes
     lottery_bits: int
     rng: Stream
+    rnd_rng: Stream
     last_invoked_epoch: int | None = None
 
     def __post_init__(self):
@@ -139,7 +152,7 @@ class BeaconNode:
         """The first winning record at or after i, else the batch's record count."""
         flags, mask = self._flags, (1 << self.lottery_bits) - 1
         while (i := flags.find(0, i)) >= 0:
-            if not _DRAWS.unpack_from(self._batch, 16 * i)[0] & mask:
+            if not _Q.unpack_from(self._batch, 8 * i)[0] & mask:
                 return i
             i += 1
         return len(flags)
@@ -148,9 +161,9 @@ class BeaconNode:
 def invoke_beacon(node: BeaconNode, epoch: int) -> Certificate | None:
     """Run the enclave once for the given epoch.
 
-    Takes the node's next (q, rnd) record, the next 16 bytes of its private
-    stream: q is the first u64 mod 2^lottery_bits, rnd the second u64.
-    Returns a certificate iff q == 0. The epoch gate advances on every call,
+    Takes the node's next record, the next 8 bytes of its rng: q is that
+    u64 mod 2^lottery_bits. Returns a certificate iff q == 0, with rnd the
+    next u64 of its rnd_rng. The epoch gate advances on every call,
     win or lose, and a call with epoch <= last_invoked_epoch raises
     EpochReplay before any draw; that is what makes discarding a losing
     draw unprofitable.
@@ -167,14 +180,14 @@ def invoke_beacon(node: BeaconNode, epoch: int) -> Certificate | None:
     if i == len(node._flags):  # the batch is used up: read the next one
         node._batch = batch = node.rng.next_bytes(R)
         # next_below(2^l) is the first u64 mod 2^l: a power of two rejects no draw
-        node._flags = batch[7::16].translate(_CANDIDATE[min(node.lottery_bits, 8)])
+        node._flags = batch[7::8].translate(_CANDIDATE[min(node.lottery_bits, 8)])
         i, node._stop = 0, node._next_win(0)
         if node._stop:
             node._at = 1
             return None
     node._at = i + 1
     node._stop = node._next_win(i + 1)
-    rnd = _DRAWS.unpack_from(node._batch, 16 * i)[1]
+    rnd = node.rnd_rng.next_u64()
     tag = _cert_tag(node._tag_key, epoch, rnd, node.node_id)
     return Certificate(epoch=epoch, rnd=rnd, node_id=node.node_id, tag=tag)
 
@@ -237,6 +250,7 @@ def make_beacon_nodes(num_nodes: int, lottery_bits: int, seed: int) -> list[Beac
             secret=stream_key("beacon-secret", seed, i),
             lottery_bits=lottery_bits,
             rng=Stream.from_labels("beacon-rng", seed, i),
+            rnd_rng=Stream.from_labels("beacon-rnd", seed, i),
         )
         for i in range(num_nodes)
     ]

@@ -2,9 +2,10 @@
 
 Every source of randomness in this package is drawn from a named stream so
 that a single master seed reproduces a whole experiment bit-for-bit, and so
-that independent concerns never share a stream: per-node beacon secrets and
-draws, the committee shuffle, seal keys, Raft message delays, gossip delays,
-the client workload and per-node election timeouts.
+that independent concerns never share a stream: per-node beacon secrets,
+lottery records ("beacon-rng") and winners' rnd values ("beacon-rnd"), the
+committee shuffle, seal keys, Raft message delays, gossip delays, the client
+workload and per-node election timeouts.
 
 The construction (layout v3) is fixed and intentionally simple so it can be
 re-derived by hand or by another implementation:

@@ -73,10 +73,20 @@ def oracle_assignment(seed, num_nodes, num_chains):
     return out
 
 
-def oracle_beacon_draws(seed, node_id, count):
-    """(q-source u64, rnd u64) pairs for a node's first `count` invocations."""
-    stream = OracleStream(oracle_key("beacon-rng", seed, node_id))
-    return [(stream.u64(), stream.u64()) for _ in range(count)]
+def oracle_beacon_draws(seed, node_id, bits, count):
+    """(q-source u64, rnd u64 or None) for a node's first `count` invocations at l = bits.
+
+    The i-th invocation's q is the i-th u64 of the node's "beacon-rng" stream
+    mod 2^bits. It wins iff q == 0, and the k-th win's rnd is the k-th u64 of
+    the node's "beacon-rnd" stream; a losing invocation has no rnd.
+    """
+    q_stream = OracleStream(oracle_key("beacon-rng", seed, node_id))
+    rnd_stream = OracleStream(oracle_key("beacon-rnd", seed, node_id))
+    draws = []
+    for _ in range(count):
+        q_src = q_stream.u64()
+        draws.append((q_src, None if q_src % (1 << bits) else rnd_stream.u64()))
+    return draws
 
 
 def oracle_cert_tag(secret, epoch, rnd, node_id):

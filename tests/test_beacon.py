@@ -41,11 +41,12 @@ def directory_for(nodes):
 
 
 def test_invoke_draw_order_matches_oracle():
-    # q comes from the first u64 (reduced mod 2^l), rnd from the second
+    # q comes from the next u64 of beacon-rng (reduced mod 2^l), a winner's
+    # rnd from the next u64 of beacon-rnd
     bits, seed, epochs = 4, 11, 40
     nodes = make_beacon_nodes(6, bits, seed)
     for node in nodes:
-        predicted = oracle_beacon_draws(seed, node.node_id, epochs)
+        predicted = oracle_beacon_draws(seed, node.node_id, bits, epochs)
         for epoch, (q_src, rnd) in enumerate(predicted):
             cert = invoke_beacon(node, epoch)
             if q_src % (1 << bits) == 0:
@@ -56,13 +57,13 @@ def test_invoke_draw_order_matches_oracle():
 
 
 def test_invoke_draws_match_oracle_across_read_ahead():
-    # 1,300 invocations read 20,800 bytes, past 20 one-block batch edges; the
+    # 1,300 invocations read 10,400 bytes, past 10 one-block batch edges; the
     # epochs skip values and each skip is preceded by rejected replays, which
     # must consume no draw
     bits, seed, count = 1, 13, 1300
     node = make_beacon_nodes(1, bits, seed)[0]
     wins = 0
-    for i, (q_src, rnd) in enumerate(oracle_beacon_draws(seed, 0, count)):
+    for i, (q_src, rnd) in enumerate(oracle_beacon_draws(seed, 0, bits, count)):
         epoch = 3 * i + i % 2
         if i:
             for replay in (node.last_invoked_epoch // 2, node.last_invoked_epoch):
@@ -84,7 +85,7 @@ def test_invoke_matches_oracle_where_the_byte_scan_is_not_enough(bits, count):
     seed = 13
     node = make_beacon_nodes(1, bits, seed)[0]
     seen = set()  # (q's low byte is zero, the record wins)
-    for epoch, (q_src, rnd) in enumerate(oracle_beacon_draws(seed, 0, count)):
+    for epoch, (q_src, rnd) in enumerate(oracle_beacon_draws(seed, 0, bits, count)):
         cert = invoke_beacon(node, epoch)
         wins = q_src % (1 << bits) == 0
         if wins:
@@ -100,16 +101,28 @@ def test_invoke_matches_oracle_where_the_byte_scan_is_not_enough(bits, count):
 
 
 def test_each_batch_hashes_one_block():
-    # every read is one R-byte block, R / 16 = 64 records; a read is made when
+    # every read is one R-byte block, R / 8 = 128 records; a read is made when
     # the first record past the last read is needed, so an enclave invoked k
-    # times has hashed ceil(k / 64) blocks
+    # times has hashed ceil(k / 128) blocks
     node = make_beacon_nodes(1, 6, seed=17)[0]
     invoked = 0
-    for count in (1, 64, 65, 100, 128, 129, 1300):
+    for count in (1, 128, 129, 200, 256, 257, 2600):
         while invoked < count:
             invoke_beacon(node, invoked)
             invoked += 1
-        assert node.rng._counter == -(-count // 64), count
+        assert node.rng._counter == -(-count // 128), count
+
+
+def test_only_a_win_reads_the_rnd_stream():
+    # a losing invocation draws no rnd: the rnd stream hashes no block before
+    # the first win, and k wins read k u64s, so ceil(k / 128) blocks
+    node = make_beacon_nodes(1, 2, seed=17)[0]
+    assert invoke_beacon(node, 0) is None and node.rnd_rng._counter == 0
+    wins = 0
+    for epoch in range(1, 1300):
+        wins += invoke_beacon(node, epoch) is not None
+        assert node.rnd_rng._counter == -(-wins // 128), epoch
+    assert wins > 256  # past two rnd blocks
 
 
 def test_sixteen_invocations_hash_one_block():
@@ -149,10 +162,10 @@ def test_epoch_gate_advances_on_losing_draws():
 
 def test_node_field_validation():
     with pytest.raises(ValueError):
-        BeaconNode(0, b"short", 6, Stream.from_labels("x"))
+        BeaconNode(0, b"short", 6, Stream.from_labels("x"), Stream.from_labels("y"))
     for bad_bits in (0, 33):
         with pytest.raises(ValueError):
-            BeaconNode(0, bytes(32), bad_bits, Stream.from_labels("x"))
+            BeaconNode(0, bytes(32), bad_bits, Stream.from_labels("x"), Stream.from_labels("y"))
 
 
 def first_certificate(bits=2, seed=9):
@@ -248,7 +261,7 @@ def test_settle_epoch_drops_certificates_for_other_epochs(monkeypatch):
     monkeypatch.setattr(sim_module, "invoke_beacon", replaying)
     lottery = Lottery(nodes)
     outcomes = set()
-    for epoch in range(stale.epoch + 12):
+    for epoch in range(stale.epoch + 18):
         honest = [c for c in (invoke_beacon(n, epoch) for n in twins[1:]) if c]
         row, forged = lottery.settle(epoch)
         if invoked[-1] != epoch:
@@ -263,7 +276,7 @@ def test_settle_epoch_drops_certificates_for_other_epochs(monkeypatch):
                        select_seed(honest), (len(honest) + 1) * 3)
         outcomes.add((epoch < stale.epoch, bool(honest)))
     assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
-    assert stale.epoch in invoked and len(invoked) < stale.epoch + 12
+    assert stale.epoch in invoked and len(invoked) < stale.epoch + 18
 
 
 def test_settle_epoch_agrees_with_manual_invocation():
@@ -290,17 +303,18 @@ def test_settle_epoch_agrees_with_manual_invocation():
 
 
 def stream_state(node):
-    return node._at, node.last_invoked_epoch, node.rng._counter, node.rng._pos
+    return (node._at, node.last_invoked_epoch, node.rng._counter, node.rng._pos,
+            node.rnd_rng._counter, node.rnd_rng._pos)
 
 
 @pytest.mark.parametrize("num_nodes, bits", [(6, 1), (16, 5), (32, 10)])
 def test_lottery_matches_invoking_every_live_enclave_under_crashes(num_nodes, bits):
     # node 1 is down from t=0, node 2 from the start of epoch 2, node 3 from
-    # mid-way through epoch 3 and node 4 from mid-way through epoch 150, past
-    # two 64-record batches; 400 epochs cross six batch edges
-    delta, epochs, seed = 10, 400, 5
+    # mid-way through epoch 3 and node 4 from mid-way through epoch 300, past
+    # two 128-record batches; 800 epochs cross six batch edges
+    delta, epochs, seed = 10, 800, 5
     crash_time = [math.inf] * num_nodes
-    for when, nid in ((0, 1), (20, 2), (35, 3), (1505, 4)):
+    for when, nid in ((0, 1), (20, 2), (35, 3), (3005, 4)):
         crash_time[nid] = when
     nodes = make_beacon_nodes(num_nodes, bits, seed)
     twins = make_beacon_nodes(num_nodes, bits, seed)
@@ -317,8 +331,8 @@ def test_lottery_matches_invoking_every_live_enclave_under_crashes(num_nodes, bi
             if nodes[n].last_invoked_epoch == epoch:
                 assert stream_state(nodes[n]) == stream_state(twins[n]), (epoch, n)
                 compared[n] += 1
-    assert compared[1] == 0 and min(compared[4:]) >= 2  # node 4 at epochs 63 and 127
-    assert min(twins[n].rng._counter for n in range(5, num_nodes)) == -(-epochs // 64)
+    assert compared[1] == 0 and min(compared[4:]) >= 2  # node 4 at epochs 127 and 255
+    assert min(twins[n].rng._counter for n in range(5, num_nodes)) == -(-epochs // 128)
     assert sum(compared) < num_nodes * epochs // 2  # most epochs invoke no enclave
 
 

@@ -466,7 +466,7 @@ def test_verify_order_links_each_header_new_to_the_store(tmp_path, capsys):
 
     assert main(["verify-order", str(out), "--out", str(tmp_path / "v")]) == 1
     assert capsys.readouterr().err == (
-        "verify-order: t=400 node=0: chain 0 height 1: rank 2, expected tip next_rank 1\n"
+        "verify-order: t=390 node=0: chain 0 height 1: rank 2, expected tip next_rank 1\n"
     )
 
 

@@ -26,14 +26,14 @@ CASES = {
             "snapshot_interval": "150",
         },
         {
-            "beacon.csv": "9e7ce19aa849ff0da9a078408247539442c8ef1dce189d4f6b0a20dac16f531c",
-            "confirmbar.csv": "471e81536b92fde11cd0c07d6e184a0c73a2241e1d4236fef40f3c36db394459",
-            "latency.csv": "32af829f5a23fd4008e6926ce52fd4077d8180776908a6e7b992c689ca03f8f1",
+            "beacon.csv": "8b7b1ddd11d289b8f4dcdd1b85a4105a5179d1d713e8a02bc91403ed4a45b461",
+            "confirmbar.csv": "94a01e6b12171bbccc8dd7c2e999b38568e0e6745f747f0b4a3d881486013f2c",
+            "latency.csv": "d522874dbbcd9383ffa5d918ccc49d982f4e3f29c8e9e26c790d1a3c83e5179a",
             "order.csv": "964939269bb23b55ecc6dd6423fd21bad9e8f886aee4fbc83e5df2cb39883284",
             "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
-            "snapshots.csv": "677865923f4fffedd76421eb48fc73e05f0d798a1305a4ac8e3cccce7a2c2d5a",
-            "summary.txt": "bb8e5a7dc1600a96d14ee407f0bc5a219e54699b172c1f19813760569ac30792",
-            "throughput.csv": "e813907a0f7b72c526dd5da8b7cb8b23eeac6e50ecc173425f6a1185b1fd6773",
+            "snapshots.csv": "9c8f5461914ff8599805f6acff876d50735f55128e8caae703807a541cb88188",
+            "summary.txt": "de1fd60c5d062a688d7abb7adc1aa3d47ac53091ab8a5895eb469b8dfa588bcf",
+            "throughput.csv": "4648496937ec1edfae6af29b2e2e5585991fe168f97bb9e80a64c10bd9cfa971",
             "verify/order.csv": "23012a242666dd4f5834ac0c314a07ba401cbbc0c644a3711d447febf858a03f",
         },
     ),
@@ -49,15 +49,15 @@ CASES = {
             "snapshot_interval": "200",
         },
         {
-            "beacon.csv": "ec96440550fad91041633954c74cb8f9511bfc8724f056e50e099aaddba8eb40",
-            "confirmbar.csv": "19c0e7ddf05e0cf2b7ab867f7ca7b1dc67157a4cabea1ef6ba0f7c955bca33c8",
-            "latency.csv": "2a1da4c95f026180b48893893c04a204d5789e2d6dbb66df0bdafaeb02258126",
-            "order.csv": "635c40b4b502bda241fcaa54760bbf8eae91ea90ae2ae6c4bf19589a91b039d3",
+            "beacon.csv": "395452690c05db40de1ef434f64337ee17a5d8eba164a2c26e044ff66ae312f7",
+            "confirmbar.csv": "5d089f910c6702623a5e196a5c97f4fbf4e4949b1b9644ee3bc8770ccfdd165b",
+            "latency.csv": "a9baa038a96a1d86596742cef9d19fa8da0e4f1f2a944059a2695757aeb804d1",
+            "order.csv": "8e8bfc5593fcdbdc04911bc5a4e6677002877f575e1534eadf664096af42abc9",
             "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
-            "snapshots.csv": "efb0c898b53e52d98e87dc6910c83f8f6e59ce96b26eef2a7e838c43502754ea",
-            "summary.txt": "0d8baf2588e80730bf3fe2c3f5019117214a2a42160a16c7fe1a6bb98972a1f8",
-            "throughput.csv": "f08f6dee5dce224124af41cae724188abf06dd84ccb626dff2674d89620bc7a0",
-            "verify/order.csv": "3421709d9b11f056e426e611405f866fc868fee5433c3b259daf36f9ed782834",
+            "snapshots.csv": "c73a6a73e1b952e96d2f49aff8d570c895c0bc41dcb9f12a1ab2991c75f379d8",
+            "summary.txt": "60124a4b98be9f39cc8407656679038320ad68e52d9f3e2a15885d675b687923",
+            "throughput.csv": "53b2c762a9c4e2eb8634ba95ccaaa1e969f9ee9423a2e379be5fcab888dcaa40",
+            "verify/order.csv": "8e8bfc5593fcdbdc04911bc5a4e6677002877f575e1534eadf664096af42abc9",
         },
     ),
     "traced": (
@@ -73,22 +73,22 @@ CASES = {
             "trace_events": "true",
         },
         {
-            "beacon.csv": "5fdc33381f920b6dd54ed44d305fe066c5453bf10fe85259eb78ac45e5b3089f",
-            "confirmbar.csv": "fe33941baf6d331c10a8c5ee82196d84ed837f31c3548ec9c002d9f1905e70c9",
-            "events.csv": "f42b4319a15763a55344843e1298241e75098142869cf1009767fe6da6542fca",
-            "latency.csv": "e5e7229fe8ede4825ba0b99c0c6d6bfa514eb601d11dc8b0667419b43ad6dbc5",
-            "order.csv": "ce7e337bdb3f1a97ae91e14d9da3a1e241bc81b502ef4c4b328db722376e4ad8",
+            "beacon.csv": "591c552a69e42e6525da86ac75c9bb99039fedf00fcbe02f3868ab91e2dc4aca",
+            "confirmbar.csv": "9d9234e9c5127ad4bee6868ca63a602571540309eb9316a1dd1e47b30cca3525",
+            "events.csv": "bfd8c789db2645ccd8e8f5105297c6d90eea06b1bf7f8afb98670039be51eb93",
+            "latency.csv": "3b2bea078d531873d691a76261c6d86011e2dbaa5c34b3006a8694134eea5664",
+            "order.csv": "1a2b75765e7824d83e90d0a07590b90e5f02fdd20164ef50f1a272d3f69dab5d",
             "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
-            "snapshots.csv": "0bb8d45ba00d3cab9af0dad7d04d0f19ed641be61dbf59b75006561265b859a7",
-            "summary.txt": "87b87a701c41a701b0738ded1deeb39e3326edbae9f54ca079945e3dc488ac40",
-            "throughput.csv": "9d129fac2c2807bcd119e2942fc2fa2bbd65a0f1df5c6e169d0e1f7c71bc47b6",
-            "verify/order.csv": "5a07064d7563c7855d1280bf49193911da4ea5a450e3661f1242479ba5bc9d70",
+            "snapshots.csv": "cd1642054cc01874a54da33363a7df3b15574a113ea7cc9051556ccb6d2f231e",
+            "summary.txt": "5fa2388666327cfa60516c23201d6b5e70a2e3d28eaed76e4cd529f7eeef1019",
+            "throughput.csv": "a32972b88dea6cda16e87ecfba6d1e90c66fe909082ade7b08dc06963d6e3572",
+            "verify/order.csv": "ca77615372572a3912fb0d0c20cdc1b7475b59db9cac526974db8521f0e7aae5",
         },
     ),
-    # the crash path, traced: chain 0's leader (node 6) crashes mid-run, chain
+    # the crash path, traced: chain 0's leader (node 0) crashes mid-run, chain
     # 1's leader (node 1) on the tick of a proposal and a snapshot, and node 5
     # one tick after the horizon (t = 565), so it still gets the header that
-    # node 7 gossips at t = 568 and takes it at t = 570
+    # node 2 gossips at t = 566 and takes it at t = 569
     "traced-crash": (
         {
             "seed": "5",
@@ -97,22 +97,22 @@ CASES = {
             "lottery_bits": "2",
             "election_timeout": "60",
             "heartbeat_interval": "15",
-            "crash_schedule": "300:6,410:1,566:5",
+            "crash_schedule": "300:0,410:1,566:5",
             "run_duration": "565",
             "drain_window": "0",
             "snapshot_interval": "200",
             "trace_events": "true",
         },
         {
-            "beacon.csv": "4ba0ed824b0cbb8177e003bec17f663642b12a2a733023abcbd10ffd4b4d3d7c",
-            "confirmbar.csv": "2ae5fc006b6c7b9c2436692a5cd717cfbbd283086c82e4231802f7c8dba882c1",
-            "events.csv": "f1a4d66183a8015a222d1134804b89d16aca4688c51b0582c6ba31818ff27349",
-            "latency.csv": "ada51cc7def186883031a7679f26230e71e64f5d1f9db543d8030fa3ba04a380",
-            "order.csv": "e503ecd408f84e9f46cc56ae4c1b43b4a2e4f89bad3f74736d3ecbc3e61b0694",
+            "beacon.csv": "28871dba998ae420930366e1a0dc6e9a9af73fd4c790bd57b0a191dc9dfb6a1b",
+            "confirmbar.csv": "ddc67b11fe4ade8b2e037415d7e498986288846a6050a7715f0d03b852bab8c9",
+            "events.csv": "09dea914bb5f2a7e8a8722697de006b236f7a2cbdf9317cdaeb26ea830133cb4",
+            "latency.csv": "df95571c2e8856655c5729286fb7236e1d215fb17b0a91e5dcc7deee63f5f82c",
+            "order.csv": "60596dbcbab08efb19807c01a85d453b30a50eee677ef60a27291d98923b2822",
             "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
-            "snapshots.csv": "4bf77cc1e1f8a5d554f7a0c9f9ec0cda71e8fdfa2d85e905003814170e11a7f6",
-            "summary.txt": "c99652d47a02723f4c1433510a80615d48110084b7db5fa223b8bf569eef30da",
-            "throughput.csv": "2c658e5bb08d2ed2daa8d11d538b5986f117ea0bf08296ff282d71cd2c0fa698",
+            "snapshots.csv": "f5d48dae11f9bdb7ad135d7fcbeb35382de6718e2156e24c9712ac03a103cbb6",
+            "summary.txt": "b8d7ffe286c6c2110962e42e78ae2945ecce6fc4d068ab2c653f6fc797320d4a",
+            "throughput.csv": "54f95d4ba47e77def55d56b55baaf855134be056426e76e79c1b5fc9886d56a1",
             "verify/order.csv": "c10f13e62eb1544bac552709a5a3ae72a34a9646b3891cddf5f83375315f798c",
         },
     ),
@@ -133,21 +133,21 @@ CASES = {
             "trace_events": "true",
         },
         {
-            "beacon.csv": "5fdc33381f920b6dd54ed44d305fe066c5453bf10fe85259eb78ac45e5b3089f",
-            "confirmbar.csv": "fe33941baf6d331c10a8c5ee82196d84ed837f31c3548ec9c002d9f1905e70c9",
-            "events.csv": "f1336d23601db7cf8f33797976a8811e9a711192c988032cb641f017be780b05",
-            "latency.csv": "3e52a84c33db9b75d54a1835ba795038c28c5cd640d7009cd9e58f9afa89aaa8",
-            "order.csv": "ab7ab43e1fc27b78f23d5eb111d99d5009b424d39a1796dc802ab2026e3f9062",
+            "beacon.csv": "591c552a69e42e6525da86ac75c9bb99039fedf00fcbe02f3868ab91e2dc4aca",
+            "confirmbar.csv": "9d9234e9c5127ad4bee6868ca63a602571540309eb9316a1dd1e47b30cca3525",
+            "events.csv": "18bf8c6be9e5c730c6a68a84f8f4fc70375b22a12e7099c42b1e65b7dd56f3bd",
+            "latency.csv": "668fbfaefcb0ad09f8a8fca50fac9d45d4eb3e33283ed79c1986d91c79f64efc",
+            "order.csv": "f1110b8338e04a1a1fc62fa7f4856c00671b2d865d0a3aa26c826931d1dc5a56",
             "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
-            "snapshots.csv": "a74229feac00eb0e69c6971fd74f8b2222b44b62a2d5e0985efb3b6a6f4b1cf5",
-            "summary.txt": "41a2d817b308d675ef7eadce9663344322778521afa304111ed76ac9887b839a",
-            "throughput.csv": "cc95aec1135d201a7a196900b26dfe99c26f020e563030d6c62f0d830dd13183",
-            "verify/order.csv": "6c989a3e4e4bbfaa7463d7c1de52ea2e921d9f30057095daa965ac071ffe83f5",
+            "snapshots.csv": "e6e8cc4b89475e40ea734b034122129ffb1da7ff7d440176436a4629891d7544",
+            "summary.txt": "140b6ed6306ba6b7d315057822fa440139e09377b8402140d168558744615b30",
+            "throughput.csv": "f609d32ce6fd138df664a37bf779cad4bf85827f0bb0e889a85d37db64f63038",
+            "verify/order.csv": "32168db10549b6c0cb652f449b7cfe12c4ba9da6281a19ce20cbd2641ed070d4",
         },
     ),
     # gossip delays of 1..20 ticks against a 5-tick block interval: headers of
-    # one chain reach a node out of order (102 of 5,130 arrive above the node's
-    # tip and wait in its buffer) and the 16 ConfirmBars rise 628 times
+    # one chain reach a node out of order (55 of 4,740 arrive above the node's
+    # tip and wait in its buffer) and the 16 ConfirmBars rise 619 times
     "gossip-reorder": (
         {
             "seed": "7",
@@ -161,15 +161,15 @@ CASES = {
             "snapshot_interval": "200",
         },
         {
-            "beacon.csv": "565f4a9b9daf36df6d8386520e49127c57796e0adb718d8ba56a6c8991a40fd7",
-            "confirmbar.csv": "2f902042b6d8faddbf4070fa65ff15400746ed726990d0de256278f52f8b788e",
-            "latency.csv": "a03b362478c60f647b04165ae94f3acd8eb51dbe4a9484d30740d2b84f46d6ee",
-            "order.csv": "c12d8291033b2be2694d0f63cd7a9a5dbd0de0cf1f4a0c1c3bde2ecc932614be",
+            "beacon.csv": "c8892bb94d8f070fe7ed5af8903f7cf695e1bb3191ed4235c4bf9c855029bb6b",
+            "confirmbar.csv": "3ec93406f729184126d714fe13ba60a5c0cd6efc4300ba59e994e3af2c24eb4b",
+            "latency.csv": "3ad43d611513b4baa47465bd9bf7de6a883b816e88dd114c058966898adcaa4a",
+            "order.csv": "dd33da6f61826dbcf048ac24ff7eaa2d6820758136101e698d7f29eb21ae1037",
             "safety.csv": "938c2a3dfa19c1a46821bed04912db62f9fdb134737804213cd67099482dc640",
-            "snapshots.csv": "4e85a8ed5acba4d1220dd0ce03044552172427edcf9e3924d48d3c72080e75e7",
-            "summary.txt": "2164f8b8b8e3df443babf2b72927ddfc223c6e16bf9a489e3405696723b8d745",
-            "throughput.csv": "e043dc4c95459c9de6d909e8240ad38f8f2c4374d6abf89093dadb62c9df98c9",
-            "verify/order.csv": "d5f02489e030670af282493ce0d75360da487a08343750f0f63501840b378aac",
+            "snapshots.csv": "0afe7c7f72f79d47ad59794a4641993f6605a656f33761f6fd6cd1ee06631cc4",
+            "summary.txt": "4ab3493930a5d9c0be80f5a6c02a54b3c025d7ec60c9835fa615e54e2185aeb1",
+            "throughput.csv": "2cecf774308b06009e121fa8635c420867ff07b0eb19e5f1744bde591c16e159",
+            "verify/order.csv": "b4c4a6f39eb0baa33c0e38e8604cce5a014a4c4000b99a35711c7813193c1f63",
         },
     ),
 }
@@ -193,8 +193,8 @@ def test_output_digests_are_pinned(name, tmp_path, capsys):
 
 
 BEACON_STATS = {
-    "beacon.csv": "c387deb930396c7fee891f959b0f0e003c3043a6b2fd2ab9c293313008da93e0",
-    "beacon_summary.txt": "7e14e43aad6ecb6e85ab60e079fc28c33e746a37864114d888a4b20684ae54f2",
+    "beacon.csv": "f2ffbf28d6459e370066ab12e4892d92254b738373cbd88befb1dc5596888ec9",
+    "beacon_summary.txt": "2704c3349674125c8fe8d5829aad9fec4f97ce624793cb75a17b6cac5b687c7a",
 }
 
 
@@ -210,8 +210,8 @@ def test_beacon_stats_digests_are_pinned(tmp_path, capsys):
 
 
 SCALE = {
-    "scaling.csv": "ac3b2da8bc0f8df2d11f12afef7bc57a06a81653d3b2b039087adf16c10a8e8c",
-    "scaling_summary.txt": "746cb7a6259446b60dd4f5ed5521025455e7e025876671638e1197d4587890b2",
+    "scaling.csv": "f3d71ceb0212365e7f4f3f48528848b31c844c5029bf1aabf75ecb534c159d8c",
+    "scaling_summary.txt": "b0bc195e2bbd3c0ec8416540a299191b58a395d089019367033a460e2f8ddb79",
 }
 
 

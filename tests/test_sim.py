@@ -429,6 +429,9 @@ def test_snapshots_write_each_header_once_per_node():
 
 
 def test_snapshot_rows_grow_linearly_with_duration():
+    # headers are made only in the proposal window, so rows per window tick
+    # stay level as it grows; writing every header in each snapshot's view
+    # would double them when the window doubles
     base = SimConfig(
         seed=7, num_nodes=6, num_chains=2, snapshot_interval=100,
         crash_schedule=((600, 1),), run_duration=1000,
@@ -436,7 +439,9 @@ def test_snapshot_rows_grow_linearly_with_duration():
     short = run_simulation(base)
     long_ = run_simulation(replace(base, run_duration=2000))
     assert not short.safety_flags and not long_.safety_flags
-    assert len(long_.snapshot_rows) <= 2.5 * len(short.snapshot_rows)
+    assert long_.window > 2 * short.window
+    per_tick = [len(t.snapshot_rows) / t.window for t in (short, long_)]
+    assert per_tick[1] <= 1.25 * per_tick[0]
 
 
 def test_each_committed_header_is_gossiped_once():
