@@ -9,6 +9,15 @@ restricted to the leader's current term. An entry commits once it is
 replicated on ``quorum_threshold(n)`` nodes, which also commits everything
 before it.
 
+A leader recounts its commit only where an input of the count moves: when it
+wins a term, when it appends an entry, and when a successful AppendReply
+raises a match_index. That is enough. While a node leads, its term is fixed,
+its log changes only through client_submit, its commit_index only through a
+recount, and a match_index only by a rise. A recount stops at the highest
+current-term index a quorum holds, so a second one over the same inputs finds
+nothing above it. A reply that raises no match_index, such as a heartbeat
+ack or a duplicated or stale reply, therefore cannot move commit_index.
+
 Heartbeats are AppendEntries with empty entry lists. Followers that fall
 behind catch up through the leader's next_index backtracking (decrement by
 one per rejection) and through entry batches attached at submit time.
@@ -286,10 +295,11 @@ class RaftNode:
         if self.role is not LEADER or msg.term < self.current_term:
             return []
         if msg.success:
-            if msg.match_index > self.match_index[src]:
-                self.match_index[src] = msg.match_index
-            self.next_index[src] = max(self.next_index[src], self.match_index[src] + 1)
-            self._advance_commit()
+            match = self.match_index
+            if msg.match_index > match[src]:
+                match[src] = msg.match_index
+                self._advance_commit()  # only a rise can move the commit: see the module doc
+            self.next_index[src] = max(self.next_index[src], match[src] + 1)
             return []
         self.next_index[src] = max(1, self.next_index[src] - 1)
         return [(src, self._make_append(src))]

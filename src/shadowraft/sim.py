@@ -532,7 +532,9 @@ class Simulation:
         Only a first or an earlier deadline pushes a heap entry. An entry that
         pops before the deadline is no event: run pushes it again at the timer.
         """
-        deadline = max(node.raft.next_deadline(), now)
+        deadline = node.raft.next_deadline()
+        if deadline < now:
+            deadline = now
         if deadline > self.end_time or deadline == node.timer_at:
             return
         self._seq += 1
@@ -629,22 +631,22 @@ class Simulation:
             self.monitors[node.chain_id].leader(r)
             # a no-op entry lets the new leader commit inherited entries
             outgoing = outgoing + r.client_submit(b"", now)
-        # each send: its delay draw, its count and its heap entry
-        next_u64, limit = self._delay.next_u64, self._delay_limit
-        lo, span = self.cfg.raft_delay_min, self._delay_span
-        src, counts, queue, seq = node.node_id, self.counts, self.queue, self._seq
-        for dst, msg in outgoing:
-            kind = type(msg)
-            if kind is VoteReply and msg.granted:
-                self.monitors[node.chain_id].vote(src, msg.term, dst)
-            v = next_u64()
-            while v >= limit:
+        if outgoing:  # each send: its delay draw, its count and its heap entry
+            next_u64, limit = self._delay.next_u64, self._delay_limit
+            lo, span = self.cfg.raft_delay_min, self._delay_span
+            src, counts, queue, seq = node.node_id, self.counts, self.queue, self._seq
+            for dst, msg in outgoing:
+                kind = type(msg)
+                if kind is VoteReply and msg.granted:
+                    self.monitors[node.chain_id].vote(src, msg.term, dst)
                 v = next_u64()
-            name = kind.__name__
-            counts[name] = counts.get(name, 0) + 1
-            seq += 1
-            heapq.heappush(queue, (now + lo + v % span, seq, _MSG, dst, (src, msg)))
-        self._seq = seq
+                while v >= limit:
+                    v = next_u64()
+                name = kind.__name__
+                counts[name] = counts.get(name, 0) + 1
+                seq += 1
+                heapq.heappush(queue, (now + lo + v % span, seq, _MSG, dst, (src, msg)))
+            self._seq = seq
         if r.commit_index != node.applied:  # a fall is flagged, and applies nothing
             self.monitors[node.chain_id].commit(r)
             self._apply_committed(node, now)
@@ -846,8 +848,9 @@ class Simulation:
                 self.events_processed += 1
                 if self.event_rows is not None:
                     self.event_rows.append((when, self._seq, "crash", nid, "crash"))
+        # a committee stalls once fewer than a quorum of its members are live by the horizon
         expected_stall = any(
-            sum(crash_time[n] <= end_time for n in members) >= quorum_threshold(len(members))
+            sum(crash_time[n] > end_time for n in members) < quorum_threshold(len(members))
             for members in self.assignment
         )
 
@@ -864,13 +867,13 @@ class Simulation:
             t += cfg.snapshot_interval
         self._generate_workload(t_start)
 
-        while self.queue:
-            time, seq, kind, nid, payload = heapq.heappop(self.queue)
-            # timers, proposals and snapshots stop by the horizon; deliveries run past it,
-            # so views converge, and read liveness at end_time
-            at = min(time, end_time)
+        queue, nodes, heappop, event_rows = self.queue, self.nodes, heapq.heappop, self.event_rows
+        after_raft = self._after_raft
+        events = 0
+        while queue:
+            time, seq, kind, nid, payload = heappop(queue)
             if kind == _TIMER:
-                node = self.nodes[nid]
+                node = nodes[nid]
                 if node.queued == (time, seq):
                     node.queued = None
                 up = crash_time[nid] > time
@@ -879,32 +882,33 @@ class Simulation:
                     if up and node.queued is None and node.timer_at is not None:
                         self._queue_timer(node)
                     continue
-            self.events_processed += 1
-            if self.event_rows is not None:
+            events += 1
+            if event_rows is not None:
                 detail = _KIND_NAMES[kind]
                 if kind == _MSG:
                     detail = f"{type(payload[1]).__name__}<-{payload[0]}"
                 elif kind == _GOSSIP:
                     detail = f"header c{payload.chain_id}h{payload.height}"
-                self.event_rows.append((time, seq, _KIND_NAMES[kind], nid, detail))
+                event_rows.append((time, seq, _KIND_NAMES[kind], nid, detail))
 
-            if kind <= _GOSSIP and crash_time[nid] <= at:
+            # timers, proposals and snapshots stop by the horizon; deliveries run past it,
+            # so views converge, and read liveness at end_time
+            if kind <= _GOSSIP and crash_time[nid] <= (time if time < end_time else end_time):
                 continue  # a delivery to a down node: an event that does nothing
             if kind == _MSG:
                 src, msg = payload
-                node = self.nodes[nid]
-                out = node.raft.handle_message(src, msg, time)
-                self._after_raft(node, time, out)
+                node = nodes[nid]
+                after_raft(node, time, node.raft.handle_message(src, msg, time))
             elif kind == _GOSSIP:
-                self._ingest_header(self.nodes[nid], payload, time)
+                self._ingest_header(nodes[nid], payload, time)
             elif kind == _TIMER:
                 node.timer_at = None
-                out = node.raft.tick(time)
-                self._after_raft(node, time, out)
+                after_raft(node, time, node.raft.tick(time))
             elif kind == _PROPOSE:
                 self._on_propose(nid, time)
             elif kind == _SNAPSHOT:
                 self._on_snapshot(time)
+        self.events_processed += events
 
         if self.event_rows is not None:
             self.event_rows.sort()  # the set-up rows into their places

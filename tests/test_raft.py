@@ -262,12 +262,29 @@ def test_commit_follows_leader_commit_capped_at_last_new():
 def test_commit_advances_on_quorum_acks():
     nodes = build_cluster(5)
     elect(nodes, 0)
-    nodes[0].client_submit(b"a", 0)
-    assert nodes[0].commit_index == 0
-    nodes[0].handle_append_reply(1, AppendReply(1, True, 1), 1)
-    assert nodes[0].commit_index == 0  # 2 of 5 copies
-    nodes[0].handle_append_reply(2, AppendReply(1, True, 1), 1)
-    assert nodes[0].commit_index == 1  # leader + two followers
+    leader = nodes[0]
+    leader.client_submit(b"a", 0)
+    leader.client_submit(b"b", 0)
+    assert leader.commit_index == 0
+
+    def unmoved(src, match_index):
+        # a success reply that raises no match index is not recounted: it must
+        # leave commit_index, match_index and next_index (and all else) as they were
+        before = state(leader)
+        assert leader.handle_append_reply(src, AppendReply(1, True, match_index), 1) == []
+        assert state(leader) == before
+
+    leader.handle_append_reply(1, AppendReply(1, True, 2), 1)
+    assert leader.commit_index == 0  # 2 of 5 copies
+    assert (leader.match_index[1], leader.next_index[1]) == (2, 3)
+    unmoved(1, 2)  # duplicated
+    unmoved(1, 1)  # stale, with a lower match index
+    leader.handle_append_reply(2, AppendReply(1, True, 2), 1)
+    assert leader.commit_index == 2  # leader + two followers
+    unmoved(2, 2)
+    unmoved(2, 1)
+    unmoved(1, 1)
+    assert leader.match_index == {1: 2, 2: 2, 3: 0, 4: 0}
 
 
 def test_old_term_entries_commit_only_via_current_term():

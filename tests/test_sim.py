@@ -229,6 +229,19 @@ def test_quorum_loss_stalls_one_chain_and_freezes_the_bar():
     assert max(bars) < trace.committed_blocks[0]
 
 
+def test_even_committee_stalls_with_half_its_members_down():
+    # a committee of 4 needs 3 votes: 2 down leave 2 live, fewer than a quorum
+    cfg = small_cfg(num_nodes=4, num_chains=1, run_duration=600)
+    two = run_simulation(replace(cfg, crash_schedule=((300, 0), (310, 1))))
+    assert two.safety_flags == []
+    assert two.expected_stall
+    assert "expected-stall" in two.summary_text()
+    one = run_simulation(replace(cfg, crash_schedule=((300, 0),)))
+    assert one.safety_flags == []
+    assert not one.expected_stall
+    assert "expected-stall" not in one.summary_text()
+
+
 def test_stall_note_counts_only_crashes_by_the_horizon():
     cfg = SimConfig(seed=3, num_nodes=5, run_duration=600)
     plain = run_simulation(cfg)
@@ -888,14 +901,18 @@ def test_gossip_that_conflicts_with_a_view_is_flagged(monkeypatch):
 
 
 def test_event_trace_is_optional():
-    cfg = small_cfg(num_nodes=4, run_duration=600)
+    # node 3 is down from t = 200, so deliveries to a down node run in both modes
+    cfg = small_cfg(num_nodes=4, run_duration=600, crash_schedule=((200, 3),))
     plain = run_simulation(cfg)
     assert plain.event_rows is None
     assert "events.csv" not in plain.csv_outputs()
     traced = run_simulation(replace(cfg, trace_events=True))
     assert traced.event_rows
-    assert "events.csv" in traced.csv_outputs()
+    assert any(row[3] == 3 and row[0] > 200 and row[2] == "msg" for row in traced.event_rows)
     assert traced.events_processed == plain.events_processed
+    outputs = traced.csv_outputs()
+    assert outputs.pop("events.csv")
+    assert outputs == plain.csv_outputs()  # every other file, byte for byte
 
 
 def test_each_timer_event_is_one_tick(monkeypatch):
