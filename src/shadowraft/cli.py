@@ -17,7 +17,10 @@ are rejected, and every defaulted key is echoed so a run's full
 parameterization is always visible in its output.
 
 Every CSV file goes through `sim.csv_bytes`; `beacon.csv` and `order.csv`
-through `sim.beacon_csv` and `sim.order_csv`, as in a run's own outputs.
+through `sim.beacon_csv` and `sim.order_csv`, as in a run's own outputs. The
+one exception is a run's `snapshots.csv`, written by `sim.snapshots_csv`,
+which formats each header once for all the nodes that hold it; a test pins
+its bytes to those of `sim.csv_bytes`.
 """
 
 from __future__ import annotations
@@ -152,14 +155,15 @@ def build_config(
     return config, echo
 
 
-def write_outputs(trace: SimTrace, out_dir: str) -> list[str]:
+def write_outputs(trace: SimTrace, out_dir: str, summary: str) -> list[str]:
+    """Write the run's CSV files and `summary`, its summary_text, to out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for name, data in trace.csv_outputs().items():
         (out / name).write_bytes(data)
         written.append(name)
-    (out / "summary.txt").write_text(trace.summary_text())
+    (out / "summary.txt").write_text(summary)
     written.append("summary.txt")
     return written
 
@@ -174,8 +178,9 @@ def cmd_run(args) -> int:
     for line in echo:
         print(f"  {line}")
     trace = run_simulation(config)
-    written = write_outputs(trace, args.out)
-    print(trace.summary_text(), end="")
+    summary = trace.summary_text()
+    written = write_outputs(trace, args.out, summary)
+    print(summary, end="")
     print(f"wrote {', '.join(written)} to {args.out}")
     return 1 if trace.safety_flags else 0
 

@@ -214,6 +214,13 @@ def csv_bytes(header: str, rows) -> bytes:
     return buf.getvalue().encode()
 
 
+def _quoted(cell: str) -> str:
+    """A CSV cell per RFC 4180: quoted, its quotes doubled, if it holds a comma, quote or line break."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"%s"' % cell.replace('"', '""')
+    return cell
+
+
 def beacon_csv(rows) -> bytes:
     """beacon.csv from (epoch, succeeded, certificates, seed or None, messages)."""
     return csv_bytes(
@@ -299,6 +306,44 @@ def order_csv(rows) -> bytes:
     )
 
 
+def snapshots_csv(rows) -> bytes:
+    """snapshots.csv from (time, node, header, block hash) rows.
+
+    The bytes of csv_bytes over each row's ten cells: time, node_id, then the
+    header's chain_id, height, rank, next_rank, proposer_term, parent_hash,
+    tx_root and block_hash, the last three in hex. A header recurs in the rows
+    of every node that holds it, so its eight-cell line tail is formatted once,
+    keyed by its block hash, and the "time,node_id," prefix once per run of
+    rows with one (time, node).
+    """
+    tails: dict[bytes, str] = {}
+    parts = [
+        "time,node_id,chain_id,height,rank,next_rank,proposer_term,"
+        "parent_hash,tx_root,block_hash\n"
+    ]
+    append = parts.append
+    last_time = last_node = None
+    for time, node, h, block_hash in rows:
+        if time != last_time or node != last_node:
+            last_time, last_node = time, node
+            prefix = f"{time},{node},"
+        tail = tails.get(block_hash)
+        if tail is None:
+            tail = tails[block_hash] = "%s,%s,%s,%s,%s,%s,%s,%s\n" % (
+                h.chain_id,
+                h.height,
+                h.rank,
+                h.next_rank,
+                h.proposer_term,
+                h.parent_hash.hex(),
+                h.tx_root.hex(),
+                block_hash.hex(),
+            )
+        append(prefix)
+        append(tail)
+    return "".join(parts).encode()
+
+
 @dataclass
 class SimTrace:
     """Everything one run produced: metrics, safety flags, and snapshots."""
@@ -373,26 +418,8 @@ class SimTrace:
         )
         out["confirmbar.csv"] = csv_bytes("time,node_id,confirm_bar", self.bar_rows)
         out["beacon.csv"] = beacon_csv(self.beacon_rows)
-        out["safety.csv"] = csv_bytes("flag", [(f,) for f in self.safety_flags])
-        out["snapshots.csv"] = csv_bytes(
-            "time,node_id,chain_id,height,rank,next_rank,proposer_term,"
-            "parent_hash,tx_root,block_hash",
-            (
-                (
-                    t,
-                    n,
-                    h.chain_id,
-                    h.height,
-                    h.rank,
-                    h.next_rank,
-                    h.proposer_term,
-                    h.parent_hash.hex(),
-                    h.tx_root.hex(),
-                    bh.hex(),
-                )
-                for t, n, h, bh in self.snapshot_rows
-            ),
-        )
+        out["safety.csv"] = csv_bytes("flag", [(_quoted(f),) for f in self.safety_flags])
+        out["snapshots.csv"] = snapshots_csv(self.snapshot_rows)
         out["order.csv"] = order_csv(self.final_order)
         if self.event_rows is not None:
             out["events.csv"] = csv_bytes(

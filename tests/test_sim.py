@@ -4,7 +4,9 @@ Most assertions are properties (flags empty, commits resumed) rather than
 pinned numbers, since traces are deterministic but config-sensitive.
 """
 
+import csv
 import gc
+import io
 import math
 import weakref
 from dataclasses import replace
@@ -30,6 +32,7 @@ from shadowraft.sim import (
     csv_bytes,
     measure_scaling,
     run_simulation,
+    snapshots_csv,
 )
 
 
@@ -441,6 +444,48 @@ def test_snapshots_write_each_header_once_per_node():
         assert seen == list(range(len(seen))), key
 
 
+def snapshots_reference(rows):
+    """snapshots.csv by csv_bytes over each row's ten cells, each header formatted per row."""
+    return csv_bytes(
+        "time,node_id,chain_id,height,rank,next_rank,proposer_term,"
+        "parent_hash,tx_root,block_hash",
+        [
+            (
+                t, n, h.chain_id, h.height, h.rank, h.next_rank, h.proposer_term,
+                h.parent_hash.hex(), h.tx_root.hex(), bh.hex(),
+            )
+            for t, n, h, bh in rows
+        ],
+    )
+
+
+def test_snapshots_csv_matches_csv_bytes():
+    crashed = run_simulation(small_cfg(
+        seed=23, num_nodes=9, num_chains=3, snapshot_interval=150,
+        crash_schedule=((500, 4),), run_duration=1200,
+    ))
+    assert not crashed.safety_flags and crashed.snapshot_rows
+
+    def row(time, node, header):
+        return time, node, header, hash_header(header)
+
+    g0, g1 = make_genesis(0).header, make_genesis(1).header
+    tip = new_block(0, 1, hash_header(g0), 1, 2, (), 1).header
+    fork = tip._replace(proposer_term=2)  # another header at tip's (chain, height)
+    cases = {
+        "multi-chain run with a crash": crashed.snapshot_rows,
+        # group (100, 0) comes back after (100, 1); node 0 recurs at t = 200
+        "returning group": [
+            row(100, 0, g0), row(100, 1, g0), row(100, 0, g1), row(200, 0, tip), row(200, 1, g1),
+        ],
+        "fork across nodes": [row(100, 0, tip), row(100, 1, fork), row(300, 2, tip)],
+        "no rows": [],
+    }
+    for name, rows in cases.items():
+        assert snapshots_csv(rows) == snapshots_reference(rows), name
+    assert snapshots_csv([]).count(b"\n") == 1
+
+
 def test_snapshot_rows_grow_linearly_with_duration():
     # headers are made only in the proposal window, so rows per window tick
     # stay level as it grows; writing every header in each snapshot's view
@@ -610,6 +655,22 @@ def test_node_whose_final_order_differs_is_flagged(monkeypatch):
     trace = sim.run()
     assert len(sim.nodes[skip].view.order) < len(sim.nodes[0].view.order)
     assert trace.safety_flags == [f"final-order-divergence nodes=0,{skip}"]
+    text = trace.csv_outputs()["safety.csv"].decode()
+    assert list(csv.reader(io.StringIO(text))) == [["flag"], *([f] for f in trace.safety_flags)]
+
+
+def test_safety_csv_quotes_each_flag_into_one_field():
+    trace = run_simulation(small_cfg(num_nodes=3, run_duration=400))
+    flags = [
+        "plain",
+        "election-safety chain=0 term=2 leaders=0,1",
+        'say "hi", twice',
+        "two\nlines",
+        "final-view: node 1 chain 0 at height 3, expected 2",
+    ]
+    text = replace(trace, safety_flags=flags).csv_outputs()["safety.csv"].decode()
+    assert list(csv.reader(io.StringIO(text))) == [["flag"], *([f] for f in flags)]
+    assert text.startswith("flag\nplain\n")  # a flag with nothing to quote is written bare
 
 
 def test_final_order_that_is_not_the_reference_order_is_flagged():
