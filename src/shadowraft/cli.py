@@ -47,6 +47,8 @@ from .ordering import (
     validate_view,
 )
 from .sim import (
+    ORDER_HEADER,
+    SNAPSHOTS_HEADER,
     ConfigError,
     Lottery,
     SimConfig,
@@ -196,8 +198,8 @@ def cmd_beacon_stats(args) -> int:
         return 2
     lottery = Lottery(make_beacon_nodes(n, bits, args.seed))
     rows, forged = [], []
-    for epoch in range(epochs):
-        row, bad = lottery.settle(epoch)
+    for _ in range(epochs):
+        row, bad = lottery.settle()
         rows.append(row)
         forged += bad
     repeat_rate = 1 - sum(row[1] for row in rows) / epochs
@@ -304,10 +306,12 @@ def _parse_header(cells: list[str], time: int, node_id: int) -> tuple[BlockHeade
     return header, stored
 
 
-def _csv_rows(path: Path, width: int):
-    """(line number, cells) for each data row of a CSV file of width fields."""
+def _csv_rows(path: Path, header: str):
+    """(line number, cells) for each data row of a CSV file whose first line is header."""
+    width = header.count(",") + 1
     with open(path, "rb") as fh:
-        fh.readline()
+        if fh.readline().rstrip(b"\r\n") != header.encode():
+            raise _Rejected(2, f'{path}:1: expected header "{header}"')
         for lineno, line in enumerate(fh, 2):
             try:
                 cells = line.decode().rstrip("\r\n").split(",")
@@ -329,7 +333,7 @@ def _load_snapshots(path: Path) -> list[tuple[int, int, BlockHeader, bytes]]:
     """
     rows = []
     known: dict[str, tuple[BlockHeader, bytes]] = {}
-    for lineno, cells in _csv_rows(path, 10):
+    for lineno, cells in _csv_rows(path, SNAPSHOTS_HEADER):
         try:
             time, node_id = int(cells[0]), int(cells[1])
             key = ",".join(cells[2:])
@@ -347,7 +351,7 @@ def _load_tx_counts(path: Path) -> dict[str, int]:
     """A run's order.csv -> {block hash hex: tx_count}; empty if absent."""
     tx_counts: dict[str, int] = {}
     if path.is_file():
-        for lineno, cells in _csv_rows(path, 6):
+        for lineno, cells in _csv_rows(path, ORDER_HEADER):
             try:
                 tx_counts[cells[4]] = int(cells[5])
             except ValueError as exc:

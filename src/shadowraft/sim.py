@@ -131,7 +131,6 @@ class SimConfig:
     drain_window: int = 400
     max_batch: int = 64
     snapshot_interval: int = 250
-    empty_blocks: bool = True
     num_seal_keys: int = 4
     trace_events: bool = False
 
@@ -238,9 +237,10 @@ class Lottery:
     the records before that one all lose: after each invocation the
     enclave's lapse() skips them, closing its gate on their epochs, and
     names its next due epoch. A heap holds (due epoch, node id, enclave).
-    Settling an epoch pops only the enclaves due at it, in node id order,
-    and invokes each through this module's invoke_beacon, so the rows equal
-    those of invoking every live enclave every epoch.
+    Each settle() takes the next epoch, from 0, pops only the enclaves due
+    at it, in node id order, and invokes each through this module's
+    invoke_beacon, so the rows equal those of invoking every live enclave
+    every epoch.
 
     Liveness is the simulator's rule at each epoch's start tick: node n is
     down in epoch e iff crash_time[n] <= e * delta. An enclave that is down
@@ -258,12 +258,11 @@ class Lottery:
         self._heap = [(0, e.node_id, e) for e in enclaves]
         heapq.heapify(self._heap)
 
-    def settle(self, epoch: int):
+    def settle(self):
         """Invoke the enclaves due at the next epoch and lock its seed if one can be.
 
-        Epochs settle one at a time from 0, as the due epochs count them: an
-        epoch at or below the last settled raises EpochReplay, and one past
-        the next raises ValueError. Every certificate, valid or not, is
+        The epoch is the one after the last settled, counted from 0 as the
+        heap's due epochs are. Every certificate, valid or not, is
         broadcast to the other N - 1 nodes. The seed is the lowest rnd
         among the certificates whose epoch, node and tag verify against the
         directory, which keys each enclave's secret once (tag_key) and
@@ -271,10 +270,7 @@ class Lottery:
         (epoch, succeeded, valid certificates, seed or None, messages) and
         the certificates that failed verification.
         """
-        if epoch != self._last + 1:
-            error = beacon_mod.EpochReplay if epoch <= self._last else ValueError
-            raise error(f"epoch {epoch} settled after epoch {self._last}")
-        self._last = epoch
+        epoch = self._last = self._last + 1
         heap, crash_time, start = self._heap, self._crash_time, epoch * self._delta
         certs = []
         while heap and heap[0][0] == epoch:
@@ -298,12 +294,16 @@ class Lottery:
         return (epoch, int(seed is not None), len(valid), seed, messages), forged
 
 
+# the header lines of the files verify-order reads back, which it checks and takes widths from
+ORDER_HEADER = "position,rank,chain_id,height,block_hash,tx_count"
+SNAPSHOTS_HEADER = (
+    "time,node_id,chain_id,height,rank,next_rank,proposer_term,parent_hash,tx_root,block_hash"
+)
+
+
 def order_csv(rows) -> bytes:
     """order.csv from (rank, chain, height, block hash hex, tx count), numbered."""
-    return csv_bytes(
-        "position,rank,chain_id,height,block_hash,tx_count",
-        ((i, *row) for i, row in enumerate(rows)),
-    )
+    return csv_bytes(ORDER_HEADER, ((i, *row) for i, row in enumerate(rows)))
 
 
 def snapshots_csv(rows) -> bytes:
@@ -317,10 +317,7 @@ def snapshots_csv(rows) -> bytes:
     rows with one (time, node).
     """
     tails: dict[bytes, str] = {}
-    parts = [
-        "time,node_id,chain_id,height,rank,next_rank,proposer_term,"
-        "parent_hash,tx_root,block_hash\n"
-    ]
+    parts = [SNAPSHOTS_HEADER + "\n"]
     append = parts.append
     last_time = last_node = None
     for time, node, h, block_hash in rows:
@@ -580,7 +577,7 @@ class Simulation:
         enclaves = make_beacon_nodes(cfg.num_nodes, cfg.lottery_bits, cfg.seed)
         lottery = Lottery(enclaves, self.crash_time, cfg.delta)
         for epoch in range(self.end_time // cfg.delta):  # each epoch ends by the horizon
-            row, forged = lottery.settle(epoch)
+            row, forged = lottery.settle()
             self._count("BeaconCertificate", row[4])
             for cert in forged:
                 self._flag(f"beacon-certificate epoch={epoch} node={cert.node_id}")
@@ -803,13 +800,12 @@ class Simulation:
         if r.commit_index != len(r.log) or node.applied != r.commit_index:
             return
         queue, submit_times = self.pending[chain], self.submit_times
-        # a tick's arrivals take later seqs than its proposals: take those submitted before now
+        # a tick's arrivals take later seqs than its proposals: take those submitted before now;
+        # with none, the empty block still catches the chain's rank up, so the bar can rise
         n = bisect_left(
             queue, now, hi=min(len(queue), self.cfg.max_batch),
             key=lambda tx: submit_times[tx.nonce],
         )
-        if not n and not self.cfg.empty_blocks:
-            return
         txs = queue[:n]
         del queue[:n]
         rank, next_rank = propose_rank_fields(node.view, chain)

@@ -263,7 +263,7 @@ def test_settle_epoch_drops_certificates_for_other_epochs(monkeypatch):
     outcomes = set()
     for epoch in range(stale.epoch + 18):
         honest = [c for c in (invoke_beacon(n, epoch) for n in twins[1:]) if c]
-        row, forged = lottery.settle(epoch)
+        row, forged = lottery.settle()
         if invoked[-1] != epoch:
             assert forged == [] and row == (epoch, int(bool(honest)), len(honest),
                                             select_seed(honest), len(honest) * 3)
@@ -286,7 +286,7 @@ def test_settle_epoch_agrees_with_manual_invocation():
     saw_single_winner = False
     for epoch in range(30):
         manual = [c for c in (invoke_beacon(n, epoch) for n in nodes_b) if c]
-        row, forged = lottery.settle(epoch)
+        row, forged = lottery.settle()
         row_epoch, succeeded, num_certificates, seed, messages_sent = row
         assert row_epoch == epoch and forged == []
         assert messages_sent == len(manual) * 7
@@ -326,7 +326,7 @@ def test_lottery_matches_invoking_every_live_enclave_under_crashes(num_nodes, bi
         seed_rnd = select_seed(certs)
         expect = (epoch, int(seed_rnd is not None), len(certs), seed_rnd,
                   len(certs) * (num_nodes - 1))
-        assert lottery.settle(epoch) == (expect, []), epoch
+        assert lottery.settle() == (expect, []), epoch
         for n in live:  # an enclave lapsed to this epoch is caught up with its twin
             if nodes[n].last_invoked_epoch == epoch:
                 assert stream_state(nodes[n]) == stream_state(twins[n]), (epoch, n)
@@ -341,18 +341,13 @@ def test_lottery_keeps_the_epoch_gate():
     lottery = Lottery(nodes)
     gates = [-1] * 8
     for epoch in range(150):
-        row, _ = lottery.settle(epoch)
-        for replay in (epoch, epoch // 2):
-            with pytest.raises(EpochReplay):
-                lottery.settle(replay)
+        row, _ = lottery.settle()
+        assert row[0] == epoch  # epochs settle one at a time from 0
         for n, node in enumerate(nodes):
             assert node.last_invoked_epoch >= max(gates[n], epoch)  # never lowered
             gates[n] = node.last_invoked_epoch
             with pytest.raises(EpochReplay):  # a settled epoch is closed to manual calls
                 invoke_beacon(node, epoch)
-    assert row[0] == 149
-    with pytest.raises(ValueError):  # epochs settle one at a time
-        lottery.settle(151)
 
 
 def test_repeat_probability_closed_form():
@@ -373,7 +368,7 @@ def test_expected_messages():
 def test_empirical_repeat_rate_tracks_closed_form():
     num_nodes, bits, trials = 16, 4, 3000
     lottery = Lottery(make_beacon_nodes(num_nodes, bits, seed=31))
-    repeats = sum(1 for epoch in range(trials) if not lottery.settle(epoch)[0][1])
+    repeats = sum(1 for _ in range(trials) if not lottery.settle()[0][1])
     p = repeat_probability(num_nodes, bits)
     sigma = math.sqrt(p * (1 - p) / trials)
     assert abs(repeats / trials - p) < 5 * sigma

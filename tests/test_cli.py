@@ -13,7 +13,7 @@ import shadowraft.cli as cli_module
 import shadowraft.sim as sim_module
 from shadowraft.beacon import Certificate
 from shadowraft.cli import build_config, main, read_config_file
-from shadowraft.sim import ConfigError, SimConfig, run_simulation
+from shadowraft.sim import ORDER_HEADER, SNAPSHOTS_HEADER, ConfigError, SimConfig, run_simulation
 
 RUN_KEYS = {
     "seed": "9",
@@ -98,7 +98,6 @@ def test_config_file_round_trips_every_field(tmp_path):
         drain_window=300,
         max_batch=32,
         snapshot_interval=200,
-        empty_blocks=False,
         num_seal_keys=3,
         trace_events=True,
     )
@@ -181,6 +180,8 @@ def test_failed_runs_end_in_one_line_diagnostics(tmp_path, capsys):
         tmp_path, "never.cfg", num_nodes="3", num_chains="1", lottery_bits="32"
     )
     endless, undefined = (write_cfg(tmp_path, f"{v}.cfg", tx_rate=v) for v in ("inf", "nan"))
+    cadence = write_cfg(tmp_path, "cadence.cfg", empty_blocks="false")  # leaders always propose
+    no_cadence_key = "configuration error: unknown configuration key(s): empty_blocks\n"
     no_lock = "error: beacon failed to lock a seed by the horizon t=1200\n"
     bad_rate = "configuration error: tx_rate: must be finite and >= 0\n"
     bad_stats = "beacon-stats: need nodes >= 1, 1 <= bits <= 32, epochs >= 1, 0 <= seed < 2**64\n"
@@ -190,6 +191,7 @@ def test_failed_runs_end_in_one_line_diagnostics(tmp_path, capsys):
         (["scale", "--config", str(never), "--chains", "1"], no_lock),
         (["run", "--config", str(endless)], bad_rate),
         (["run", "--config", str(undefined)], bad_rate),
+        (["run", "--config", str(cadence)], no_cadence_key),
         (["beacon-stats", "--seed", "-1"], bad_stats),
         (["beacon-stats", "--seed", str(1 << 64)], bad_stats),
     ]
@@ -588,6 +590,26 @@ def test_verify_order_rejects_malformed_snapshots(tmp_path, capsys):
     order.write_bytes(order.read_bytes() + b"\xff\n")
     assert main(["verify-order", str(out), "--out", str(tmp_path / "v")]) == 2
     assert f"verify-order: {order}:{lineno}: " in capsys.readouterr().err
+
+
+def test_verify_order_checks_each_header_line(tmp_path, capsys):
+    out = run_and_verify_dirs(tmp_path)
+    capsys.readouterr()
+    for name, header in (("snapshots.csv", SNAPSHOTS_HEADER), ("order.csv", ORDER_HEADER)):
+        path = out / name
+        original = path.read_bytes()
+        first, rest = original.split(b"\n", 1)
+        assert first == header.encode()
+        swapped = first.replace(b"chain_id,height", b"height,chain_id")
+        for edited in (rest, swapped + b"\n" + rest):  # no header line, a wrong one
+            path.write_bytes(edited)
+            assert main(["verify-order", str(out), "--out", str(tmp_path / "v")]) == 2, name
+            err = capsys.readouterr().err
+            assert err == f'verify-order: {path}:1: expected header "{header}"\n', err
+        path.write_bytes(original)
+    (out / "order.csv").unlink()  # a missing order.csv is allowed
+    assert main(["verify-order", str(out), "--out", str(tmp_path / "v")]) == 0
+    capsys.readouterr()
 
 
 def test_argparse_usage_errors(capsys):

@@ -293,15 +293,18 @@ def test_config_validation_names_the_offending_key():
     SimConfig(tx_rate=float(2**32 - 1), run_duration=2**32).validate()  # exactly 2**64 nonces
 
 
-def test_no_blocks_without_transactions_when_empty_blocks_off():
-    cfg = small_cfg(tx_rate=0.0, empty_blocks=False, num_nodes=4, run_duration=900)
+def test_every_chain_proposes_on_cadence_with_no_load():
+    # chains merge by rank, so the bar rises only while every chain keeps
+    # proposing: with no transactions each leader proposes empty blocks
+    cfg = small_cfg(tx_rate=0.0, num_nodes=6, num_chains=3, run_duration=900)
     trace = run_simulation(cfg)
     assert trace.safety_flags == []
-    assert trace.committed_blocks[0] == 0
-    assert all(bar == 1 for (_, _, bar) in trace.bar_rows) or not trace.bar_rows
-    # empty blocks on: the bar advances even with zero load
-    busy = run_simulation(replace(cfg, empty_blocks=True))
-    assert busy.committed_blocks[0] > 0
+    assert trace.total_committed_txs() == 0
+    assert all(trace.committed_blocks[c] > 0 for c in range(3)), trace.committed_blocks
+    top = {}
+    for _, node, bar in trace.bar_rows:
+        top[node] = max(top.get(node, 0), bar)
+    assert sorted(top) == list(range(6)) and min(top.values()) > 1, top
 
 
 def test_sealed_transactions_round_trip_on_chain():
