@@ -11,10 +11,10 @@ Exit codes are a stable contract: 0 success, 1 property violation,
 
 Configuration files are flat `key = value` text; `#` starts a comment.
 The keys are the fields of SimConfig, and each value is parsed by its
-field's declared type: an integer, a float, a boolean word (true/false,
-yes/no, on/off, 1/0), or a `time:node` schedule. Unknown and repeated keys
-are rejected, and every defaulted key is echoed so a run's full
-parameterization is always visible in its output.
+field's declared type: an integer, a float, or a `time:node` schedule.
+Unknown and repeated keys are rejected, and every defaulted key is echoed so
+a run's full parameterization is always visible in its output. Tracing is no
+key: `run --trace` also writes `events.csv`.
 
 Every CSV file goes through `sim.csv_bytes`; `beacon.csv` and `order.csv`
 through `sim.beacon_csv` and `sim.order_csv`, as in a run's own outputs. The
@@ -61,25 +61,6 @@ from .sim import (
     run_simulation,
 )
 
-_BOOL_WORDS = {
-    "true": True,
-    "yes": True,
-    "on": True,
-    "1": True,
-    "false": False,
-    "no": False,
-    "off": False,
-    "0": False,
-}
-
-
-def _parse_bool(text: str) -> bool:
-    try:
-        return _BOOL_WORDS[text.lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {text!r}") from None
-
-
 def _parse_schedule(text: str) -> tuple[tuple[int, int], ...]:
     """Parse 'time:node' pairs separated by commas, semicolons, or spaces."""
     pairs = []
@@ -97,7 +78,6 @@ def _parse_schedule(text: str) -> tuple[tuple[int, int], ...]:
 _PARSE_TYPE = {
     int: int,
     float: float,
-    bool: _parse_bool,
     tuple[tuple[int, int], ...]: _parse_schedule,
 }
 
@@ -127,7 +107,7 @@ def read_config_file(path: str) -> dict[str, str]:
 
 
 def build_config(
-    raw: dict[str, str], seed_override: int | None = None, trace: bool = False
+    raw: dict[str, str], seed_override: int | None = None
 ) -> tuple[SimConfig, list[str]]:
     """Materialize a SimConfig and the echo lines showing every key.
 
@@ -146,8 +126,6 @@ def build_config(
             raise ConfigError(f"{key}: {exc}") from None
     if seed_override is not None:
         kwargs["seed"] = seed_override
-    if trace:
-        kwargs["trace_events"] = True
     config = SimConfig(**kwargs)
     config.validate()
     echo = []
@@ -175,11 +153,11 @@ def write_outputs(trace: SimTrace, out_dir: str, summary: str) -> list[str]:
 
 def cmd_run(args) -> int:
     raw = read_config_file(args.config) if args.config else {}
-    config, echo = build_config(raw, args.seed, args.trace)
+    config, echo = build_config(raw, args.seed)
     print("configuration:")
     for line in echo:
         print(f"  {line}")
-    trace = run_simulation(config)
+    trace = run_simulation(config, trace=args.trace)
     summary = trace.summary_text()
     written = write_outputs(trace, args.out, summary)
     print(summary, end="")
@@ -243,6 +221,9 @@ def cmd_scale(args) -> int:
         return 2
     if not counts or any(c < 1 for c in counts):
         print(f"scale: invalid chain counts {args.chains!r}", file=sys.stderr)
+        return 2
+    if args.committee < 1:
+        print(f"scale: --committee must be >= 1, got {args.committee}", file=sys.stderr)
         return 2
     print("base configuration:")
     for line in echo:

@@ -20,8 +20,9 @@ int(tx_rate) are drawn as geometric gaps, one draw each. A proposal at
 tick t takes up to max_batch of its chain's transactions submitted before
 t. SimConfig.validate bounds (int(tx_rate) + 1) * run_duration by 2**64, so
 every nonce fits in a u64. A node's superseded Raft deadline is not an
-event. The events.csv rows written at set-up are sorted into place at the
-end of the run.
+event, and its timer fires at the (deadline, seq) its last arming reserved.
+Tracing is a run option, not a SimConfig field: it adds events.csv, whose
+set-up rows are sorted into place at the end, and changes no other byte.
 
 Two delay regimes: the beacon phase is synchronous with bound delta, the
 Raft/gossip phase draws per-message delays uniformly from
@@ -31,9 +32,9 @@ raft_delay_min + next_below(span), read by next_below's loop inlined on the
 stream's next_u64 with a limit computed once per run (see rng). Crashes are
 crash-stop, at most one per node, and liveness is one rule: node n is down at
 tick t iff Simulation.crash_time[n] <= t, and from then on it receives nothing,
-fires nothing, sends nothing, and never recovers. A crash is no heap entry:
-it reserves its sequence number first, and is an event only by end_time. Past
-end_time liveness is read at end_time: a crash scheduled later never happens.
+fires nothing, sends nothing, and never recovers. A crash scheduled after
+end_time never happens (its crash_time stays inf). A crash is no heap entry:
+it reserves its sequence number first, and is an event only by end_time.
 
 The simulator is also the property-test vehicle: beacon certificates, the
 Raft rules, state-machine safety at apply, rank discipline, prefix
@@ -132,7 +133,6 @@ class SimConfig:
     max_batch: int = 64
     snapshot_interval: int = 250
     num_seal_keys: int = 4
-    trace_events: bool = False
 
     def validate(self) -> None:
         def bad(key, why):
@@ -498,7 +498,7 @@ class _Node:
 
 
 class Simulation:
-    def __init__(self, config: SimConfig):
+    def __init__(self, config: SimConfig, *, trace: bool = False):
         config.validate()
         self.cfg = config
         self.end_time = config.run_duration + config.drain_window
@@ -506,11 +506,12 @@ class Simulation:
         self.queue: list[tuple] = []
         self.crash_time = [math.inf] * config.num_nodes  # see the module docstring
         for when, nid in config.crash_schedule:
-            self.crash_time[nid] = when
+            if when <= self.end_time:
+                self.crash_time[nid] = when
         self.flags: list[str] = []
         self.counts: dict[str, int] = {}
         self.events_processed = 0
-        self.event_rows: list[tuple] | None = [] if config.trace_events else None
+        self.event_rows: list[tuple] | None = [] if trace else None  # events.csv
 
         self._delay = Stream.from_labels("delays", config.seed)
         self._gossip = Stream.from_labels("gossip", config.seed)
@@ -554,7 +555,8 @@ class Simulation:
         """Move the node's timer to its deadline; it fires at the seq reserved here.
 
         Only a first or an earlier deadline pushes a heap entry. An entry that
-        pops before the deadline is no event: run pushes it again at the timer.
+        pops before the deadline, or at it with an older seq, is no event: run
+        pushes it again at the timer's (deadline, seq).
         """
         deadline = node.raft.next_deadline()
         if deadline < now:
@@ -758,9 +760,8 @@ class Simulation:
         next_u64, limit = self._gossip.next_u64, self._delay_limit
         lo, span = self.cfg.raft_delay_min, self._delay_span
         src, crash_time, queue, seq = node.node_id, self.crash_time, self.queue, self._seq
-        at = min(now, self.end_time)
         for dst in range(self.cfg.num_nodes):
-            if dst == src or crash_time[dst] <= at:
+            if dst == src or crash_time[dst] <= now:
                 continue
             v = next_u64()
             while v >= limit:
@@ -900,7 +901,7 @@ class Simulation:
                 if node.queued == (time, seq):
                     node.queued = None
                 up = crash_time[nid] > time
-                if time != node.timer_at or not up:
+                if time != node.timer_at or seq != node.timer_seq or not up:
                     # an early or superseded entry, or a down node's: no event
                     if up and node.queued is None and node.timer_at is not None:
                         self._queue_timer(node)
@@ -915,8 +916,8 @@ class Simulation:
                 event_rows.append((time, seq, _KIND_NAMES[kind], nid, detail))
 
             # timers, proposals and snapshots stop by the horizon; deliveries run past it,
-            # so views converge, and read liveness at end_time
-            if kind <= _GOSSIP and crash_time[nid] <= (time if time < end_time else end_time):
+            # so views converge
+            if kind <= _GOSSIP and crash_time[nid] <= time:
                 continue  # a delivery to a down node: an event that does nothing
             if kind == _MSG:
                 src, msg = payload
@@ -1006,9 +1007,9 @@ class Simulation:
                         self.sealed_verified += 1
 
 
-def run_simulation(config: SimConfig) -> SimTrace:
-    """Execute one deterministic run; pure function of the config."""
-    return Simulation(config).run()
+def run_simulation(config: SimConfig, *, trace: bool = False) -> SimTrace:
+    """Execute one deterministic run; pure function of the config (trace adds events.csv)."""
+    return Simulation(config, trace=trace).run()
 
 
 class ScalingPoint(NamedTuple):

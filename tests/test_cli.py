@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, outputs, and the snapshot checker."""
 
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -73,10 +74,9 @@ def test_build_config_echoes_defaults():
     assert "(default)" in lines["tx_rate"]
 
 
-def test_build_config_seed_and_trace_overrides():
-    config, _ = build_config({"seed": "3"}, seed_override=77, trace=True)
+def test_build_config_seed_override():
+    config, _ = build_config({"seed": "3"}, seed_override=77)
     assert config.seed == 77
-    assert config.trace_events
 
 
 def test_config_file_round_trips_every_field(tmp_path):
@@ -99,7 +99,6 @@ def test_config_file_round_trips_every_field(tmp_path):
         max_batch=32,
         snapshot_interval=200,
         num_seal_keys=3,
-        trace_events=True,
     )
     default = SimConfig()
     # a field added to SimConfig but not here keeps its default and fails
@@ -109,7 +108,7 @@ def test_config_file_round_trips_every_field(tmp_path):
     def text(value):
         if isinstance(value, tuple):
             return ", ".join(f"{when}:{nid}" for when, nid in value)
-        return str(value).lower() if isinstance(value, bool) else str(value)
+        return str(value)
 
     path = tmp_path / "every.cfg"
     lines = [f"{f.name} = {text(getattr(config, f.name))}\n" for f in fields(SimConfig)]
@@ -117,6 +116,18 @@ def test_config_file_round_trips_every_field(tmp_path):
     parsed, echo = build_config(read_config_file(str(path)))
     assert parsed == config
     assert not any("(default)" in line for line in echo)
+
+
+def test_readme_config_block_lists_every_field_with_its_default():
+    # README's "Keys and defaults" block: one "key = default" line per SimConfig
+    # field, in field order; continuation lines are indented
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("Keys and defaults:\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line[:1].strip()]
+    pairs = [re.fullmatch(r"(\w+) = ?(\S*)(\s.*)?", line).groups()[:2] for line in lines]
+    assert [key for key, _ in pairs] == [f.name for f in fields(SimConfig)]
+    config, _ = build_config(dict(pairs))
+    assert config == SimConfig()
 
 
 def test_run_writes_outputs_and_exits_zero(tmp_path, capsys):
@@ -182,6 +193,8 @@ def test_failed_runs_end_in_one_line_diagnostics(tmp_path, capsys):
     endless, undefined = (write_cfg(tmp_path, f"{v}.cfg", tx_rate=v) for v in ("inf", "nan"))
     cadence = write_cfg(tmp_path, "cadence.cfg", empty_blocks="false")  # leaders always propose
     no_cadence_key = "configuration error: unknown configuration key(s): empty_blocks\n"
+    traced = write_cfg(tmp_path, "traced.cfg", trace_events="true")  # tracing is run --trace
+    no_trace_key = "configuration error: unknown configuration key(s): trace_events\n"
     no_lock = "error: beacon failed to lock a seed by the horizon t=1200\n"
     bad_rate = "configuration error: tx_rate: must be finite and >= 0\n"
     bad_stats = "beacon-stats: need nodes >= 1, 1 <= bits <= 32, epochs >= 1, 0 <= seed < 2**64\n"
@@ -192,6 +205,9 @@ def test_failed_runs_end_in_one_line_diagnostics(tmp_path, capsys):
         (["run", "--config", str(endless)], bad_rate),
         (["run", "--config", str(undefined)], bad_rate),
         (["run", "--config", str(cadence)], no_cadence_key),
+        (["run", "--config", str(traced)], no_trace_key),
+        (["scale", "--committee", "0"], "scale: --committee must be >= 1, got 0\n"),
+        (["scale", "--committee", "-1"], "scale: --committee must be >= 1, got -1\n"),
         (["beacon-stats", "--seed", "-1"], bad_stats),
         (["beacon-stats", "--seed", str(1 << 64)], bad_stats),
     ]
@@ -228,7 +244,7 @@ def test_beacon_that_locks_past_the_horizon_is_an_error(tmp_path, capsys):
 
 
 def test_run_rejects_a_tx_rate_whose_nonces_pass_u64(tmp_path, capsys, monkeypatch):
-    def no_run(config):
+    def no_run(config, *, trace):
         raise AssertionError("validation let the run start")
 
     monkeypatch.setattr(cli_module, "run_simulation", no_run)

@@ -1,10 +1,12 @@
 """Pinned SHA-256 digests of every output file for a few fixed runs.
 
-Each case runs ``shadowraft run`` on a fixed configuration, then
-``verify-order`` on its output, and compares the digest of every file written
-with the value pinned here. One more case does the same for ``beacon-stats``. A change that must keep output bytes unchanged
-(a refactor, a speed-up) is held to that by this test; a change that alters
-outputs on purpose updates the digests and says so in CHANGES.md.
+Each case runs ``shadowraft run`` on a fixed configuration, with ``--trace``
+where the case pins ``events.csv``, then ``verify-order`` on its output, and
+compares the digest of every file written with the value pinned here. Two
+more tests do the same for ``beacon-stats`` and ``scale``. A change that must
+keep output bytes unchanged (a refactor, a speed-up) is held to that by these
+tests; a change that alters outputs on purpose updates the digests and says
+so in CHANGES.md.
 """
 
 import hashlib
@@ -70,7 +72,6 @@ CASES = {
             "heartbeat_interval": "15",
             "run_duration": "600",
             "snapshot_interval": "200",
-            "trace_events": "true",
         },
         {
             "beacon.csv": "591c552a69e42e6525da86ac75c9bb99039fedf00fcbe02f3868ab91e2dc4aca",
@@ -101,7 +102,6 @@ CASES = {
             "run_duration": "565",
             "drain_window": "0",
             "snapshot_interval": "200",
-            "trace_events": "true",
         },
         {
             "beacon.csv": "28871dba998ae420930366e1a0dc6e9a9af73fd4c790bd57b0a191dc9dfb6a1b",
@@ -130,7 +130,6 @@ CASES = {
             "sensitive_fraction": "0.5",
             "run_duration": "600",
             "snapshot_interval": "200",
-            "trace_events": "true",
         },
         {
             "beacon.csv": "591c552a69e42e6525da86ac75c9bb99039fedf00fcbe02f3868ab91e2dc4aca",
@@ -181,7 +180,8 @@ def test_output_digests_are_pinned(name, tmp_path, capsys):
     cfg = tmp_path / "golden.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
     run, verify = tmp_path / "run", tmp_path / "verify"
-    assert main(["run", "--config", str(cfg), "--out", str(run)]) == 0
+    traced = ["--trace"] if "events.csv" in expected else []
+    assert main(["run", *traced, "--config", str(cfg), "--out", str(run)]) == 0
     assert main(["verify-order", str(run), "--out", str(verify)]) == 0
     capsys.readouterr()
     digests = {

@@ -64,9 +64,9 @@ def test_fault_free_single_chain_run():
 
 
 def test_rerun_is_byte_identical():
-    cfg = small_cfg(num_nodes=5, num_chains=2, run_duration=900, trace_events=True)
-    a = run_simulation(cfg).csv_outputs()
-    b = run_simulation(cfg).csv_outputs()
+    cfg = small_cfg(num_nodes=5, num_chains=2, run_duration=900)
+    a = run_simulation(cfg, trace=True).csv_outputs()
+    b = run_simulation(cfg, trace=True).csv_outputs()
     assert sorted(a) == sorted(b)
     for name in a:
         assert a[name] == b[name], f"{name} differs between identical runs"
@@ -970,7 +970,7 @@ def test_event_trace_is_optional():
     plain = run_simulation(cfg)
     assert plain.event_rows is None
     assert "events.csv" not in plain.csv_outputs()
-    traced = run_simulation(replace(cfg, trace_events=True))
+    traced = run_simulation(cfg, trace=True)
     assert traced.event_rows
     assert any(row[3] == 3 and row[0] > 200 and row[2] == "msg" for row in traced.event_rows)
     assert traced.events_processed == plain.events_processed
@@ -992,12 +992,51 @@ def test_each_timer_event_is_one_tick(monkeypatch):
     monkeypatch.setattr(RaftNode, "tick", counting)
     cfg = small_cfg(
         seed=5, num_nodes=4, num_chains=2, run_duration=800,
-        election_timeout=60, heartbeat_interval=15, trace_events=True,
+        election_timeout=60, heartbeat_interval=15,
     )
-    trace = run_simulation(cfg)
+    trace = run_simulation(cfg, trace=True)
     assert not trace.safety_flags
     timers = [row[0] for row in trace.event_rows if row[2] == "timer"]
     assert timers and timers == ticks
+
+
+def test_a_timer_fires_at_the_seq_its_last_arming_reserved(monkeypatch):
+    # a timer re-armed D -> D' > D -> D keeps its first heap entry at D; that entry
+    # must fire at the seq the last arming reserved, not its own
+    timeline = []  # in execution order: ("arm", node, deadline, seq) and ("fire", node, now)
+    real_arm, real_tick = Simulation._arm_timer, RaftNode.tick
+
+    def arming(self, node, now):
+        real_arm(self, node, now)
+        timeline.append(("arm", node.node_id, node.timer_at, node.timer_seq))
+
+    def firing(self, now):
+        timeline.append(("fire", self.node_id, now))
+        return real_tick(self, now)
+
+    monkeypatch.setattr(Simulation, "_arm_timer", arming)
+    monkeypatch.setattr(RaftNode, "tick", firing)
+    cfg = small_cfg(
+        seed=1, num_nodes=3, lottery_bits=2, raft_delay_max=8, election_timeout=60,
+        heartbeat_interval=15, run_duration=900, snapshot_interval=300,
+    )
+    trace = run_simulation(cfg, trace=True)
+    assert not trace.safety_flags
+    reserved, armed, fires = {}, set(), []  # node -> its last (deadline, seq); every arming
+    for step in timeline:
+        if step[0] == "arm":
+            _, nid, deadline, seq = step
+            reserved[nid] = deadline, seq
+            armed.add((nid, deadline, seq))
+        else:
+            _, nid, now = step
+            deadline, seq = reserved[nid]
+            assert deadline == now
+            fires.append((now, seq, nid))
+    # some timer fires at a deadline that an earlier, superseded arming also reserved
+    superseded = armed - {(n, t, s) for t, s, n in fires}
+    assert any((m, d) == (n, t) and r < s for t, s, n in fires for m, d, r in superseded)
+    assert [(t, s, n) for t, s, kind, n, _ in trace.event_rows if kind == "timer"] == fires
 
 
 def test_event_rows_are_the_events_in_time_then_seq_order():
@@ -1005,9 +1044,9 @@ def test_event_rows_are_the_events_in_time_then_seq_order():
     # drawn at a fractional rate, all interleave with the heap's events
     cfg = small_cfg(
         seed=8, num_nodes=6, num_chains=2, tx_rate=1.3, run_duration=900,
-        crash_schedule=((3, 0), (450, 3), (1301, 5)), trace_events=True,
+        crash_schedule=((3, 0), (450, 3), (1301, 5)),
     )
-    trace = run_simulation(cfg)
+    trace = run_simulation(cfg, trace=True)
     assert 3 < trace.workload_start < 450 and trace.end_time == 1300
     rows = trace.event_rows
     keys = [(time, seq) for time, seq, *_ in rows]
@@ -1034,9 +1073,8 @@ def test_a_proposal_takes_its_chains_earliest_arrivals_up_to_max_batch(monkeypat
     monkeypatch.setattr(sim_module, "new_block", recording_new_block)
     cfg = small_cfg(
         seed=4, num_nodes=6, num_chains=2, tx_rate=0.7, block_interval=10, max_batch=4,
-        trace_events=True,
     )
-    trace = run_simulation(cfg)
+    trace = run_simulation(cfg, trace=True)
     # each client row is at its submit time and names its chain; by seq, in nonce order
     client = sorted(
         (seq, time, nid) for time, seq, kind, nid, _ in trace.event_rows if kind == "client"
