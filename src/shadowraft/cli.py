@@ -263,20 +263,34 @@ class _Rejected(Exception):
     """verify-order stops; args are (exit code, diagnostic)."""
 
 
+def _parse_cells(cells: list[str], kinds: str) -> list:
+    """Each cell read by its kind: "Q" a u64, "I" a u32, "H" a hash of 64 hex digits.
+
+    Raises ValueError if a cell is malformed.
+    """
+    values = []
+    for cell, kind in zip(cells, kinds):
+        if kind == "H":
+            value = bytes.fromhex(cell)
+            if len(value) != HASH_LEN:
+                raise ValueError("hash fields must be 64 hex digits")
+        else:
+            value = int(cell)
+            if not 0 <= value < 1 << (32 if kind == "I" else 64):
+                raise ValueError("integer field out of range")
+        values.append(value)
+    return values
+
+
 def _parse_header(cells: list[str], time: int, node_id: int) -> tuple[BlockHeader, bytes]:
     """(header, stored hash) from one snapshots.csv row.
 
     Raises ValueError if a field is malformed, and _Rejected (exit 1) if the
     stored hash does not match the header fields.
     """
-    chain_id, height, rank, next_rank, term = (int(c) for c in cells[2:7])
-    if not 0 <= chain_id < 1 << 32 or not all(
-        0 <= v < 1 << 64 for v in (height, rank, next_rank, term)
-    ):
-        raise ValueError("integer field out of range")
-    parent, root, stored = (bytes.fromhex(c) for c in cells[7:])
-    if not len(parent) == len(root) == len(stored) == HASH_LEN:
-        raise ValueError("hash fields must be 64 hex digits")
+    chain_id, height, rank, next_rank, term, parent, root, stored = _parse_cells(
+        cells[2:], "IQQQQHHH"
+    )
     header = BlockHeader(chain_id, height, parent, rank, next_rank, root, term)
     if hash_header(header) != stored:
         raise _Rejected(
@@ -316,7 +330,7 @@ def _load_snapshots(path: Path) -> list[tuple[int, int, BlockHeader, bytes]]:
     known: dict[str, tuple[BlockHeader, bytes]] = {}
     for lineno, cells in _csv_rows(path, SNAPSHOTS_HEADER):
         try:
-            time, node_id = int(cells[0]), int(cells[1])
+            time, node_id = _parse_cells(cells[:2], "QQ")
             key = ",".join(cells[2:])
             entry = known.get(key)
             if entry is None:
@@ -328,13 +342,17 @@ def _load_snapshots(path: Path) -> list[tuple[int, int, BlockHeader, bytes]]:
     return rows
 
 
-def _load_tx_counts(path: Path) -> dict[str, int]:
-    """A run's order.csv -> {block hash hex: tx_count}; empty if absent."""
-    tx_counts: dict[str, int] = {}
+def _load_tx_counts(path: Path) -> dict[bytes, int]:
+    """A run's order.csv -> {block hash: tx_count}; empty if absent.
+
+    Every cell is checked; a malformed row raises _Rejected with exit 2.
+    """
+    tx_counts: dict[bytes, int] = {}
     if path.is_file():
         for lineno, cells in _csv_rows(path, ORDER_HEADER):
             try:
-                tx_counts[cells[4]] = int(cells[5])
+                *_, block_hash, tx_count = _parse_cells(cells, "QQIQHQ")
+                tx_counts[block_hash] = tx_count
             except ValueError as exc:
                 raise _Rejected(2, f"{path}:{lineno}: {exc}") from None
     return tx_counts
@@ -421,10 +439,8 @@ def _verify_order(trace_dir: Path, out: Path) -> int:
     longest = max((view.order for view in views.values()), key=len)
     final = []
     for ref in longest:
-        hex_hash = ref.block_hash.hex()
-        final.append(
-            (ref.rank, ref.chain_id, ref.height, hex_hash, tx_counts.get(hex_hash, 0))
-        )
+        tx_count = tx_counts.get(ref.block_hash, 0)
+        final.append((ref.rank, ref.chain_id, ref.height, ref.block_hash.hex(), tx_count))
     (out / "order.csv").write_bytes(order_csv(final))
     print(
         f"verify-order: {checked} snapshot orders consistent; "

@@ -62,6 +62,9 @@ brought it first. Each chain's heights are sampled once, in order.
 A snapshot writes, for each live node, only the headers that entered its
 view since its previous snapshot; the view of node n at time t is the union
 of n's snapshot rows up to t.
+
+Every output of a run is a SimTrace field, declared once with its default.
+The handlers fill the run's one record, Simulation.out, and run() returns it.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ import io
 import math
 import struct
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from . import beacon as beacon_mod
@@ -343,27 +346,32 @@ def snapshots_csv(rows) -> bytes:
 
 @dataclass
 class SimTrace:
-    """Everything one run produced: metrics, safety flags, and snapshots."""
+    """Everything one run produced: metrics, safety flags, and snapshots.
+
+    Each output is declared once, here, with its default. A Simulation's
+    handlers fill its record as the run goes; run() sets the committed and
+    submitted totals and returns it.
+    """
 
     config: SimConfig
-    workload_start: int
     end_time: int
-    beacon_rows: list[tuple[int, int, int, int | None, int]]
-    assignment: list[list[int]]
-    committed_txs: dict[int, int]
-    committed_blocks: dict[int, int]
-    skipped_blocks: int
-    submitted_txs: int
-    latency_rows: list[tuple[int, int, int, int]]
-    bar_rows: list[tuple[int, int, int]]
-    message_counts: dict[str, int]
-    safety_flags: list[str]
-    expected_stall: bool
-    snapshot_rows: list[tuple[int, int, BlockHeader, bytes]]  # time, node, header, hash
-    final_order: list[tuple[int, int, int, str, int]]
-    sealed_verified: int
-    events_processed: int
-    event_rows: list[tuple] | None = None
+    workload_start: int = 0
+    beacon_rows: list[tuple[int, int, int, int | None, int]] = field(default_factory=list)
+    assignment: list[list[int]] = field(default_factory=list)
+    committed_txs: dict[int, int] = field(default_factory=dict)
+    committed_blocks: dict[int, int] = field(default_factory=dict)
+    skipped_blocks: int = 0
+    submitted_txs: int = 0
+    latency_rows: list[tuple[int, int, int, int]] = field(default_factory=list)
+    bar_rows: list[tuple[int, int, int]] = field(default_factory=list)
+    message_counts: dict[str, int] = field(default_factory=dict)
+    safety_flags: list[str] = field(default_factory=list)
+    expected_stall: bool = False
+    snapshot_rows: list[tuple[int, int, BlockHeader, bytes]] = field(default_factory=list)
+    final_order: list[tuple[int, int, int, str, int]] = field(default_factory=list)
+    sealed_verified: int = 0
+    events_processed: int = 0
+    event_rows: list[tuple] | None = None  # events.csv, in a traced run only
 
     def total_committed_txs(self) -> int:
         return sum(self.committed_txs.values())
@@ -508,10 +516,7 @@ class Simulation:
         for when, nid in config.crash_schedule:
             if when <= self.end_time:
                 self.crash_time[nid] = when
-        self.flags: list[str] = []
-        self.counts: dict[str, int] = {}
-        self.events_processed = 0
-        self.event_rows: list[tuple] | None = [] if trace else None  # events.csv
+        self.out = SimTrace(config, self.end_time, event_rows=[] if trace else None)
 
         self._delay = Stream.from_labels("delays", config.seed)
         self._gossip = Stream.from_labels("gossip", config.seed)
@@ -525,10 +530,6 @@ class Simulation:
         self.plaintexts: list[bytes | None] = []  # by nonce; None if not sealed
         self.submit_times: list[int] = []  # by nonce
         self.sampled = [0] * config.num_chains  # by chain: top height whose txs are sampled
-        self.latency_rows: list[tuple[int, int, int, int]] = []
-        self.bar_rows: list[tuple[int, int, int]] = []
-        self.snapshot_rows: list[tuple[int, int, BlockHeader, bytes]] = []
-        self.beacon_rows: list[tuple[int, int, int, int | None, int]] = []
         self.pending: dict[int, list[Transaction]] = {
             c: [] for c in range(config.num_chains)
         }
@@ -536,8 +537,7 @@ class Simulation:
         self.store = GlobalView(config.num_chains)  # every node's view is a frontier over it
         # (chain, index) -> (command, block or DecodeError, height or None if skipped)
         self.committed_cmds: dict[tuple[int, int], tuple] = {}
-        self.skipped = 0
-        self.monitors = [SafetyMonitor(c, self.flags) for c in range(config.num_chains)]
+        self.monitors = [SafetyMonitor(c, self.out.safety_flags) for c in range(config.num_chains)]
 
     # -- plumbing ---------------------------------------------------------
 
@@ -546,10 +546,11 @@ class Simulation:
         heapq.heappush(self.queue, (time, self._seq, kind, nid, payload))
 
     def _count(self, name: str, n: int = 1) -> None:
-        self.counts[name] = self.counts.get(name, 0) + n
+        counts = self.out.message_counts
+        counts[name] = counts.get(name, 0) + n
 
     def _flag(self, text: str) -> None:
-        self.flags.append(text)
+        self.out.safety_flags.append(text)
 
     def _arm_timer(self, node: _Node, now: int) -> None:
         """Move the node's timer to its deadline; it fires at the seq reserved here.
@@ -583,7 +584,7 @@ class Simulation:
             self._count("BeaconCertificate", row[4])
             for cert in forged:
                 self._flag(f"beacon-certificate epoch={epoch} node={cert.node_id}")
-            self.beacon_rows.append(row)
+            self.out.beacon_rows.append(row)
             if row[1]:
                 self.locked_seed = row[3]
                 return (epoch + 1) * cfg.delta
@@ -640,9 +641,10 @@ class Simulation:
             t = t + 1 if whole else extra
         first = self._seq + 1  # the transaction of nonce n is the event of seq first + n
         self._seq += nonce
-        self.events_processed += nonce
-        if self.event_rows is not None:
-            self.event_rows += [
+        out = self.out
+        out.events_processed += nonce
+        if out.event_rows is not None:
+            out.event_rows += [
                 (submit_times[tx.nonce], first + tx.nonce, "client", chain, "client")
                 for chain, txs in pending.items() for tx in txs
             ]
@@ -660,7 +662,7 @@ class Simulation:
         if outgoing:  # each send: its delay draw, its count and its heap entry
             next_u64, limit = self._delay.next_u64, self._delay_limit
             lo, span = self.cfg.raft_delay_min, self._delay_span
-            src, counts, queue, seq = node.node_id, self.counts, self.queue, self._seq
+            src, counts, queue, seq = node.node_id, self.out.message_counts, self.queue, self._seq
             for dst, msg in outgoing:
                 kind = type(msg)
                 if kind is VoteReply and msg.granted:
@@ -727,7 +729,7 @@ class Simulation:
         try:
             append_block(ledger, block)
         except LedgerError:
-            self.skipped += 1  # a stale proposal from a superseded leader
+            self.out.skipped_blocks += 1  # a stale proposal from a superseded leader
             return command, block, None
         self.store.add(block.header, ledger.hashes[-1])
         return command, block, block.header.height
@@ -753,7 +755,7 @@ class Simulation:
             view.advance(chain, nxt.next_rank)
             tip += 1
         if view.bar > bar:
-            self.bar_rows.append((now, node.node_id, view.bar))
+            self.out.bar_rows.append((now, node.node_id, view.bar))
             self._sample_latency(node, now)
 
     def _gossip_block(self, node: _Node, header: BlockHeader, now: int) -> None:
@@ -777,10 +779,11 @@ class Simulation:
         chain = node.chain_id
         top = min(bisect_left(self.store.refs[chain], (node.view.bar,)), node.height + 1)
         blocks, submit_times = self.canonical[chain].blocks, self.submit_times
+        rows = self.out.latency_rows
         for height in range(self.sampled[chain] + 1, top):
             for tx in blocks[height].transactions:
                 submit = submit_times[tx.nonce]
-                self.latency_rows.append((tx.nonce, submit, now, now - submit))
+                rows.append((tx.nonce, submit, now, now - submit))
             self.sampled[chain] = height
 
     # -- event handlers --------------------------------------------------------
@@ -823,7 +826,7 @@ class Simulation:
         self._after_raft(node, now, out)
 
     def _on_snapshot(self, now: int) -> None:
-        rows, chains, refs = self.snapshot_rows, self.store.chains, self.store.refs
+        rows, chains, refs = self.out.snapshot_rows, self.store.chains, self.store.refs
         for node in self.nodes:
             if self.crash_time[node.node_id] <= now:
                 continue
@@ -837,9 +840,11 @@ class Simulation:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> SimTrace:
-        cfg = self.cfg
-        t_start = self._run_beacon_phase()
-        self.assignment = assign_chains(self.locked_seed, cfg.num_nodes, cfg.num_chains)
+        cfg, out = self.cfg, self.out
+        t_start = out.workload_start = self._run_beacon_phase()
+        self.assignment = out.assignment = assign_chains(
+            self.locked_seed, cfg.num_nodes, cfg.num_chains
+        )
         chain_of = {nid: c for c, members in enumerate(self.assignment) for nid in members}
 
         for chain in range(cfg.num_chains):
@@ -863,17 +868,16 @@ class Simulation:
             )
             for nid in range(cfg.num_nodes)
         ]
-        self.workload_start = t_start
 
-        crash_time, end_time = self.crash_time, self.end_time
+        crash_time, end_time, event_rows = self.crash_time, self.end_time, out.event_rows
         for when, nid in cfg.crash_schedule:  # each reserves a seq before any other
             self._seq += 1
             if when <= end_time:
-                self.events_processed += 1
-                if self.event_rows is not None:
-                    self.event_rows.append((when, self._seq, "crash", nid, "crash"))
+                out.events_processed += 1
+                if event_rows is not None:
+                    event_rows.append((when, self._seq, "crash", nid, "crash"))
         # a committee stalls once fewer than a quorum of its members are live by the horizon
-        expected_stall = any(
+        out.expected_stall = any(
             sum(crash_time[n] > end_time for n in members) < quorum_threshold(len(members))
             for members in self.assignment
         )
@@ -891,7 +895,7 @@ class Simulation:
             t += cfg.snapshot_interval
         self._generate_workload(t_start)
 
-        queue, nodes, heappop, event_rows = self.queue, self.nodes, heapq.heappop, self.event_rows
+        queue, nodes, heappop = self.queue, self.nodes, heapq.heappop
         after_raft = self._after_raft
         events = 0
         while queue:
@@ -932,37 +936,18 @@ class Simulation:
                 self._on_propose(nid, time)
             elif kind == _SNAPSHOT:
                 self._on_snapshot(time)
-        self.events_processed += events
+        out.events_processed += events
 
-        if self.event_rows is not None:
-            self.event_rows.sort()  # the set-up rows into their places
+        if event_rows is not None:
+            event_rows.sort()  # the set-up rows into their places
         self._final_checks()
-        committed_txs = {
+        out.committed_txs = {
             c: sum(len(b.transactions) for b in ledger.blocks)
             for c, ledger in self.canonical.items()
         }
-        committed_blocks = {c: len(ledger.blocks) - 1 for c, ledger in self.canonical.items()}
-        return SimTrace(
-            config=cfg,
-            workload_start=self.workload_start,
-            end_time=self.end_time,
-            beacon_rows=self.beacon_rows,
-            assignment=[list(m) for m in self.assignment],
-            committed_txs=committed_txs,
-            committed_blocks=committed_blocks,
-            skipped_blocks=self.skipped,
-            submitted_txs=len(self.submit_times),
-            latency_rows=self.latency_rows,
-            bar_rows=self.bar_rows,
-            message_counts=self.counts,
-            safety_flags=self.flags,
-            expected_stall=expected_stall,
-            snapshot_rows=self.snapshot_rows,
-            final_order=self.final_order,
-            sealed_verified=self.sealed_verified,
-            events_processed=self.events_processed,
-            event_rows=self.event_rows,
-        )
+        out.committed_blocks = {c: len(ledger.blocks) - 1 for c, ledger in self.canonical.items()}
+        out.submitted_txs = len(self.submit_times)
+        return out
 
     # -- end-of-run verification ------------------------------------------
 
@@ -973,7 +958,7 @@ class Simulation:
         except OrderingError as exc:
             self._flag(f"final-view: {exc}")
 
-        self.final_order = []
+        out = self.out
         if honest:
             first = honest[0]
             order = first.view.order  # every order is a prefix of the store's
@@ -985,12 +970,11 @@ class Simulation:
                 self._flag(f"prefix-stability node={first.node_id} t=final")
             for rank, chain, height, bh in order:
                 tx_count = len(self.canonical[chain].blocks[height].transactions)
-                self.final_order.append((rank, chain, height, bh.hex(), tx_count))
+                out.final_order.append((rank, chain, height, bh.hex(), tx_count))
 
         for monitor, members in zip(self.monitors, self.assignment):
             monitor.check_logs([self.nodes[n].raft for n in members])
 
-        self.sealed_verified = 0
         for ledger in self.canonical.values():
             for block in ledger.blocks:
                 for tx in block.transactions:
@@ -1004,7 +988,7 @@ class Simulation:
                     if plain != self.plaintexts[tx.nonce]:
                         self._flag(f"sealed-roundtrip nonce={tx.nonce}: wrong plaintext")
                     else:
-                        self.sealed_verified += 1
+                        out.sealed_verified += 1
 
 
 def run_simulation(config: SimConfig, *, trace: bool = False) -> SimTrace:

@@ -594,6 +594,8 @@ def test_verify_order_rejects_malformed_snapshots(tmp_path, capsys):
         (edited(11, 4, "-1"), 12, "out of range"),
         (edited(13, 8, "ab"), 14, "64 hex digits"),
         (lines[:7] + ["\udcff,"] + lines[7:], 8, "can't decode"),  # a 0xff byte
+        (edited(2, 0, "-1"), 3, "integer field out of range"),  # time
+        (edited(4, 1, str(2**64)), 5, "integer field out of range"),  # node_id
     ]
     for rows, lineno, why in cases:
         snap.write_bytes("\n".join(rows + [""]).encode("utf-8", "surrogateescape"))
@@ -602,10 +604,19 @@ def test_verify_order_rejects_malformed_snapshots(tmp_path, capsys):
         assert f"verify-order: {snap}:{lineno}: " in err and why in err, err
     snap.write_text("\n".join(lines) + "\n")
     order = out / "order.csv"
-    lineno = len(order.read_bytes().splitlines()) + 1
-    order.write_bytes(order.read_bytes() + b"\xff\n")
-    assert main(["verify-order", str(out), "--out", str(tmp_path / "v")]) == 2
-    assert f"verify-order: {order}:{lineno}: " in capsys.readouterr().err
+    original = order.read_bytes()
+    lines = original.decode().splitlines()  # edited() now edits order.csv's lines
+    cases = [
+        (lines + ["\udcff"], len(lines) + 1, "can't decode"),  # a 0xff byte
+        (edited(3, 4, "zz" * 32), 4, "non-hexadecimal"),  # block_hash
+        (edited(2, 5, "-3"), 3, "integer field out of range"),  # tx_count
+    ]
+    for rows, lineno, why in cases:
+        order.write_bytes("\n".join(rows + [""]).encode("utf-8", "surrogateescape"))
+        assert main(["verify-order", str(out), "--out", str(tmp_path / "v")]) == 2
+        err = capsys.readouterr().err
+        assert f"verify-order: {order}:{lineno}: " in err and why in err, err
+    order.write_bytes(original)
 
 
 def test_verify_order_checks_each_header_line(tmp_path, capsys):

@@ -316,7 +316,7 @@ def test_simulator_delays_match_uniform_int_on_twin_streams(span):
         "gossip": [e[0] - now for e in entries if e[4] == "header"],
     }
     assert [len(v) for v in sent.values()] == [40, 40]
-    assert sim.counts == {"AppendReply": 40, "Gossip": 40}
+    assert sim.out.message_counts == {"AppendReply": 40, "Gossip": 40}
     for label, stream in (("delays", sim._delay), ("gossip", sim._gossip)):
         twin = Stream.from_labels(label, seed)
         assert sent[label] == [twin.uniform_int(lo, hi) for _ in range(40)], label

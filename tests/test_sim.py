@@ -76,6 +76,7 @@ def test_finished_simulation_is_freed_by_refcount():
     # no reference cycle holds a run: its memory goes when its last name does
     sim = Simulation(small_cfg(num_nodes=5, num_chains=2, run_duration=600))
     trace = sim.run()
+    assert trace is sim.out  # run() returns the record the simulation filled
     ref = weakref.ref(sim)
     enabled = gc.isenabled()
     gc.disable()
@@ -115,7 +116,7 @@ def test_forged_beacon_certificates_are_dropped_and_flagged(monkeypatch):
     cfg = small_cfg(num_nodes=6, num_chains=2, run_duration=600)
     clean = Simulation(cfg)
     clean.run()
-    assert not clean.flags
+    assert not clean.out.safety_flags
     forgers = []
 
     def forging(enclave, epoch):
@@ -132,14 +133,14 @@ def test_forged_beacon_certificates_are_dropped_and_flagged(monkeypatch):
     monkeypatch.setattr(sim_module, "invoke_beacon", forging)
     forged = Simulation(cfg)
     forged.run()
-    assert forged.flags == [
+    assert forged.out.safety_flags == [
         f"beacon-certificate epoch=0 node={forgers[0]}",
         "beacon-certificate epoch=0 node=99",
     ]
     assert forged.locked_seed == clean.locked_seed
     assert forged.assignment == clean.assignment
     # the forged certificates were broadcast, so only the message count differs
-    assert [row[:4] for row in forged.beacon_rows] == [row[:4] for row in clean.beacon_rows]
+    assert [row[:4] for row in forged.out.beacon_rows] == [row[:4] for row in clean.out.beacon_rows]
 
 
 def test_beacon_phase_skips_nodes_crashed_by_epoch_start(monkeypatch):
@@ -357,10 +358,10 @@ def test_latency_waits_for_the_node_to_apply_the_block():
     assert node.height == len(blocks) - 1 > 3 and blocks[3].header.rank < node.view.bar
     assert all(block.transactions for block in blocks[1:4])
     node.height = 2  # as if the node had applied heights 1 and 2 only
-    sim.sampled[0], sim.latency_rows = 0, []
+    sim.sampled[0], sim.out.latency_rows = 0, []
     sim._sample_latency(node, sim.end_time)
     nonces = [tx.nonce for block in blocks[1:3] for tx in block.transactions]
-    assert [row[0] for row in sim.latency_rows] == nonces
+    assert [row[0] for row in sim.out.latency_rows] == nonces
 
 
 @pytest.mark.parametrize("seed", [7, 4, 9])
@@ -532,16 +533,16 @@ def test_one_sender_per_header_reaches_every_live_node_despite_crashes():
 def test_second_vote_in_a_term_is_flagged():
     sim = Simulation(small_cfg(num_nodes=5, run_duration=400))
     sim.run()
-    assert not sim.flags
+    assert not sim.out.safety_flags
     voter = sim.nodes[0]
     a, b = [n for n in sim.assignment[voter.chain_id] if n != voter.node_id][:2]
     term = 10**6
     sim._after_raft(voter, sim.end_time, [(a, VoteReply(term, True))])
     both = [(a, VoteReply(term, True)), (b, VoteReply(term, False))]
     sim._after_raft(voter, sim.end_time, both)
-    assert not sim.flags  # a repeated grant and a refusal are not second votes
+    assert not sim.out.safety_flags  # a repeated grant and a refusal are not second votes
     sim._after_raft(voter, sim.end_time, [(b, VoteReply(term, True))])
-    assert sim.flags == [
+    assert sim.out.safety_flags == [
         f"vote-safety chain={voter.chain_id} term={term} voter=0 candidates={a},{b}"
     ]
 
@@ -549,14 +550,14 @@ def test_second_vote_in_a_term_is_flagged():
 def test_second_leader_in_a_won_term_is_flagged():
     sim = Simulation(small_cfg(num_nodes=5, run_duration=400))
     sim.run()
-    assert not sim.flags
+    assert not sim.out.safety_flags
     term = max(sim.monitors[0].winners)
     winner = sim.monitors[0].winners[term]
     other = sim.nodes[next(n for n in sim.assignment[0] if n != winner)]
     r = other.raft
     r.current_term, r.role, r.votes = term, Role.CANDIDATE, set(r.cluster)
     sim._after_raft(other, sim.end_time, r._maybe_win(sim.end_time))
-    assert sim.flags == [
+    assert sim.out.safety_flags == [
         f"election-safety chain=0 term={term} leaders={winner},{other.node_id}"
     ]
 
@@ -564,14 +565,14 @@ def test_second_leader_in_a_won_term_is_flagged():
 def test_commit_past_the_leaders_acks_is_flagged():
     sim = Simulation(small_cfg(num_nodes=5, run_duration=400))
     sim.run()
-    assert not sim.flags
+    assert not sim.out.safety_flags
     leader = next(n for n in sim.nodes if n.raft.role is Role.LEADER)
     r = leader.raft
     index = r.last_log_index() + 1
     r.log.append(LogEntry(r.current_term, index, b""))  # a no-op no peer holds
     r.commit_index = index
     sim._after_raft(leader, sim.end_time, [])
-    assert sim.flags == [
+    assert sim.out.safety_flags == [
         f"commit-quorum chain={leader.chain_id} index={index} acks=1 quorum={r.quorum}"
     ]
     assert leader.applied == index
@@ -580,7 +581,7 @@ def test_commit_past_the_leaders_acks_is_flagged():
 def test_leader_that_lacks_a_committed_entry_is_flagged():
     sim = Simulation(small_cfg(num_nodes=5, run_duration=400))
     sim.run()
-    assert not sim.flags
+    assert not sim.out.safety_flags
     term = max(sim.monitors[0].winners) + 1  # a term nobody has led
     node = sim.nodes[sim.assignment[0][0]]
     r = node.raft
@@ -589,7 +590,7 @@ def test_leader_that_lacks_a_committed_entry_is_flagged():
     del r.log[index - 1 :]  # the last committed entry and all after it
     r.current_term, r.role, r.votes = term, Role.CANDIDATE, set(r.cluster)
     sim._after_raft(node, sim.end_time, r._maybe_win(sim.end_time))
-    assert sim.flags == [
+    assert sim.out.safety_flags == [
         f"leader-completeness chain=0 term={term} leader={node.node_id} index={index}"
     ]
 
@@ -597,13 +598,13 @@ def test_leader_that_lacks_a_committed_entry_is_flagged():
 def test_commit_index_that_falls_is_flagged_once():
     sim = Simulation(small_cfg(num_nodes=5, run_duration=400))
     sim.run()
-    assert not sim.flags
+    assert not sim.out.safety_flags
     node = sim.nodes[sim.assignment[0][1]]
     was = node.raft.commit_index
     node.raft.commit_index = was - 1
     sim._after_raft(node, sim.end_time, [])
     sim._after_raft(node, sim.end_time, [])  # no second fall
-    assert sim.flags == [
+    assert sim.out.safety_flags == [
         f"commit-monotonicity chain=0 node={node.node_id} index={was - 1} was={was}"
     ]
     assert node.applied == was
@@ -612,13 +613,13 @@ def test_commit_index_that_falls_is_flagged_once():
 def test_entries_that_differ_below_a_shared_index_and_term_are_flagged():
     sim = Simulation(small_cfg(num_nodes=5, run_duration=400))
     sim.run()
-    assert not sim.flags
+    assert not sim.out.safety_flags
     first, *others = sim.assignment[0]
     log = sim.nodes[first].raft.log
     assert all(sim.nodes[n].raft.log == log for n in others)
     log[0] = log[0]._replace(command=log[0].command + b"\x00")  # same index and term
     sim._final_checks()
-    assert sim.flags == [f"log-matching chain=0 nodes={first},{n}" for n in others]
+    assert sim.out.safety_flags == [f"log-matching chain=0 nodes={first},{n}" for n in others]
 
 
 def test_committed_entry_that_differs_in_term_is_flagged_on_a_crashed_node():
@@ -626,7 +627,7 @@ def test_committed_entry_that_differs_in_term_is_flagged_on_a_crashed_node():
     first, *others = Simulation(cfg).run().assignment[0]
     sim = Simulation(replace(cfg, crash_schedule=((300, first),)))
     sim.run()
-    assert not sim.flags and sim.assignment[0] == [first, *others]
+    assert not sim.out.safety_flags and sim.assignment[0] == [first, *others]
     r = sim.nodes[first].raft  # down since t=300, but still a committee member
     top = r.commit_index
     assert top > 0 and all(sim.nodes[n].raft.commit_index > top for n in others)
@@ -634,7 +635,7 @@ def test_committed_entry_that_differs_in_term_is_flagged_on_a_crashed_node():
     # the logs still match below it, so this is no log-matching flag
     r.log[top - 1] = r.log[top - 1]._replace(term=r.log[top - 1].term + 1)
     sim._final_checks()
-    assert sim.flags == [f"committed-prefix chain=0 nodes={first},{n}" for n in others]
+    assert sim.out.safety_flags == [f"committed-prefix chain=0 nodes={first},{n}" for n in others]
 
 
 def test_node_whose_final_order_differs_is_flagged(monkeypatch):
@@ -679,11 +680,11 @@ def test_safety_csv_quotes_each_flag_into_one_field():
 def test_final_order_that_is_not_the_reference_order_is_flagged():
     sim = Simulation(small_cfg(num_nodes=5, run_duration=400))
     sim.run()
-    assert not sim.flags
+    assert not sim.out.safety_flags
     order = sim.store.order  # every node's order is a prefix of it
     order[1], order[2] = order[2], order[1]
     sim._final_checks()
-    assert sim.flags == ["prefix-stability node=0 t=final"]
+    assert sim.out.safety_flags == ["prefix-stability node=0 t=final"]
 
 
 def counted(calls, name, fn):
@@ -750,7 +751,7 @@ def test_one_cipher_context_per_key_and_one_encoding_per_transaction(monkeypatch
 def test_replicas_that_disagree_on_a_committed_entry_are_flagged():
     sim = Simulation(small_cfg(num_nodes=5, run_duration=600))
     sim.run()
-    assert not sim.flags
+    assert not sim.out.safety_flags
     a, b = (sim.nodes[n] for n in sim.assignment[0][:2])
     height, index = a.height, a.raft.last_log_index() + 1
     assert (b.height, b.raft.last_log_index() + 1) == (height, index)
@@ -764,19 +765,19 @@ def test_replicas_that_disagree_on_a_committed_entry_are_flagged():
         sim._apply_committed(node, sim.end_time)
 
     commit(a, 7)
-    assert a.height == height + 1 and not sim.flags
+    assert a.height == height + 1 and not sim.out.safety_flags
     commit(b, 8)  # the same index with a different command
-    assert sim.flags == [f"state-machine-safety chain=0 index={index}"]
+    assert sim.out.safety_flags == [f"state-machine-safety chain=0 index={index}"]
     assert b.height == height
     # b never applied the block at height + 1, so the next one does not fit it
-    sim.flags.clear()
+    sim.out.safety_flags.clear()
     index += 1
     height, parent = height + 1, sim.canonical[0].hashes[height + 1]
     rank, next_rank = next_rank, next_rank + 1
     commit(a, 7)
     commit(b, 7)
     assert a.height == height + 1 and b.height == height - 1
-    assert sim.flags == [
+    assert sim.out.safety_flags == [
         f"ledger-divergence chain=0 node={b.node_id} index={index} "
         f"height={height + 1} expected={height}"
     ]
@@ -894,15 +895,15 @@ def test_fork_at_a_height_the_store_holds_is_flagged(monkeypatch):
     sim.run()
     assert sim.store.chains[0][1] != fork
     # the victim appended block 1: its own copy was the fork, and it never gets another
-    assert sim.flags == [
+    assert sim.out.safety_flags == [
         f"header-linkage node={victim} chain=0 height=1",
         f"final-order-divergence nodes=0,{victim}",
     ]
-    sim.flags.clear()
+    sim.out.safety_flags.clear()
     node = sim.nodes[0]
     assert node.view.heights[0] > 1
     real_ingest(sim, node, fork, sim.end_time)
-    assert sim.flags == ["view-divergence node=0 chain=0 height=1"]
+    assert sim.out.safety_flags == ["view-divergence node=0 chain=0 height=1"]
 
 
 @pytest.mark.parametrize("name", ["multi-chain-crash", "traced-crash"])
@@ -943,7 +944,7 @@ def test_every_frontier_reads_its_order_off_the_store(name, monkeypatch):
 def test_gossip_that_conflicts_with_a_view_is_flagged(monkeypatch):
     sim = Simulation(small_cfg(num_nodes=5, run_duration=400))
     sim.run()
-    assert not sim.flags
+    assert not sim.out.safety_flags
     node = sim.nodes[0]
     held = node.view.chains[0][1]
     calls = {"hash_header": 0}
@@ -953,15 +954,15 @@ def test_gossip_that_conflicts_with_a_view_is_flagged(monkeypatch):
     sim._ingest_header(node, held, sim.end_time)  # a repeat of the object it holds
     assert calls["hash_header"] == 0
     sim._ingest_header(node, held._replace(), sim.end_time)  # an equal copy is hashed
-    assert calls["hash_header"] == 1 and not sim.flags
+    assert calls["hash_header"] == 1 and not sim.out.safety_flags
     forked = held._replace(proposer_term=held.proposer_term + 1)
     sim._ingest_header(node, forked, sim.end_time)
-    assert sim.flags == ["view-divergence node=0 chain=0 height=1"]
-    sim.flags.clear()
+    assert sim.out.safety_flags == ["view-divergence node=0 chain=0 height=1"]
+    sim.out.safety_flags.clear()
     tip = node.view.chains[0][-1]
     orphan = new_block(0, tip.height + 1, bytes(32), tip.next_rank, tip.next_rank + 1, (), 1)
     sim._ingest_header(node, orphan.header, sim.end_time)
-    assert sim.flags == [f"header-linkage node=0 chain=0 height={tip.height + 1}"]
+    assert sim.out.safety_flags == [f"header-linkage node=0 chain=0 height={tip.height + 1}"]
 
 
 def test_event_trace_is_optional():
