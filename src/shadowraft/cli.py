@@ -222,13 +222,10 @@ def cmd_scale(args) -> int:
     if not counts or any(c < 1 for c in counts):
         print(f"scale: invalid chain counts {args.chains!r}", file=sys.stderr)
         return 2
-    if args.committee < 1:
-        print(f"scale: --committee must be >= 1, got {args.committee}", file=sys.stderr)
-        return 2
     print("base configuration:")
     for line in echo:
         print(f"  {line}")
-    points = measure_scaling(base, counts, committee_size=args.committee)
+    points = measure_scaling(base, counts)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "scaling.csv").write_bytes(
@@ -242,13 +239,15 @@ def cmd_scale(args) -> int:
     )
     baseline = next((p for p in points if p.chains == 1), points[0])
     per_unit = baseline.throughput / baseline.chains
-    lines = [f"scaling (committee size {args.committee}, per-chain load fixed):"]
+    committee = base.num_nodes // base.num_chains
+    lines = [f"scaling (committee size {committee}, per-chain load fixed):"]
     for p in points:
         ideal = per_unit * p.chains
-        dev = (p.throughput - ideal) / ideal if ideal else 0.0
+        # no deviation from an ideal of 0: the baseline committed nothing
+        dev = f"{(p.throughput - ideal) / ideal:+.1%}" if ideal else "undefined"
         lines.append(
             f"  C={p.chains}: {p.throughput:.4f} tx/tick "
-            f"(ideal {ideal:.4f}, deviation {dev:+.1%})"
+            f"(ideal {ideal:.4f}, deviation {dev})"
         )
     summary = "\n".join(lines) + "\n"
     (out / "scaling_summary.txt").write_text(summary)
@@ -476,9 +475,10 @@ def build_parser() -> argparse.ArgumentParser:
     stats.set_defaults(func=cmd_beacon_stats)
 
     scale = sub.add_parser("scale", help="throughput scaling across chain counts")
-    scale.add_argument("--config", help="base configuration file")
+    scale.add_argument(
+        "--config", help="base configuration file; committee size num_nodes / num_chains"
+    )
     scale.add_argument("--chains", default="1,2,4,8", help="comma-separated counts")
-    scale.add_argument("--committee", type=int, default=5, help="verifiers per chain")
     scale.add_argument("--seed", type=int, help="override the config seed")
     scale.add_argument("--out", default="shadowraft-out")
     scale.set_defaults(func=cmd_scale)

@@ -7,6 +7,10 @@ tag), fixed project-wide. Each key builds its cipher context once. Nonces
 come from a per-key counter so uniqueness is provable under deterministic
 simulation seeds.
 
+The one ``KeyDirectory`` of a run is built from a count and a stream: key k
+is the k-th ``KEY_LEN``-byte draw and sits at index k of its ``keys`` list,
+where ``seal``'s callers take it.
+
 A sealed payload is its wire bytes, with no decoded form:
 
     key_id u32 || nonce 12B || ciphertext_len u64 || ciphertext || auth_tag 16B
@@ -71,11 +75,6 @@ class SealKey:
         self.aead = AESGCM(self.key_bytes)
 
 
-def generate_key(key_id: int, stream: Stream) -> SealKey:
-    """Draw a fresh 32-byte key from a deterministic stream."""
-    return SealKey(key_id, stream.next_bytes(KEY_LEN))
-
-
 def seal(key: SealKey, plaintext: bytes, associated_data: bytes) -> bytes:
     """The wire bytes of plaintext sealed under key, with the key's next nonce."""
     if key.nonce_counter >= NONCE_LIMIT:
@@ -99,35 +98,19 @@ def _parse(data: bytes) -> tuple[int, bytes]:
 class KeyDirectory:
     """Static in-simulation key directory shared by all honest verifiers.
 
-    Stands in for hardware sealing and attestation, which are out of scope.
+    Key k sits at keys[k]. Stands in for hardware sealing and attestation,
+    which are out of scope.
     """
 
-    def __init__(self):
-        self._keys: dict[int, SealKey] = {}
-
-    @classmethod
-    def generate(cls, count: int, stream: Stream) -> "KeyDirectory":
-        directory = cls()
-        for key_id in range(count):
-            directory.add(generate_key(key_id, stream))
-        return directory
-
-    def add(self, key: SealKey) -> None:
-        if key.key_id in self._keys:
-            raise ValueError(f"duplicate key_id {key.key_id}")
-        self._keys[key.key_id] = key
-
-    def get(self, key_id: int) -> SealKey:
-        try:
-            return self._keys[key_id]
-        except KeyError:
-            raise UnknownKey(f"no key with id {key_id}") from None
+    def __init__(self, count: int, stream: Stream):
+        self.keys = [SealKey(k, stream.next_bytes(KEY_LEN)) for k in range(count)]
 
     def unseal(self, data: bytes, associated_data: bytes) -> bytes:
         """The plaintext of sealed wire bytes, under the key they name."""
         key_id, nonce = _parse(data)
-        key = self.get(key_id)
+        if key_id >= len(self.keys):
+            raise UnknownKey(f"no key with id {key_id}")
         try:
-            return key.aead.decrypt(nonce, data[_HEAD.size :], associated_data)
+            return self.keys[key_id].aead.decrypt(nonce, data[_HEAD.size :], associated_data)
         except InvalidTag as exc:
             raise AuthFailure("authentication failed") from exc

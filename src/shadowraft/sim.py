@@ -524,9 +524,7 @@ class Simulation:
         self._delay_span = config.raft_delay_max - config.raft_delay_min + 1
         self._delay_limit = below_limit(self._delay_span)
         self._workload = Stream.from_labels("workload", config.seed)
-        self.directory = KeyDirectory.generate(
-            config.num_seal_keys, Stream.from_labels("seal", config.seed)
-        )
+        self.directory = KeyDirectory(config.num_seal_keys, Stream.from_labels("seal", config.seed))
         self.plaintexts: list[bytes | None] = []  # by nonce; None if not sealed
         self.submit_times: list[int] = []  # by nonce
         self.sampled = [0] * config.num_chains  # by chain: top height whose txs are sampled
@@ -602,7 +600,7 @@ class Simulation:
         # the next tick with one arrival more; each gap is 1 + bisect_right(gaps, draw)
         extra = start + bisect_right(gaps, next_u64()) if frac else cfg.run_duration
         num_chains, num_keys = cfg.num_chains, cfg.num_seal_keys
-        keys = [self.directory.get(k) for k in range(num_keys)]
+        keys = self.directory.keys
         chain_limit, fee_limit = below_limit(num_chains), below_limit(1000)
         key_limit = below_limit(num_keys)
         sensitive_limit = chance_limit(cfg.sensitive_fraction)
@@ -1004,15 +1002,21 @@ class ScalingPoint(NamedTuple):
     throughput: float
 
 
-def measure_scaling(
-    base: SimConfig, chain_counts: list[int], committee_size: int = 5
-) -> list[ScalingPoint]:
+def measure_scaling(base: SimConfig, chain_counts: list[int]) -> list[ScalingPoint]:
     """Throughput at several chain counts with per-chain load held fixed.
 
-    Each point runs committee_size verifiers per chain and scales the
-    offered load with the chain count, so per-chain conditions are identical
-    and only the degree of parallelism varies.
+    The base config gives both per-chain figures: its committee size,
+    num_nodes / num_chains, which must be whole, and its load per chain,
+    tx_rate / num_chains. Each point runs that committee on every chain and
+    scales the offered load with the chain count, so per-chain conditions
+    are identical and only the degree of parallelism varies.
     """
+    committee_size, extra = divmod(base.num_nodes, base.num_chains)
+    if extra:
+        raise ConfigError(
+            f"num_nodes: scale needs a multiple of num_chains={base.num_chains}, "
+            f"got {base.num_nodes}"
+        )
     per_chain_rate = base.tx_rate / base.num_chains
     points = []
     for c in chain_counts:

@@ -29,7 +29,7 @@ from shadowraft.ordering import (
     total_order,
 )
 from shadowraft.rng import Stream
-from shadowraft.sealing import AuthFailure, KeyDirectory, generate_key, seal
+from shadowraft.sealing import AuthFailure, KeyDirectory, seal
 from shadowraft.sim import SimConfig, measure_scaling, run_simulation
 
 EPOCHS = 20_000
@@ -131,7 +131,7 @@ def scaling_sweep():
         run_duration=1500,
         tx_rate=0.5,
     )
-    points = measure_scaling(base, [1, 2, 4, 8], committee_size=5)
+    points = measure_scaling(base, [1, 2, 4, 8])  # committees of 5, as the base
     return points, time.monotonic() - start
 
 
@@ -274,9 +274,8 @@ def test_criterion_6_throughput_scaling():
 
 def test_criterion_7_sealing_round_trips_and_tampering():
     rand = random.Random(7001)
-    key = generate_key(1, Stream.from_labels("acceptance-seal", 1))
-    directory = KeyDirectory()
-    directory.add(key)
+    directory = KeyDirectory(1, Stream.from_labels("acceptance-seal", 1))
+    [key] = directory.keys
     round_trips = auth_failures = plaintext_windows = 0
     for _ in range(1000):
         plaintext = rand.randbytes(rand.randrange(16, 64))

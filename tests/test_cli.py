@@ -198,6 +198,9 @@ def test_failed_runs_end_in_one_line_diagnostics(tmp_path, capsys):
     no_lock = "error: beacon failed to lock a seed by the horizon t=1200\n"
     bad_rate = "configuration error: tx_rate: must be finite and >= 0\n"
     bad_stats = "beacon-stats: need nodes >= 1, 1 <= bits <= 32, epochs >= 1, 0 <= seed < 2**64\n"
+    worded = write_cfg(tmp_path, "worded.cfg", num_nodes="five")
+    bare_crash = write_cfg(tmp_path, "bare-crash.cfg", crash_schedule="100")
+    uneven = write_cfg(tmp_path, "uneven.cfg", num_nodes="5")  # 5 nodes over 2 chains
     cases = [
         (["run", "--config", str(twice)], "configuration error: crash_schedule: node 1 listed twice\n"),
         (["run", "--config", str(never)], no_lock),
@@ -206,8 +209,12 @@ def test_failed_runs_end_in_one_line_diagnostics(tmp_path, capsys):
         (["run", "--config", str(undefined)], bad_rate),
         (["run", "--config", str(cadence)], no_cadence_key),
         (["run", "--config", str(traced)], no_trace_key),
-        (["scale", "--committee", "0"], "scale: --committee must be >= 1, got 0\n"),
-        (["scale", "--committee", "-1"], "scale: --committee must be >= 1, got -1\n"),
+        (["run", "--config", str(worded)],
+         "configuration error: num_nodes: invalid literal for int() with base 10: 'five'\n"),
+        (["run", "--config", str(bare_crash)],
+         "configuration error: crash_schedule: crash entry '100' is not time:node\n"),
+        (["scale", "--config", str(uneven)],
+         "configuration error: num_nodes: scale needs a multiple of num_chains=2, got 5\n"),
         (["beacon-stats", "--seed", "-1"], bad_stats),
         (["beacon-stats", "--seed", str(1 << 64)], bad_stats),
     ]
@@ -373,19 +380,33 @@ def test_scale_rejects_bad_chain_lists(tmp_path, capsys):
 
 
 def test_scale_writes_table(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, num_chains="1", num_nodes="5", run_duration="700")
+    cfg = write_cfg(tmp_path, num_chains="1", num_nodes="4", run_duration="700")
     out = tmp_path / "sc"
-    code = main(
-        ["scale", "--config", str(cfg), "--chains", "1,2", "--committee", "4",
-         "--out", str(out)]
-    )
+    code = main(["scale", "--config", str(cfg), "--chains", "1,2", "--out", str(out)])
     assert code == 0
     rows = (out / "scaling.csv").read_text().splitlines()
     assert rows[0] == "chains,nodes,committed_txs,window,txs_per_tick"
     assert len(rows) == 3
     assert rows[1].startswith("1,4,")
     assert rows[2].startswith("2,8,")
-    assert "deviation" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "scaling (committee size 4, per-chain load fixed):" in printed
+    assert "deviation +" in printed or "deviation -" in printed
+
+
+def test_scale_deviation_is_undefined_when_the_baseline_commits_nothing(tmp_path, capsys):
+    # one node per chain: at C=1 the lone enclave's beacon locks at t=290,
+    # too late for the baseline to commit anything; C=8's eight lock in time
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text("num_chains = 8\nnum_nodes = 8\ntx_rate = 3.2\nrun_duration = 300\n")
+    assert main(["scale", "--config", str(cfg), "--chains", "1,8", "--out", str(tmp_path)]) == 0
+    summary = (tmp_path / "scaling_summary.txt").read_text().splitlines()
+    assert summary[1] == "  C=1: 0.0000 tx/tick (ideal 0.0000, deviation undefined)"
+    assert summary[2].startswith("  C=8: ") and summary[2].endswith(
+        " tx/tick (ideal 0.0000, deviation undefined)"
+    )
+    assert not summary[2].startswith("  C=8: 0.0000 ")
+    capsys.readouterr()
 
 
 def run_and_verify_dirs(tmp_path):
@@ -403,6 +424,27 @@ def test_verify_order_accepts_clean_run(tmp_path, capsys):
     rebuilt = (verified / "order.csv").read_text().splitlines()
     assert rebuilt[0] == "position,rank,chain_id,height,block_hash,tx_count"
     assert len(rebuilt) > 1
+
+
+def test_verify_order_rejects_an_order_unlike_the_brute_force_reference(
+    tmp_path, monkeypatch, capsys
+):
+    import shadowraft.ordering as ordering
+
+    out = run_and_verify_dirs(tmp_path)
+    capsys.readouterr()
+    real = ordering.Frontier.order
+
+    def swapped(view):  # each node's order with its first two refs swapped
+        order = list(real.fget(view))
+        order[:2] = order[1::-1]
+        return order
+
+    monkeypatch.setattr(ordering.Frontier, "order", property(swapped))
+    assert main(["verify-order", str(out), "--out", str(tmp_path / "v")]) == 1
+    assert capsys.readouterr().err == (
+        "verify-order: node=0: total_order disagrees with the brute-force reference\n"
+    )
 
 
 def test_verify_order_missing_inputs(tmp_path, capsys):

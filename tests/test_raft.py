@@ -446,6 +446,17 @@ def test_append_reply_from_older_term_ignored():
     assert nodes[0].commit_index == 0
 
 
+def test_append_reply_with_higher_term_steps_leader_down():
+    nodes = build_cluster(3)
+    elect(nodes, 0)
+    leader = nodes[0]
+    assert leader.role is Role.LEADER and leader.voted_for == 0
+    term = leader.current_term
+    assert leader.handle_message(1, AppendReply(term + 2, False, 0), 5) == []
+    assert leader.role is Role.FOLLOWER
+    assert leader.current_term == term + 2 and leader.voted_for is None
+
+
 def test_dispatch_rejects_unknown_message():
     node = build_cluster(3)[0]
     with pytest.raises(TypeError):

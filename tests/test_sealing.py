@@ -15,20 +15,16 @@ from shadowraft.sealing import (
     NonceExhausted,
     SealKey,
     UnknownKey,
-    generate_key,
     seal,
 )
 
 
+def fresh_directory(count=1, seed=1):
+    return KeyDirectory(count, Stream.from_labels("seal-test", seed))
+
+
 def fresh_key(key_id=0, seed=1):
-    return generate_key(key_id, Stream.from_labels("seal-test", seed, key_id))
-
-
-def directory_of(*keys):
-    directory = KeyDirectory()
-    for key in keys:
-        directory.add(key)
-    return directory
+    return fresh_directory(key_id + 1, seed).keys[key_id]
 
 
 def nonce_of(sealed):
@@ -40,18 +36,18 @@ def ciphertext_of(sealed):
 
 
 def test_roundtrip():
-    key = fresh_key()
-    directory = directory_of(key)
+    directory = fresh_directory()
+    [key] = directory.keys
     for pt in [b"", b"x", b"hello sealed world", bytes(200)]:
         sealed = seal(key, pt, b"ad")
         assert directory.unseal(sealed, b"ad") == pt
 
 
 def test_associated_data_is_authenticated():
-    key = fresh_key()
-    sealed = seal(key, b"payload", b"context-a")
+    directory = fresh_directory()
+    sealed = seal(directory.keys[0], b"payload", b"context-a")
     with pytest.raises(AuthFailure):
-        directory_of(key).unseal(sealed, b"context-b")
+        directory.unseal(sealed, b"context-b")
 
 
 def test_nonces_count_up_per_key():
@@ -81,8 +77,8 @@ def test_wire_layout():
 
 
 def test_decode_rejects_malformed():
-    key = fresh_key()
-    directory = directory_of(key)
+    directory = fresh_directory()
+    [key] = directory.keys
     raw = seal(key, b"abcdef", b"")
     longer = raw[:16] + (7).to_bytes(8, "big") + raw[24:]
     for bad in (raw[:-1], raw + b"\x00", b"short", raw[: _HEAD.size + 15], longer):
@@ -92,8 +88,8 @@ def test_decode_rejects_malformed():
 
 
 def test_tampering_any_field_fails_auth():
-    key = fresh_key()
-    directory = directory_of(key)
+    directory = fresh_directory()  # one key, id 0: a flipped key_id bit names no key
+    [key] = directory.keys
     sealed = seal(key, b"the quick brown fox", b"ad")
     rng = random.Random(5)
     # each region of the wire bytes -> (start, end, the error a flipped bit raises)
@@ -114,10 +110,14 @@ def test_tampering_any_field_fails_auth():
 
 
 def test_wrong_key_object_rejected():
-    a, b = fresh_key(0), fresh_key(1)
-    sealed = seal(a, b"p", b"")
+    # a key whose id the directory lacks, then one whose id it holds with other bytes
+    directory = fresh_directory(2)
     with pytest.raises(UnknownKey):
-        directory_of(b).unseal(sealed, b"")
+        directory.unseal(seal(SealKey(2, bytes(32)), b"p", b""), b"")
+    with pytest.raises(UnknownKey):
+        directory.unseal(seal(SealKey((1 << 32) - 1, bytes(32)), b"p", b""), b"")
+    with pytest.raises(AuthFailure):
+        directory.unseal(seal(SealKey(1, bytes(32)), b"p", b""), b"")
 
 
 def test_ciphertext_hides_plaintext():
@@ -138,25 +138,26 @@ def test_key_validation():
         SealKey(1 << 32, bytes(32))
 
 
-def test_generate_key_is_deterministic():
-    a = generate_key(3, Stream.from_labels("kd", 1))
-    b = generate_key(3, Stream.from_labels("kd", 1))
-    assert a.key_bytes == b.key_bytes
-    c = generate_key(3, Stream.from_labels("kd", 2))
-    assert a.key_bytes != c.key_bytes
+def test_directory_is_deterministic():
+    def key_bytes(seed):
+        return [k.key_bytes for k in KeyDirectory(4, Stream.from_labels("kd", seed)).keys]
+
+    assert key_bytes(1) == key_bytes(1)
+    assert key_bytes(1) != key_bytes(2)
 
 
 def test_directory_generate_and_route():
-    directory = KeyDirectory.generate(4, Stream.from_labels("dir", 9))
-    sealed = seal(directory.get(2), b"routed", b"ad")
-    assert directory.unseal(sealed, b"ad") == b"routed"
-    with pytest.raises(UnknownKey):
-        directory.get(4)
-    with pytest.raises(ValueError):
-        directory.add(SealKey(2, bytes(32)))
+    directory = KeyDirectory(4, Stream.from_labels("dir", 9))
+    assert [k.key_id for k in directory.keys] == [0, 1, 2, 3]  # key k at index k
+    for key in directory.keys:
+        sealed = seal(key, b"routed", b"ad")
+        assert directory.unseal(sealed, b"ad") == b"routed"
+    assert KeyDirectory(0, Stream.from_labels("dir", 9)).keys == []
 
 
 def test_directory_keys_are_distinct():
-    directory = KeyDirectory.generate(4, Stream.from_labels("dir", 9))
-    keys = {directory.get(i).key_bytes for i in range(4)}
-    assert len(keys) == 4
+    # key k is the stream's k-th 32-byte draw
+    directory = KeyDirectory(4, Stream.from_labels("dir", 9))
+    stream = Stream.from_labels("dir", 9)
+    assert [k.key_bytes for k in directory.keys] == [stream.next_bytes(32) for _ in range(4)]
+    assert len({k.key_bytes for k in directory.keys}) == 4

@@ -286,6 +286,17 @@ def test_config_validation_names_the_offending_key():
         # the run could hand out (int(tx_rate) + 1) * run_duration nonces, past 2**64
         (dict(tx_rate=float(2**32), run_duration=2**32), "tx_rate"),
         (dict(tx_rate=1e20, run_duration=1), "tx_rate"),
+        (dict(seed=-1), "seed"),
+        (dict(seed=2**64), "seed"),
+        (dict(delta=0), "delta"),
+        (dict(election_timeout=0), "election_timeout"),
+        (dict(block_interval=0), "block_interval"),
+        (dict(run_duration=0), "run_duration"),
+        (dict(drain_window=-1), "drain_window"),
+        (dict(max_batch=0), "max_batch"),
+        (dict(snapshot_interval=0), "snapshot_interval"),
+        (dict(num_seal_keys=0), "num_seal_keys"),
+        (dict(crash_schedule=((-1, 0),)), "crash_schedule"),
     ]
     for kwargs, key in bad:
         with pytest.raises(ConfigError) as info:
@@ -827,8 +838,11 @@ def test_sealed_payload_that_fails_authentication_is_flagged(monkeypatch):
     real_seal = sim_module.seal
     monkeypatch.setattr(sim_module, "seal", flip_first_ciphertext_byte)
     trace = run_simulation(sealed_cfg())
-    assert trace.safety_flags == [f"sealed-roundtrip nonce={flipped[0]}: authentication failed"]
+    flag = f"sealed-roundtrip nonce={flipped[0]}: authentication failed"
+    assert trace.safety_flags == [flag]
     assert trace.sealed_verified == trace.total_committed_txs() - 1
+    # the summary ends with the flag count, then one FLAG line per flag
+    assert trace.summary_text().endswith(f"\n  safety flags: 1\n  FLAG {flag}\n")
 
 
 def test_sealed_payload_that_opens_to_the_wrong_plaintext_is_flagged(monkeypatch):
@@ -1265,7 +1279,7 @@ def test_rejected_workload_draws_fall_back_to_sequential_draws():
 
 def test_scaling_baseline_matches_plain_run():
     base = small_cfg(num_nodes=5, num_chains=1, run_duration=1000)
-    [point] = measure_scaling(base, [1], committee_size=5)
+    [point] = measure_scaling(base, [1])
     plain = run_simulation(base)
     assert point.committed_txs == plain.total_committed_txs()
     assert point.throughput == pytest.approx(plain.throughput())
@@ -1286,7 +1300,7 @@ def test_run_whose_beacon_outlasts_the_workload_commits_nothing():
 
 def test_scaling_grows_with_chain_count():
     base = small_cfg(num_nodes=5, num_chains=1, run_duration=1000, tx_rate=0.4)
-    one, two = measure_scaling(base, [1, 2], committee_size=5)
+    one, two = measure_scaling(base, [1, 2])
     assert two.nodes == 10 and two.chains == 2
     assert two.throughput > one.throughput * 1.3
     with pytest.raises(ConfigError):
