@@ -5,11 +5,18 @@ length-prefixed byte strings, fields in declaration order. Hashing is
 SHA-256 throughout. The header byte layout (the hashing preimage) is
 ``BlockHeader``'s fields in order, packed by ``_HEADER``.
 
+A transaction's wire layout is ``tx_layout(len(payload))``, one cached
+struct per payload length: u64 len || payload || flag || fee || nonce.
+``encode_transaction`` packs through it, and so does the simulator's client
+generator, once per transaction, as it draws it.
+
 A block carries ``body``, the encoding of its transaction list, made once:
-``new_block`` encodes the list and hashes that for ``tx_root``,
-``encode_block`` writes it after the header, ``decode_block`` keeps it as a
-view of the bytes it parsed, and ``append_block`` checks ``tx_root`` against
-its hash.
+``join_transactions`` prefixes the count to the packed transactions, and
+``block_header`` hashes that for ``tx_root``. ``new_block`` builds a Block
+through both; a proposer joins its already packed transactions and writes
+the header before them with ``encode_new_block``. ``encode_block`` writes a
+block's body after its header, ``decode_block`` keeps it as a view of the
+bytes it parsed, and ``append_block`` checks ``tx_root`` against its hash.
 
 ``Transaction``, ``BlockHeader`` and ``Block`` are named tuples. The first
 two hold their fields in wire order, so ``BlockHeader``'s class body is the
@@ -23,6 +30,7 @@ against its tip and appending it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass, field
@@ -33,7 +41,7 @@ ZERO_HASH = b"\x00" * HASH_LEN
 
 _HEADER = struct.Struct(">IQ32sQQ32sQ")  # BlockHeader, 100 bytes
 _U64 = struct.Struct(">Q")
-_TX_TAIL = struct.Struct(">BQQ")  # sensitivity flag, fee, nonce
+_TX_TAIL = struct.Struct(">BQQ")  # sensitivity flag, fee, nonce: decode_block's tail
 
 
 class LedgerError(Exception):
@@ -92,14 +100,27 @@ class ChainLedger:
     hashes: list[bytes] = field(default_factory=list)
 
 
+@functools.cache
+def tx_layout(payload_len: int) -> struct.Struct:
+    """The wire layout of a transaction with a payload_len-byte payload.
+
+    Its pack takes (payload_len, payload, sensitive, fee, nonce).
+    """
+    return struct.Struct(f">Q{payload_len}sBQQ")
+
+
 def encode_transaction(tx: Transaction) -> bytes:
-    tail = _TX_TAIL.pack(tx.sensitive, tx.fee, tx.nonce)
-    return _U64.pack(len(tx.payload)) + tx.payload + tail
+    size = len(tx.payload)
+    return tx_layout(size).pack(size, *tx)  # Transaction's fields are in wire order
+
+
+def join_transactions(packed: list[bytes]) -> bytes:
+    """A block body: the count, then each transaction's packed bytes."""
+    return _U64.pack(len(packed)) + b"".join(packed)
 
 
 def encode_transactions(txs: Iterable[Transaction]) -> bytes:
-    txs = tuple(txs)
-    return _U64.pack(len(txs)) + b"".join(encode_transaction(t) for t in txs)
+    return join_transactions([encode_transaction(t) for t in txs])
 
 
 def header_bytes(header: BlockHeader) -> bytes:
@@ -108,6 +129,20 @@ def header_bytes(header: BlockHeader) -> bytes:
 
 def hash_header(header: BlockHeader) -> bytes:
     return hashlib.sha256(header_bytes(header)).digest()
+
+
+def block_header(
+    chain_id: int,
+    height: int,
+    parent_hash: bytes,
+    rank: int,
+    next_rank: int,
+    body: bytes,
+    proposer_term: int,
+) -> BlockHeader:
+    """The header of a block whose body is body: its tx_root is body's hash."""
+    root = hashlib.sha256(body).digest()
+    return BlockHeader(chain_id, height, parent_hash, rank, next_rank, root, proposer_term)
 
 
 def new_block(
@@ -122,9 +157,23 @@ def new_block(
     """Build a block with its tx_root computed from the transaction list."""
     txs = tuple(transactions)
     body = encode_transactions(txs)
-    root = hashlib.sha256(body).digest()
-    header = BlockHeader(chain_id, height, parent_hash, rank, next_rank, root, proposer_term)
+    header = block_header(chain_id, height, parent_hash, rank, next_rank, body, proposer_term)
     return Block(header, txs, body)
+
+
+def encode_new_block(
+    chain_id: int,
+    height: int,
+    parent_hash: bytes,
+    rank: int,
+    next_rank: int,
+    packed: list[bytes],
+    proposer_term: int,
+) -> bytes:
+    """The wire bytes of a new block over transactions already packed by tx_layout."""
+    body = join_transactions(packed)
+    header = block_header(chain_id, height, parent_hash, rank, next_rank, body, proposer_term)
+    return header_bytes(header) + body
 
 
 def make_genesis(chain_id: int) -> Block:

@@ -16,8 +16,9 @@ A sealed payload is its wire bytes, with no decoded form:
     key_id u32 || nonce 12B || ciphertext_len u64 || ciphertext || auth_tag 16B
 
 AES-GCM returns ciphertext || auth_tag, so ``seal`` appends it to the packed
-head, and ``KeyDirectory.unseal`` checks the head and decrypts everything
-after it under the key the head names.
+head, and a sealed payload is ``SEAL_OVERHEAD`` bytes longer than its
+plaintext. ``KeyDirectory.unseal`` checks the head's lengths and key id, and
+decrypts everything after the head under the key it names.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ KEY_LEN = 32
 NONCE_LIMIT = 1 << (8 * NONCE_LEN)
 
 _HEAD = struct.Struct(f">I{NONCE_LEN}sQ")  # key_id, nonce, ciphertext_len
+SEAL_OVERHEAD = _HEAD.size + TAG_LEN  # a sealed payload's length less its plaintext's
 
 
 class SealingError(Exception):
@@ -85,16 +87,6 @@ def seal(key: SealKey, plaintext: bytes, associated_data: bytes) -> bytes:
     return head + key.aead.encrypt(nonce, plaintext, associated_data)
 
 
-def _parse(data: bytes) -> tuple[int, bytes]:
-    """The key id and nonce of sealed wire bytes, once their length checks out."""
-    if len(data) < _HEAD.size + TAG_LEN:
-        raise DecodeError("sealed payload too short")
-    key_id, nonce, clen = _HEAD.unpack_from(data, 0)
-    if len(data) != _HEAD.size + clen + TAG_LEN:
-        raise DecodeError("sealed payload length mismatch")
-    return key_id, nonce
-
-
 class KeyDirectory:
     """Static in-simulation key directory shared by all honest verifiers.
 
@@ -107,7 +99,12 @@ class KeyDirectory:
 
     def unseal(self, data: bytes, associated_data: bytes) -> bytes:
         """The plaintext of sealed wire bytes, under the key they name."""
-        key_id, nonce = _parse(data)
+        size = len(data)
+        if size < SEAL_OVERHEAD:
+            raise DecodeError("sealed payload too short")
+        key_id, nonce, clen = _HEAD.unpack_from(data, 0)
+        if size != clen + SEAL_OVERHEAD:
+            raise DecodeError("sealed payload length mismatch")
         if key_id >= len(self.keys):
             raise UnknownKey(f"no key with id {key_id}")
         try:

@@ -18,8 +18,12 @@ reserves one sequence number and counts as one event at its submit time,
 before run_duration <= end_time. The ticks that get one arrival more than
 int(tx_rate) are drawn as geometric gaps, one draw each. A proposal at
 tick t takes up to max_batch of its chain's transactions submitted before
-t. SimConfig.validate bounds (int(tx_rate) + 1) * run_duration by 2**64, so
-every nonce fits in a u64. A node's superseded Raft deadline is not an
+t. Each transaction is packed to its wire bytes (ledger.tx_layout) as it is
+drawn: a chain's pending list holds those bytes, beside a list of their submit
+ticks that a proposal bisects, and the proposal joins the ones it takes into
+its block body with ledger.encode_new_block, so no transaction is encoded
+twice. SimConfig.validate bounds (int(tx_rate) + 1) * run_duration by 2**64,
+so every nonce fits in a u64. A node's superseded Raft deadline is not an
 event, and its timer fires at the (deadline, seq) its last arming reserved.
 Tracing is a run option, not a SimConfig field: it adds events.csv, whose
 set-up rows are sorted into place at the end, and changes no other byte.
@@ -84,15 +88,15 @@ from .ledger import (
     ChainLedger,
     DecodeError,
     LedgerError,
-    Transaction,
     append_block,
     decode_block,
-    encode_block,
-    # unused here, but perfbench/tracer.py wraps shadowraft.sim.hash_header by name
-    hash_header,
+    encode_new_block,
     make_genesis,
-    new_block,
+    tx_layout,
 )
+
+# unused here, but perfbench/tracer.py wraps each by its shadowraft.sim name
+from .ledger import encode_block, hash_header, new_block
 from .ordering import (
     Frontier,
     GlobalView,
@@ -103,7 +107,7 @@ from .ordering import (
 )
 from .raft import LEADER, RaftNode, SafetyMonitor, VoteReply, quorum_threshold
 from .rng import Stream, below_limit, chance_limit
-from .sealing import KeyDirectory, SealingError, seal
+from .sealing import SEAL_OVERHEAD, KeyDirectory, SealingError, seal
 
 
 class SimError(Exception):
@@ -477,7 +481,8 @@ _KIND_NAMES = {
 
 # one client transaction's workload draws: chain, sensitivity and fee u64s, the
 # payload, then the seal-key u64, which only a sealed transaction consumes
-_TX_DRAWS = struct.Struct(">QQQ24sQ")
+_PAYLOAD_LEN = 24  # a client transaction's plaintext payload
+_TX_DRAWS = struct.Struct(f">QQQ{_PAYLOAD_LEN}sQ")
 _AD = struct.Struct(">QQ").pack  # a sealed payload's associated data: nonce, fee
 
 
@@ -528,9 +533,9 @@ class Simulation:
         self.plaintexts: list[bytes | None] = []  # by nonce; None if not sealed
         self.submit_times: list[int] = []  # by nonce
         self.sampled = [0] * config.num_chains  # by chain: top height whose txs are sampled
-        self.pending: dict[int, list[Transaction]] = {
-            c: [] for c in range(config.num_chains)
-        }
+        # by chain: each waiting transaction's wire bytes, and its submit tick
+        self.pending: dict[int, list[bytes]] = {c: [] for c in range(config.num_chains)}
+        self.pending_ticks: dict[int, list[int]] = {c: [] for c in range(config.num_chains)}
         self.canonical: dict[int, ChainLedger] = {}
         self.store = GlobalView(config.num_chains)  # every node's view is a frontier over it
         # (chain, index) -> (command, block or DecodeError, height or None if skipped)
@@ -604,8 +609,11 @@ class Simulation:
         chain_limit, fee_limit = below_limit(num_chains), below_limit(1000)
         key_limit = below_limit(num_keys)
         sensitive_limit = chance_limit(cfg.sensitive_fraction)
-        plaintexts, submit_times, new = self.plaintexts, self.submit_times, tuple.__new__
-        pending = self.pending
+        plaintexts, submit_times = self.plaintexts, self.submit_times
+        pending, pending_ticks = self.pending, self.pending_ticks
+        pack_plain = tx_layout(_PAYLOAD_LEN).pack
+        sealed_len = _PAYLOAD_LEN + SEAL_OVERHEAD
+        pack_sealed = tx_layout(sealed_len).pack
         sealed_size = _TX_DRAWS.size
         nonce = 0
         t = start if whole else extra
@@ -625,15 +633,16 @@ class Simulation:
                     chain = wl.next_below(num_chains)
                     sensitive = wl.chance(cfg.sensitive_fraction)
                     fee = wl.next_below(1000)
-                    payload = wl.next_bytes(24)
+                    payload = wl.next_bytes(_PAYLOAD_LEN)
                     key_id = wl.next_below(num_keys) if sensitive else 0
                 if sensitive:
                     plaintexts.append(payload)
-                    payload = seal(keys[key_id], payload, _AD(nonce, fee))
+                    sealed = seal(keys[key_id], payload, _AD(nonce, fee))
+                    pending[chain].append(pack_sealed(sealed_len, sealed, 1, fee, nonce))
                 else:
                     plaintexts.append(None)
-                # tuple.__new__ skips Transaction's Python-level __new__, one call per tx
-                pending[chain].append(new(Transaction, (payload, sensitive, fee, nonce)))
+                    pending[chain].append(pack_plain(_PAYLOAD_LEN, payload, 0, fee, nonce))
+                pending_ticks[chain].append(t)
                 nonce += 1
             submit_times += [t] * k
             t = t + 1 if whole else extra
@@ -643,8 +652,9 @@ class Simulation:
         out.events_processed += nonce
         if out.event_rows is not None:
             out.event_rows += [
-                (submit_times[tx.nonce], first + tx.nonce, "client", chain, "client")
-                for chain, txs in pending.items() for tx in txs
+                (submit_times[n], first + n, "client", chain, "client")
+                for chain, txs in pending.items()
+                for n in (int.from_bytes(tx[-8:], "big") for tx in txs)  # the nonce field
             ]
 
     # -- raft interaction --------------------------------------------------
@@ -801,26 +811,23 @@ class Simulation:
         # applied, so the new block extends the real tip
         if r.commit_index != len(r.log) or node.applied != r.commit_index:
             return
-        queue, submit_times = self.pending[chain], self.submit_times
+        queue, ticks = self.pending[chain], self.pending_ticks[chain]
         # a tick's arrivals take later seqs than its proposals: take those submitted before now;
         # with none, the empty block still catches the chain's rank up, so the bar can rise
-        n = bisect_left(
-            queue, now, hi=min(len(queue), self.cfg.max_batch),
-            key=lambda tx: submit_times[tx.nonce],
-        )
-        txs = queue[:n]
-        del queue[:n]
+        n = bisect_left(ticks, now, 0, min(len(ticks), self.cfg.max_batch))
+        packed = queue[:n]
+        del queue[:n], ticks[:n]
         rank, next_rank = propose_rank_fields(node.view, chain)
-        block = new_block(
+        command = encode_new_block(
             chain_id=chain,
             height=node.height + 1,
             parent_hash=self.canonical[chain].hashes[node.height],
             rank=rank,
             next_rank=next_rank,
-            transactions=txs,
+            packed=packed,
             proposer_term=r.current_term,
         )
-        out = r.client_submit(encode_block(block), now)
+        out = r.client_submit(command, now)
         self._after_raft(node, now, out)
 
     def _on_snapshot(self, now: int) -> None:
@@ -973,20 +980,23 @@ class Simulation:
         for monitor, members in zip(self.monitors, self.assignment):
             monitor.check_logs([self.nodes[n].raft for n in members])
 
+        unseal, plaintexts, flag = self.directory.unseal, self.plaintexts, self._flag
+        verified = 0
         for ledger in self.canonical.values():
             for block in ledger.blocks:
                 for tx in block.transactions:
                     if not tx.sensitive:
                         continue
                     try:
-                        plain = self.directory.unseal(tx.payload, _AD(tx.nonce, tx.fee))
+                        plain = unseal(tx.payload, _AD(tx.nonce, tx.fee))
                     except SealingError as exc:
-                        self._flag(f"sealed-roundtrip nonce={tx.nonce}: {exc}")
+                        flag(f"sealed-roundtrip nonce={tx.nonce}: {exc}")
                         continue
-                    if plain != self.plaintexts[tx.nonce]:
-                        self._flag(f"sealed-roundtrip nonce={tx.nonce}: wrong plaintext")
+                    if plain != plaintexts[tx.nonce]:
+                        flag(f"sealed-roundtrip nonce={tx.nonce}: wrong plaintext")
                     else:
-                        out.sealed_verified += 1
+                        verified += 1
+        out.sealed_verified += verified
 
 
 def run_simulation(config: SimConfig, *, trace: bool = False) -> SimTrace:

@@ -31,7 +31,11 @@ from shadowraft.ledger import (
     header_bytes,
     make_genesis,
     new_block,
+    tx_layout,
 )
+from shadowraft.rng import Stream
+from shadowraft.sealing import SEAL_OVERHEAD, KeyDirectory, seal
+from shadowraft.sim import _PAYLOAD_LEN
 
 
 def be(value, width):
@@ -74,6 +78,24 @@ def test_transaction_encoding_matches_oracle():
     for seed in range(25):
         tx = sample_tx(seed)
         assert encode_transaction(tx) == oracle_tx_bytes(tx)
+
+
+def test_tx_layout_packs_the_oracle_bytes():
+    # the simulator packs every client transaction through this layout as it draws it
+    key = KeyDirectory(1, Stream.from_labels("layout-test")).keys[0]
+    sealed_len = len(seal(key, bytes(_PAYLOAD_LEN), b"ad"))
+    assert sealed_len == _PAYLOAD_LEN + SEAL_OVERHEAD
+    for size in (0, _PAYLOAD_LEN, sealed_len):
+        for seed in range(5):
+            rng = random.Random(seed)
+            tx = Transaction(
+                rng.randbytes(size), rng.random() < 0.5, rng.randrange(1 << 64),
+                rng.randrange(1 << 64),
+            )
+            layout = tx_layout(size)
+            assert layout.size == 8 + size + 17
+            assert layout.pack(size, *tx) == oracle_tx_bytes(tx) == encode_transaction(tx)
+    assert tx_layout(_PAYLOAD_LEN) is tx_layout(_PAYLOAD_LEN)  # one cached layout per length
 
 
 def test_transaction_list_encoding_is_count_prefixed():

@@ -20,7 +20,15 @@ import shadowraft.ordering as ordering_module
 import shadowraft.sealing as sealing_module
 import shadowraft.sim as sim_module
 from shadowraft.beacon import Certificate
-from shadowraft.ledger import encode_block, hash_header, make_genesis, new_block
+from shadowraft.ledger import (
+    decode_block,
+    encode_block,
+    encode_new_block,
+    encode_transactions,
+    hash_header,
+    make_genesis,
+    new_block,
+)
 from shadowraft.cli import build_config
 from shadowraft.ordering import propose_rank_fields, reference_total_order
 from shadowraft.raft import LogEntry, RaftNode, Role, VoteReply
@@ -706,6 +714,15 @@ def counted(calls, name, fn):
     return wrapper
 
 
+def unpacked(packed):
+    """The transactions of a list of packed transactions, read back by decode_block."""
+    raw = encode_new_block(
+        chain_id=0, height=0, parent_hash=bytes(32), rank=0, next_rank=1, packed=packed,
+        proposer_term=0,
+    )
+    return decode_block(raw).transactions
+
+
 def test_stale_proposal_is_skipped_once_by_every_replica(monkeypatch):
     # the leader's third proposal names a wrong parent: Raft commits it, and
     # the ledger skips it
@@ -715,11 +732,11 @@ def test_stale_proposal_is_skipped_once_by_every_replica(monkeypatch):
         proposals.append(fields["height"])
         if len(proposals) == 3:
             fields["parent_hash"] = b"\xff" * 32
-        return real_new_block(**fields)
+        return real_encode_new_block(**fields)
 
-    real_new_block = sim_module.new_block
+    real_encode_new_block = sim_module.encode_new_block
     calls = {"append_block": 0, "decode_block": 0}
-    monkeypatch.setattr(sim_module, "new_block", wrong_parent_on_third)
+    monkeypatch.setattr(sim_module, "encode_new_block", wrong_parent_on_third)
     for name in calls:
         monkeypatch.setattr(sim_module, name, counted(calls, name, getattr(sim_module, name)))
     sim = Simulation(small_cfg(num_nodes=5, run_duration=800))
@@ -734,29 +751,74 @@ def test_stale_proposal_is_skipped_once_by_every_replica(monkeypatch):
     assert calls["append_block"] == committed + 1 + 1  # plus the genesis
 
 
+def test_generated_transactions_are_the_ledgers_encoding():
+    # a proposal joins the generator's packed bytes as they are, so each
+    # committed body must be what the ledger encodes its decoded list to
+    cfg = small_cfg(
+        num_nodes=6, num_chains=3, tx_rate=4, sensitive_fraction=0.5, num_seal_keys=2,
+        max_batch=3, run_duration=600,
+    )
+    sim = Simulation(cfg)
+    trace = sim.run()
+    assert trace.safety_flags == []
+    nonces, sizes, sealed = [], set(), set()
+    for chain, ledger in sim.canonical.items():
+        assert trace.committed_blocks[chain] > 0
+        mine = []
+        for block in ledger.blocks:
+            assert bytes(block.body) == encode_transactions(block.transactions)
+            sizes.add(len(block.transactions))
+            for tx in block.transactions:
+                assert tx.sensitive == (sim.plaintexts[tx.nonce] is not None)
+                sealed.add(tx.sensitive)
+                mine.append(tx.nonce)
+        assert mine == sorted(mine)  # a chain commits its arrivals in nonce order
+        nonces += mine
+    assert len(set(nonces)) == len(nonces) == trace.total_committed_txs() > 0
+    assert cfg.max_batch in sizes and sealed == {False, True}
+    assert trace.sealed_verified == sum(sim.plaintexts[n] is not None for n in nonces)
+
+
 def test_one_cipher_context_per_key_and_one_encoding_per_transaction(monkeypatch):
-    calls = {"AESGCM": 0, "encode_transaction": 0}
+    calls = {"AESGCM": 0, "encode_transaction": 0, "pack": 0}
     monkeypatch.setattr(sealing_module, "AESGCM", counted(calls, "AESGCM", sealing_module.AESGCM))
     encode = ledger_module.encode_transaction
     monkeypatch.setattr(
         ledger_module, "encode_transaction", counted(calls, "encode_transaction", encode)
     )
-    proposed = []
 
-    def recording_new_block(**fields):
-        block = real_new_block(**fields)
-        proposed.append(len(block.transactions))
-        return block
+    class CountedLayout:
+        def __init__(self, layout):
+            self.pack = counted(calls, "pack", layout.pack)
 
-    real_new_block = sim_module.new_block
-    monkeypatch.setattr(sim_module, "new_block", recording_new_block)
+    drawn, proposed = [], []
+
+    def recording_generate(self, start):
+        real_generate(self, start)
+        drawn.extend(tx for txs in self.pending.values() for tx in txs)
+
+    def recording_encode_new_block(**fields):
+        proposed.extend(fields["packed"])
+        return real_encode_new_block(**fields)
+
+    real_generate, real_layout = Simulation._generate_workload, sim_module.tx_layout
+    real_encode_new_block = sim_module.encode_new_block
+    monkeypatch.setattr(Simulation, "_generate_workload", recording_generate)
+    monkeypatch.setattr(sim_module, "tx_layout", lambda size: CountedLayout(real_layout(size)))
+    monkeypatch.setattr(sim_module, "encode_new_block", recording_encode_new_block)
     cfg = small_cfg(num_nodes=4, tx_rate=2.5, sensitive_fraction=0.5, num_seal_keys=3)
     trace = run_simulation(cfg)
     assert trace.safety_flags == []
     assert trace.sealed_verified > 0
     assert calls["AESGCM"] == cfg.num_seal_keys
-    assert sum(proposed) >= trace.total_committed_txs() > 0
-    assert calls["encode_transaction"] == sum(proposed)
+    assert len(proposed) >= trace.total_committed_txs() > 0
+    # each transaction is packed once, when it is drawn, and a block body joins
+    # those very bytes objects: nothing encodes a transaction again
+    assert calls["pack"] == len(drawn) == trace.submitted_txs
+    assert calls["encode_transaction"] == 0
+    by_id = {id(tx): tx for tx in drawn}
+    assert all(by_id.get(id(tx)) is tx for tx in proposed)
+    assert len({id(tx) for tx in proposed}) == len(proposed)
 
 
 def test_replicas_that_disagree_on_a_committed_entry_are_flagged():
@@ -799,15 +861,15 @@ def test_command_that_does_not_decode_is_flagged(monkeypatch):
     assert run_simulation(cfg).safety_flags == []
     broken = []
 
-    def trailing_byte_at_height_three(block):
-        raw = real_encode_block(block)
-        if block.header.height == 3 and not broken:
+    def trailing_byte_at_height_three(**fields):
+        raw = real_encode_new_block(**fields)
+        if fields["height"] == 3 and not broken:
             raw += b"\x00"
             broken.append(raw)
         return raw
 
-    real_encode_block = sim_module.encode_block
-    monkeypatch.setattr(sim_module, "encode_block", trailing_byte_at_height_three)
+    real_encode_new_block = sim_module.encode_new_block
+    monkeypatch.setattr(sim_module, "encode_new_block", trailing_byte_at_height_three)
     sim = Simulation(cfg)
     trace = sim.run()
     appliers = [
@@ -1074,18 +1136,19 @@ def test_event_rows_are_the_events_in_time_then_seq_order():
 
 def test_a_proposal_takes_its_chains_earliest_arrivals_up_to_max_batch(monkeypatch):
     proposals = []  # [chain, now, block or None]
-    real_propose, real_new_block = Simulation._on_propose, sim_module.new_block
+    real_propose, real_encode_new_block = Simulation._on_propose, sim_module.encode_new_block
 
     def propose(self, chain, now):
         proposals.append([chain, now, None])
         real_propose(self, chain, now)
 
-    def recording_new_block(**fields):
-        proposals[-1][2] = real_new_block(**fields)
-        return proposals[-1][2]
+    def recording_encode_new_block(**fields):
+        raw = real_encode_new_block(**fields)
+        proposals[-1][2] = decode_block(raw)
+        return raw
 
     monkeypatch.setattr(Simulation, "_on_propose", propose)
-    monkeypatch.setattr(sim_module, "new_block", recording_new_block)
+    monkeypatch.setattr(sim_module, "encode_new_block", recording_encode_new_block)
     cfg = small_cfg(
         seed=4, num_nodes=6, num_chains=2, tx_rate=0.7, block_interval=10, max_batch=4,
     )
@@ -1249,7 +1312,11 @@ def test_rejected_workload_draws_fall_back_to_sequential_draws():
     sim._workload = crafted_stream(prefix)
     sim._generate_workload(0)
     got = []
-    drawn = sorted((tx.nonce, chain, tx) for chain, txs in sim.pending.items() for tx in txs)
+    drawn = sorted(
+        (tx.nonce, chain, tx) for chain, txs in sim.pending.items() for tx in unpacked(txs)
+    )
+    for chain, txs in sim.pending.items():  # each pending transaction beside its submit tick
+        assert sim.pending_ticks[chain] == [sim.submit_times[tx.nonce] for tx in unpacked(txs)]
     for _, chain, tx in drawn:
         if tx.sensitive:
             key_id = int.from_bytes(tx.payload[:4], "big")  # the wire bytes' first field
