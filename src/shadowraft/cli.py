@@ -94,9 +94,9 @@ def read_config_file(path: str) -> dict[str, str]:
         if not stripped:
             continue
         key, sep, value = stripped.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
         key = key.strip()
+        if not sep or not key:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
         if key in set_on:
             raise ConfigError(
                 f"{path}:{lineno}: duplicate key {key!r} (first set on line {set_on[key]})"

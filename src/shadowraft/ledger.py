@@ -10,22 +10,23 @@ struct per payload length: u64 len || payload || flag || fee || nonce.
 ``encode_transaction`` packs through it, and so does the simulator's client
 generator, once per transaction, as it draws it.
 
-A block carries ``body``, the encoding of its transaction list, made once:
-``join_transactions`` prefixes the count to the packed transactions, and
-``block_header`` hashes that for ``tx_root``. ``new_block`` builds a Block
-through both; a proposer joins its already packed transactions and writes
-the header before them with ``encode_new_block``. ``encode_block`` writes a
-block's body after its header, ``decode_block`` keeps it as a view of the
-bytes it parsed, and ``append_block`` checks ``tx_root`` against its hash.
+Block bytes have one writer and one reader. ``encode_new_block`` joins packed
+transactions behind their count into the body, hashes that for ``tx_root`` and
+writes the header in front; ``decode_block`` parses those bytes into a Block
+whose ``body`` is a view of them. ``new_block`` is the read of what the writer
+wrote, so every Block, genesis included, is one a replica reads off the wire.
+``encode_block`` writes a Block's header and body back to those bytes, and
+``append_block`` checks ``tx_root`` against the body's hash.
 
 ``Transaction``, ``BlockHeader`` and ``Block`` are named tuples. The first
 two hold their fields in wire order, so ``BlockHeader``'s class body is the
 header layout's one field list: ``header_bytes`` packs the tuple and
 ``decode_block`` builds one from the unpacked preimage. No constructor
 range-checks a field; ``encode_transaction`` rejects a fee or nonce outside
-u64 when it packs them, so ``new_block`` does too. ``ChainLedger`` is the
-one mutable value: it grows only by ``append_block`` checking a block
-against its tip and appending it.
+u64 when it packs them, and ``decode_block`` a sensitivity flag above 1, so
+``new_block`` rejects both. ``ChainLedger`` is the one mutable value: it
+grows only by ``append_block`` checking a block against its tip and
+appending it.
 """
 
 from __future__ import annotations
@@ -84,11 +85,11 @@ class BlockHeader(NamedTuple):
 
 
 class Block(NamedTuple):
-    """A header, its transactions and their encoding."""
+    """A decoded block: its header, its transactions and a view of their encoding."""
 
     header: BlockHeader
     transactions: tuple[Transaction, ...]
-    body: bytes | memoryview
+    body: memoryview
 
 
 @dataclass
@@ -114,35 +115,12 @@ def encode_transaction(tx: Transaction) -> bytes:
     return tx_layout(size).pack(size, *tx)  # Transaction's fields are in wire order
 
 
-def join_transactions(packed: list[bytes]) -> bytes:
-    """A block body: the count, then each transaction's packed bytes."""
-    return _U64.pack(len(packed)) + b"".join(packed)
-
-
-def encode_transactions(txs: Iterable[Transaction]) -> bytes:
-    return join_transactions([encode_transaction(t) for t in txs])
-
-
 def header_bytes(header: BlockHeader) -> bytes:
     return _HEADER.pack(*header)
 
 
 def hash_header(header: BlockHeader) -> bytes:
     return hashlib.sha256(header_bytes(header)).digest()
-
-
-def block_header(
-    chain_id: int,
-    height: int,
-    parent_hash: bytes,
-    rank: int,
-    next_rank: int,
-    body: bytes,
-    proposer_term: int,
-) -> BlockHeader:
-    """The header of a block whose body is body: its tx_root is body's hash."""
-    root = hashlib.sha256(body).digest()
-    return BlockHeader(chain_id, height, parent_hash, rank, next_rank, root, proposer_term)
 
 
 def new_block(
@@ -154,11 +132,11 @@ def new_block(
     transactions: Iterable[Transaction],
     proposer_term: int,
 ) -> Block:
-    """Build a block with its tx_root computed from the transaction list."""
-    txs = tuple(transactions)
-    body = encode_transactions(txs)
-    header = block_header(chain_id, height, parent_hash, rank, next_rank, body, proposer_term)
-    return Block(header, txs, body)
+    """The Block a replica decodes from encode_new_block's bytes for these transactions."""
+    packed = [encode_transaction(t) for t in transactions]
+    return decode_block(
+        encode_new_block(chain_id, height, parent_hash, rank, next_rank, packed, proposer_term)
+    )
 
 
 def encode_new_block(
@@ -171,8 +149,9 @@ def encode_new_block(
     proposer_term: int,
 ) -> bytes:
     """The wire bytes of a new block over transactions already packed by tx_layout."""
-    body = join_transactions(packed)
-    header = block_header(chain_id, height, parent_hash, rank, next_rank, body, proposer_term)
+    body = _U64.pack(len(packed)) + b"".join(packed)
+    root = hashlib.sha256(body).digest()
+    header = BlockHeader(chain_id, height, parent_hash, rank, next_rank, root, proposer_term)
     return header_bytes(header) + body
 
 

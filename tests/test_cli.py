@@ -48,6 +48,11 @@ def test_read_config_file_parses_comments_and_spacing(tmp_path):
         read_config_file(str(bad))
     assert "bad.cfg:1" in str(info.value)
 
+    keyless = tmp_path / "keyless.cfg"
+    keyless.write_text("seed = 5\n  = 5\n")
+    with pytest.raises(ConfigError, match=r"keyless\.cfg:2: expected key = value$"):
+        read_config_file(str(keyless))
+
 
 def test_read_config_file_rejects_duplicate_keys(tmp_path, capsys):
     path = tmp_path / "dup.cfg"

@@ -25,8 +25,8 @@ from shadowraft.ledger import (
     append_block,
     decode_block,
     encode_block,
+    encode_new_block,
     encode_transaction,
-    encode_transactions,
     hash_header,
     header_bytes,
     make_genesis,
@@ -50,6 +50,11 @@ def oracle_tx_bytes(tx):
         + be(tx.fee, 8)
         + be(tx.nonce, 8)
     )
+
+
+def oracle_body(txs):
+    """A block body: the u64 transaction count, then each transaction's bytes."""
+    return be(len(txs), 8) + b"".join(oracle_tx_bytes(t) for t in txs)
 
 
 def oracle_header_bytes(h):
@@ -100,26 +105,28 @@ def test_tx_layout_packs_the_oracle_bytes():
 
 def test_transaction_list_encoding_is_count_prefixed():
     txs = [sample_tx(1), sample_tx(2), sample_tx(3)]
-    expect = be(3, 8) + b"".join(oracle_tx_bytes(t) for t in txs)
-    assert encode_transactions(txs) == expect
-    assert encode_transactions([]) == be(0, 8)
+    for listed, expect in ((txs, oracle_body(txs)), ([], be(0, 8))):
+        packed = [encode_transaction(t) for t in listed]
+        assert encode_new_block(0, 0, ZERO_HASH, 0, 1, packed, 0)[100:] == expect
 
 
 def test_tx_root_is_sha256_of_list_encoding():
     # the root new_block computes is the one append_block checks
     txs = [sample_tx(4), sample_tx(5)]
     blk = grow(genesis_ledger(), 1, 2, txs)
-    assert blk.header.tx_root == hashlib.sha256(encode_transactions(txs)).digest()
+    assert blk.header.tx_root == hashlib.sha256(oracle_body(txs)).digest()
 
 
 def test_transaction_field_validation():
-    # the encoder is the one range check, and new_block encodes every transaction
+    # the encoder range-checks fee and nonce, the decoder the flag, and new_block runs both
     for fee, nonce in ((-1, 0), (1 << 64, 0), (0, 1 << 64)):
         tx = Transaction(b"", False, fee, nonce)
         with pytest.raises(struct.error):
             encode_transaction(tx)
         with pytest.raises(struct.error):
             new_block(0, 0, ZERO_HASH, 0, 1, [tx], 0)
+    with pytest.raises(DecodeError, match="invalid sensitivity flag"):
+        new_block(0, 0, ZERO_HASH, 0, 1, [Transaction(b"", 2, 0, 0)], 0)
 
 
 def test_header_layout_matches_oracle():
@@ -161,12 +168,12 @@ _TXS = st.lists(
 @given(txs=_TXS)
 def test_block_body_is_the_transaction_list_encoding(txs):
     blk = new_block(1, 4, bytes(32), 6, 9, txs, 3)
-    assert blk.body == encode_transactions(txs)
-    assert Block(blk.header, blk.transactions, encode_transactions(txs)) == blk
-    assert blk.header.tx_root == hashlib.sha256(encode_transactions(txs)).digest()
+    assert type(blk.body) is memoryview and blk.body == oracle_body(txs)
+    assert Block(blk.header, blk.transactions, memoryview(oracle_body(txs))) == blk
+    assert blk.header.tx_root == hashlib.sha256(oracle_body(txs)).digest()
     decoded = decode_block(encode_block(blk))
     assert decoded == blk
-    assert bytes(decoded.body) == encode_transactions(decoded.transactions)
+    assert bytes(decoded.body) == oracle_body(decoded.transactions)
 
 
 def test_decode_rejects_malformed_bytes():
@@ -211,7 +218,7 @@ def test_decode_block_reaches_each_error_with_its_message():
 def test_new_block_computes_tx_root():
     txs = [sample_tx(11)]
     blk = new_block(2, 1, bytes(32), 1, 2, txs, 1)
-    assert blk.header.tx_root == hashlib.sha256(encode_transactions(txs)).digest()
+    assert blk.header.tx_root == hashlib.sha256(oracle_body(txs)).digest()
 
 
 def test_genesis_shape():
@@ -221,6 +228,9 @@ def test_genesis_shape():
     assert h.parent_hash == ZERO_HASH
     assert h.proposer_term == 0
     assert g.transactions == ()
+    # genesis is a block as the wire carries it: its header, then a zero count
+    assert encode_block(g) == oracle_header_bytes(h) + be(0, 8)
+    assert type(g.body) is memoryview and h.tx_root == hashlib.sha256(be(0, 8)).digest()
 
 
 def genesis_ledger(chain_id=0):
@@ -275,7 +285,7 @@ def test_append_rejects_bad_parent():
 def test_append_rejects_tx_root_mismatch():
     ledger = genesis_ledger()
     good = new_block(0, 1, ledger.hashes[-1], 1, 2, [sample_tx(2)], 1)
-    forged = Block(good.header, (), encode_transactions(()))
+    forged = Block(good.header, (), memoryview(oracle_body(())))
     assert_rejected(ledger, forged, LinkageError)
 
 

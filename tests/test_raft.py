@@ -328,6 +328,47 @@ def test_monitor_flags_a_leader_elected_past_the_up_to_date_check():
     assert flags == ["leader-completeness chain=0 term=2 leader=2 index=1"]
 
 
+def campaign(nodes, monitor, candidate, voters, now):
+    """candidate times out and asks only voters; returns its heartbeats by peer if it wins."""
+    node = nodes[candidate]
+    requests = dict(node.handle_election_timeout(now))
+    out = []
+    for voter in voters:
+        [(_, reply)] = nodes[voter].handle_vote_request(candidate, requests[voter], now)
+        if reply.granted:
+            monitor.vote(voter, reply.term, candidate)
+        out += node.handle_vote_reply(voter, reply, now)
+    if node.role is Role.LEADER:
+        monitor.leader(node)
+    return dict(out)
+
+
+def deliver(nodes, monitor, src, dst, msg, now):
+    """msg from src to dst, then every reply between the two, until none is left."""
+    pending = [(src, dst, msg)]
+    while pending:
+        a, b, m = pending.pop()
+        pending += [(b, c, reply) for c, reply in nodes[b].handle_message(a, m, now)]
+        for node in nodes.values():
+            monitor.commit(node)
+
+
+def test_section_5_4_1_schedule_elects_no_leader_without_a_committed_entry():
+    # Section 5.4.1 of the Raft paper: a voter refuses a candidate whose log is behind its own
+    nodes = build_cluster(3)
+    flags = []
+    monitor = SafetyMonitor(0, flags)
+    # S0 leads term 1 with S1's vote, and its entry reaches S1 and commits
+    campaign(nodes, monitor, 0, [1], 0)
+    appends = dict(nodes[0].client_submit(b"a", 1))
+    deliver(nodes, monitor, 0, 1, appends[1], 2)
+    assert nodes[0].commit_index == 1 and nodes[2].log == []
+    # S2 asks S1 in term 1, where S1 voted for S0, then in term 2, where S1's log is ahead
+    assert campaign(nodes, monitor, 2, [1], 300) == {}
+    campaign(nodes, monitor, 2, [1], 600)
+    assert (nodes[2].current_term, nodes[2].role, flags) == (2, Role.CANDIDATE, [])
+
+
 def test_figure_8_schedule_commits_no_earlier_term_entry_by_counting_replicas():
     # Figure 8 of the Raft paper (Ongaro & Ousterhout 2014, section 5.4.2), node ids from 0.
     # A restart is a step-down that keeps current_term, voted_for and log.
@@ -335,52 +376,29 @@ def test_figure_8_schedule_commits_no_earlier_term_entry_by_counting_replicas():
     flags = []
     monitor = SafetyMonitor(0, flags)
 
-    def campaign(candidate, voters, now):
-        """candidate times out and asks only voters; returns its heartbeats by peer if it wins."""
-        node = nodes[candidate]
-        requests = dict(node.handle_election_timeout(now))
-        out = []
-        for voter in voters:
-            [(_, reply)] = nodes[voter].handle_vote_request(candidate, requests[voter], now)
-            if reply.granted:
-                monitor.vote(voter, reply.term, candidate)
-            out += node.handle_vote_reply(voter, reply, now)
-        if node.role is Role.LEADER:
-            monitor.leader(node)
-        return dict(out)
-
-    def deliver(src, dst, msg, now):
-        """msg from src to dst, then every reply between the two, until none is left."""
-        pending = [(src, dst, msg)]
-        while pending:
-            a, b, m = pending.pop()
-            pending += [(b, c, reply) for c, reply in nodes[b].handle_message(a, m, now)]
-            for node in nodes.values():
-                monitor.commit(node)
-
     # (a) S0 leads term 1, and its entry reaches S1 only
-    campaign(0, [1, 2], 0)
+    campaign(nodes, monitor, 0, [1, 2], 0)
     appends = dict(nodes[0].client_submit(b"a", 1))
-    deliver(0, 1, appends[1], 2)
+    deliver(nodes, monitor, 0, 1, appends[1], 2)
     # (b) S4 loses term 1, since S2 voted for S0, then leads term 2; its entry reaches no one
-    assert campaign(4, [2, 3], 10) == {}
-    campaign(4, [2, 3], 20)
+    assert campaign(nodes, monitor, 4, [2, 3], 10) == {}
+    campaign(nodes, monitor, 4, [2, 3], 20)
     assert nodes[4].role is Role.LEADER and nodes[4].current_term == 2
     nodes[4].client_submit(b"b", 21)
     # (c) S0 restarts and loses term 2, since S2 voted for S4, then leads term 3. S2 rejects
     # its heartbeat, so S0 backs up and sends S2 its index-1 entry: a quorum holds it
     nodes[0]._step_down(nodes[0].current_term)
-    assert campaign(0, [1, 2], 30) == {}
-    heartbeats = campaign(0, [1, 2], 40)
+    assert campaign(nodes, monitor, 0, [1, 2], 30) == {}
+    heartbeats = campaign(nodes, monitor, 0, [1, 2], 40)
     assert nodes[0].role is Role.LEADER and nodes[0].current_term == 3
     for peer in (1, 2):
-        deliver(0, peer, heartbeats[peer], 41)
+        deliver(nodes, monitor, 0, peer, heartbeats[peer], 41)
     assert [[entry.term for entry in nodes[n].log] for n in range(5)] == [[1], [1], [1], [], [2]]
     # (d) S4 restarts and loses term 3, since S1 and S2 voted for S0, then wins term 4
     # with a log that lacks index 1: had S0 committed it, the monitor would flag S4
     nodes[4]._step_down(nodes[4].current_term)
-    assert campaign(4, [1, 2, 3], 50) == {}
-    campaign(4, [1, 2, 3], 60)
+    assert campaign(nodes, monitor, 4, [1, 2, 3], 50) == {}
+    campaign(nodes, monitor, 4, [1, 2, 3], 60)
     assert nodes[4].role is Role.LEADER and nodes[4].current_term == 4
     assert (nodes[0].commit_index, flags) == (0, [])
 

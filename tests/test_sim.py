@@ -14,6 +14,7 @@ from dataclasses import replace
 import pytest
 from oracles import OracleStream, oracle_key
 from test_golden import CASES
+from test_ledger import oracle_body
 
 import shadowraft.ledger as ledger_module
 import shadowraft.ordering as ordering_module
@@ -24,7 +25,6 @@ from shadowraft.ledger import (
     decode_block,
     encode_block,
     encode_new_block,
-    encode_transactions,
     hash_header,
     make_genesis,
     new_block,
@@ -753,7 +753,7 @@ def test_stale_proposal_is_skipped_once_by_every_replica(monkeypatch):
 
 def test_generated_transactions_are_the_ledgers_encoding():
     # a proposal joins the generator's packed bytes as they are, so each
-    # committed body must be what the ledger encodes its decoded list to
+    # committed body must be the wire encoding of its decoded list
     cfg = small_cfg(
         num_nodes=6, num_chains=3, tx_rate=4, sensitive_fraction=0.5, num_seal_keys=2,
         max_batch=3, run_duration=600,
@@ -766,7 +766,7 @@ def test_generated_transactions_are_the_ledgers_encoding():
         assert trace.committed_blocks[chain] > 0
         mine = []
         for block in ledger.blocks:
-            assert bytes(block.body) == encode_transactions(block.transactions)
+            assert bytes(block.body) == oracle_body(block.transactions)
             sizes.add(len(block.transactions))
             for tx in block.transactions:
                 assert tx.sensitive == (sim.plaintexts[tx.nonce] is not None)
